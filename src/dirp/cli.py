@@ -216,8 +216,7 @@ def _cmd_diffusion(args, settings, ctx) -> int:
 
 
 def _cmd_report(args, settings, ctx) -> int:
-    report = build_report(seed=settings["seed"], ctx=ctx,
-                          digits=settings["digits"])
+    report = build_report(seed=settings["seed"], ctx=ctx)
     for row in report["rows"]:
         status = "PASS" if row["pass"] else "FAIL"
         print(f"criterion {row['criterion']:>2} {row['name']:<28} {status}",

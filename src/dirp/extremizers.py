@@ -207,9 +207,9 @@ def sharpness_table(a: Direction, family: str, n_max: int,
     """Weighted-ratio table for one family against one direction.
 
     The verdict reports finite-range evidence only: "inequality fails"
-    when the running minimum of the ratios keeps collapsing (it more than
-    halves over the second half of the table or drops below 1e-6),
-    otherwise the observed floor.  For the Fibonacci family the
+    when the running minimum of the ratios keeps collapsing (at the end
+    of the table it is below 3/4 of its value a quarter of the way in, or
+    below 1e-6), otherwise the observed floor.  For the Fibonacci family the
     dyadic-annulus diagnostic checks that consecutive frequency norms
     have ratio below 2, so every dyadic scale beyond the first few
     contains a row.

@@ -16,11 +16,24 @@ from fractions import Fraction
 from .precision import iroot
 
 
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+_TRIAL_PRIMES = _primes_upto(10_000)
+
+
 def _extract_square(d: int) -> tuple[int, int]:
     """d = s*s*m with small square factors removed from m.
 
-    Trial division stops at 10^4, plus perfect-square checks, so m is not
-    guaranteed squarefree for huge radicands; that only weakens the
+    Trial division by the primes up to 10^4 (a composite square cannot
+    divide once its prime squares are gone), plus perfect-square checks,
+    so m is not guaranteed squarefree for huge radicands; that only weakens the
     cross-field compatibility test (values fall back to interval
     arithmetic), never the exactness of sign/floor within one field.
     """
@@ -30,12 +43,12 @@ def _extract_square(d: int) -> tuple[int, int]:
     if r * r == d:
         return r, 1
     s, m = 1, d
-    f = 2
-    while f * f <= m and f <= 10_000:
-        while m % (f * f) == 0:
-            m //= f * f
-            s *= f
-        f += 1
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        while m % (p * p) == 0:
+            m //= p * p
+            s *= p
     r = math.isqrt(m)
     if r * r == m:
         return s * r, 1
@@ -160,6 +173,9 @@ class QuadExact:
         return (self - other).sign() == 0
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it must hash like one
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __lt__(self, other):

@@ -28,7 +28,8 @@ from .directions import Direction, inner_product, make_direction
 from .extremizers import fibonacci_family, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from .spectral import TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm
+from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
+                       parseval_sums)
 
 DEFAULT_REPORT_SEED = 1234
 _PHI = make_direction([1, GOLDEN_RATIO])
@@ -109,8 +110,7 @@ def criterion_3(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
               and hi <= Fraction(1001, 10 ** 3) / 10 ** 18)
     thm1_ok = _leq(thm1, Fraction(1, 10 ** 11), 80)
     # ||f_3|| = pi*sqrt2 exactly <=> raw coefficient mass is exactly 1/2
-    from .spectral import _raw_sum
-    mass = _raw_sum(m.poly)
+    mass, _, _ = parseval_sums(m.poly, ctx=ctx)
     l2_exact = mass.exact is not None and mass.exact == QuadExact(Fraction(1, 2))
     grad_ratio = grad_norm(m.poly, ctx) / l2
     grad_ok = _leq(grad_ratio, 6 * 10 ** 6, 60)
@@ -166,20 +166,6 @@ def _random_poly(rng: np.random.Generator) -> TrigPoly:
             return p
 
 
-def _exact_sums(p: TrigPoly) -> tuple[Fraction, Fraction, QuadExact]:
-    """(sum |a|^2, sum |a|^2 |k|^2, sum |a|^2 <k,(1,phi)>^2) exactly."""
-    s0 = Fraction(0)
-    sg = Fraction(0)
-    sd = QuadExact(0)
-    for k, (re, im) in p.terms.items():
-        a2 = re.exact.as_fraction() ** 2 + im.exact.as_fraction() ** 2
-        s0 += a2
-        sg += a2 * (k[0] * k[0] + k[1] * k[1])
-        ip = QuadExact(k[0]) + GOLDEN_RATIO * k[1]
-        sd = sd + ip * ip * a2
-    return s0, sg, sd
-
-
 def criteria_5_6(seed: int = DEFAULT_REPORT_SEED, samples: int = 1000,
                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[dict, dict]:
     """Half-mass bound and the frequency-cutoff chain
@@ -199,7 +185,8 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED, samples: int = 1000,
     chain_fail = 0
     for _ in range(samples):
         p = _random_poly(rng)
-        s0, sg, sd = _exact_sums(p)
+        s0, sg, sd = (x.exact for x in parseval_sums(p, _PHI, ctx))
+        s0, sg = s0.as_fraction(), sg.as_fraction()
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
         _, tail = half_mass_cutoff(p, ctx)
         if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
@@ -421,8 +408,7 @@ def criterion_14(seed: int = DEFAULT_REPORT_SEED) -> dict:
 
 
 def build_report(seed: int = DEFAULT_REPORT_SEED,
-                 ctx: PrecisionContext = DEFAULT_CONTEXT,
-                 digits: int | None = None) -> dict:
+                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     rows = [
         criterion_1(ctx), criterion_2(ctx), criterion_3(ctx), criterion_4(ctx),
     ]

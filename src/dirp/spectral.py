@@ -19,6 +19,7 @@ from .constants import pi_cr
 from .directions import Direction, inner_product
 from .errors import DimensionMismatch, ParseError, ZeroFunction
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
+from .quadratic import QuadExact
 
 FreqVector = tuple[int, ...]
 
@@ -132,6 +133,17 @@ class TrigPoly:
 
 
 # -- coefficient sums ------------------------------------------------------
+#
+# The three Parseval sums s0 = sum |a_k|^2, sg = sum |a_k|^2 |k|^2 and
+# sd = sum |a_k|^2 <k,alpha>^2.  When every coefficient is an exact rational
+# they are accumulated as Python integers (the exact kernel below); sd too,
+# when the entries of alpha share one field Q(sqrt D).  Otherwise they go
+# through CertifiedReal arithmetic (_raw_sum).  Both paths give the same
+# canonical Fraction / QuadExact wherever both apply.
+
+# (L^2, [(k, A_k)]) with |a_k|^2 = A_k / L^2 and integer A_k
+IntegerMasses = tuple[int, list[tuple[FreqVector, int]]]
+
 
 def _abs_sq(coeff: tuple[CertifiedReal, CertifiedReal]) -> CertifiedReal:
     re, im = coeff
@@ -153,46 +165,121 @@ def _raw_sum(f: TrigPoly,
     return total
 
 
+def _rational(x: CertifiedReal) -> Fraction | None:
+    return x.exact.a if x.exact is not None and x.exact.is_rational else None
+
+
+def _integer_masses(f: TrigPoly) -> IntegerMasses | None:
+    """A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient
+    denominators; None unless every coefficient is an exact rational."""
+    coeffs = []
+    for k, (re, im) in f.terms.items():
+        x, y = _rational(re), _rational(im)
+        if x is None or y is None:
+            return None
+        coeffs.append((k, x, y))
+    L = math.lcm(*(c.denominator for _, x, y in coeffs for c in (x, y)))
+    return L * L, [(k, (x.numerator * (L // x.denominator)) ** 2
+                       + (y.numerator * (L // y.denominator)) ** 2)
+                   for k, x, y in coeffs]
+
+
+def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | None:
+    """(D, Q, x, y) with integers and alpha_i = (x_i + y_i sqrt D) / Q;
+    None unless every entry is exact and the irrational ones share one D."""
+    qs = [e.exact for e in a.entries]
+    if any(q is None for q in qs):
+        return None
+    ds = {q.d for q in qs if q.d}
+    if len(ds) > 1:
+        return None
+    Q = math.lcm(*(c.denominator for q in qs for c in (q.a, q.b)))
+    return (ds.pop() if ds else 0), Q, [int(q.a * Q) for q in qs], [int(q.b * Q) for q in qs]
+
+
+def _s0(f: TrigPoly, masses: IntegerMasses | None) -> CertifiedReal:
+    if masses is None:
+        return _raw_sum(f)
+    scale, terms = masses
+    return CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale))
+
+
+def _sg(f: TrigPoly, masses: IntegerMasses | None) -> CertifiedReal:
+    if masses is None:
+        return _raw_sum(f, freq_norm_sq)
+    scale, terms = masses
+    return CertifiedReal.from_rational(
+        Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale))
+
+
+def _sd(f: TrigPoly, masses: IntegerMasses | None, a: Direction,
+        ctx: PrecisionContext) -> CertifiedReal:
+    if f.dim != a.dim:
+        raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
+    field = _quadratic_field(a) if masses is not None else None
+    if field is None:
+        def weight_sq(k):
+            ip = inner_product(k, a)
+            ip.sign(ctx)  # raises PrecisionExhausted on an unresolvable near-zero
+            return ip * ip
+        return _raw_sum(f, weight_sq)
+    # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
+    D, Q, x, y = field
+    scale, terms = masses
+    rat = irr = 0
+    for k, A in terms:
+        P = sum(ki * xi for ki, xi in zip(k, x))
+        R = sum(ki * yi for ki, yi in zip(k, y))
+        rat += A * (P * P + R * R * D)
+        irr += A * P * R
+    den = scale * Q * Q
+    return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D))
+
+
+def parseval_sums(f: TrigPoly, a: Direction | None = None,
+                  ctx: PrecisionContext = DEFAULT_CONTEXT
+                  ) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal | None]:
+    """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
+    given, sum |a_k|^2 <k,alpha>^2 (else None).  Exact values wherever the
+    coefficients and the direction allow it."""
+    masses = _integer_masses(f)
+    return (_s0(f, masses), _sg(f, masses),
+            None if a is None else _sd(f, masses, a, ctx))
+
+
 def _two_pi_pow(d: int) -> CertifiedReal:
     return (pi_cr() * 2).pow_int(d)
 
 
-def _require_nonzero(f: TrigPoly, ctx: PrecisionContext) -> CertifiedReal:
+def _nonzero_sums(f: TrigPoly, ctx: PrecisionContext
+                  ) -> tuple[IntegerMasses | None, CertifiedReal, CertifiedReal]:
+    """(masses, s0, sg); raises ZeroFunction for a certified-zero polynomial."""
     if f.is_zero():
         raise ZeroFunction("operation needs a nonzero polynomial")
-    s0 = _raw_sum(f)
+    masses = _integer_masses(f)
+    s0 = _s0(f, masses)
     if s0.sign(ctx) == 0:
         raise ZeroFunction("all coefficients are certified zero")
-    return s0
+    return masses, s0, _sg(f, masses)
 
 
 # -- norms -----------------------------------------------------------------
 
 def l2_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2)."""
-    return (_two_pi_pow(f.dim) * _raw_sum(f)).sqrt()
+    return (_two_pi_pow(f.dim) * _s0(f, _integer_masses(f))).sqrt()
 
 
 def grad_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |k|^2 |a_k|^2)."""
-    s = _raw_sum(f, lambda k: Fraction(freq_norm_sq(k)))
-    return (_two_pi_pow(f.dim) * s).sqrt()
+    return (_two_pi_pow(f.dim) * _sg(f, _integer_masses(f))).sqrt()
 
 
 def directional_norm(f: TrigPoly, a: Direction,
                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2 <k,alpha>^2), with cancellation-safe
     evaluation of the inner products."""
-    if f.dim != a.dim:
-        raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
-
-    def weight_sq(k):
-        ip = inner_product(k, a)
-        ip.sign(ctx)  # raises PrecisionExhausted on an unresolvable near-zero
-        return ip * ip
-
-    s = _raw_sum(f, weight_sq)
-    return (_two_pi_pow(f.dim) * s).sqrt()
+    return (_two_pi_pow(f.dim) * _sd(f, _integer_masses(f), a, ctx)).sqrt()
 
 
 def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object],
@@ -230,17 +317,8 @@ def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir,
     exp_grad, exp_dir = Fraction(exp_grad), Fraction(exp_dir)
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")
-    s0 = _require_nonzero(f, ctx)
-    if f.dim != a.dim:
-        raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
-    sg = _raw_sum(f, lambda k: Fraction(freq_norm_sq(k)))
-
-    def weight_sq(k):
-        ip = inner_product(k, a)
-        ip.sign(ctx)
-        return ip * ip
-
-    sd = _raw_sum(f, weight_sq)
+    masses, s0, sg = _nonzero_sums(f, ctx)
+    sd = _sd(f, masses, a, ctx)
     num = sg.pow_frac(exp_grad / 2) * sd.pow_frac(exp_dir / 2)
     den = s0.pow_frac((exp_grad + exp_dir) / 2)
     return num / den
@@ -260,15 +338,10 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
             raise DimensionMismatch("direction dimension mismatch")
     exp_grad = Fraction(exp_grad) if exp_grad is not None else Fraction(d - 1)
     exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
-    s0 = _require_nonzero(f, ctx)
-    sg = _raw_sum(f, lambda k: Fraction(freq_norm_sq(k)))
+    masses, s0, sg = _nonzero_sums(f, ctx)
     dir_sum = CertifiedReal.from_rational(0)
     for a in dirs:
-        def weight_sq(k, a=a):
-            ip = inner_product(k, a)
-            ip.sign(ctx)
-            return ip * ip
-        dir_sum = dir_sum + _raw_sum(f, weight_sq).sqrt()
+        dir_sum = dir_sum + _sd(f, masses, a, ctx).sqrt()
     num = sg.pow_frac(exp_grad / 2) * dir_sum.pow_frac(exp_sum)
     den = s0.pow_frac((exp_grad + exp_sum) / 2)
     return num / den
@@ -279,9 +352,15 @@ def half_mass_cutoff(f: TrigPoly,
                      ) -> tuple[CertifiedReal, CertifiedReal]:
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
-    s0 = _require_nonzero(f, ctx)
-    sg = _raw_sum(f, lambda k: Fraction(freq_norm_sq(k)))
+    masses, s0, sg = _nonzero_sums(f, ctx)
     radius = (sg / s0).sqrt() * 2
+    if masses is not None:
+        # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
+        _, terms = masses
+        S0 = sum(A for _, A in terms)
+        SG = sum(A * freq_norm_sq(k) for k, A in terms)
+        tail = sum(A for k, A in terms if freq_norm_sq(k) * S0 >= 4 * SG)
+        return radius, CertifiedReal.from_rational(Fraction(tail, S0))
     tail = CertifiedReal.from_rational(0)
     for k, coeff in sorted(f.terms.items()):
         # |k| >= radius  <=>  |k|^2 * s0 - 4*sg >= 0

@@ -6,12 +6,16 @@ once per module through build_report; each test asserts its own row and
 re-checks the headline numbers independently where that is cheap.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from dirp.report import DEFAULT_REPORT_SEED, build_report, report_to_bytes
+
+# sha256 of report_to_bytes(build_report(seed=1234)) with default precision
+REPORT_SHA256 = "46638ff74c1bdaaba2b1a7bbf48a0c1dd37d225f97197f48d922de23d7101b86"
 
 
 @pytest.fixture(scope="module")
@@ -128,4 +132,5 @@ def test_criterion_14_byte_identical_reports(report):
     # byte-identical to the fixture's serialization
     again = build_report(seed=DEFAULT_REPORT_SEED)
     assert report_to_bytes(again) == report_to_bytes(report)
+    assert hashlib.sha256(report_to_bytes(report)).hexdigest() == REPORT_SHA256
     assert r["pass"]

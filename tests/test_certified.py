@@ -1,5 +1,7 @@
 """Certified reals and exact quadratic arithmetic."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +12,25 @@ from hypothesis import strategies as st
 from dirp.certified import CertifiedReal, cr_min
 from dirp.errors import PrecisionExhausted
 from dirp.precision import PrecisionContext
-from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, _extract_square
+
+def _extract_square_reference(d: int) -> tuple[int, int]:
+    """Square extraction by trial division with every integer up to 10^4."""
+    r = math.isqrt(d)
+    if r * r == d:
+        return r, 1
+    s, m = 1, d
+    f = 2
+    while f * f <= m and f <= 10_000:
+        while m % (f * f) == 0:
+            m //= f * f
+            s *= f
+        f += 1
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, 1
+    return s, m
+
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=997)
@@ -48,6 +68,25 @@ class TestQuadExact:
     def test_hashable_state(self):
         seen = {GOLDEN_RATIO: 0}
         assert (QuadExact(Fraction(1, 2), Fraction(1, 2), 5)) in seen
+
+    def test_rational_value_hashes_like_its_fraction(self):
+        for q, x in ((QuadExact(3), 3), (QuadExact(Fraction(1, 2)), Fraction(1, 2)),
+                     (QuadExact(0, 1, 49), 7), (QuadExact(0, Fraction(1, 2), 4), 1)):
+            assert q == x
+            assert hash(q) == hash(x)
+        assert {Fraction(1, 2): "half"}[QuadExact(Fraction(1, 2))] == "half"
+        assert QuadExact(3) in {3}
+        assert len({QuadExact(Fraction(3, 4)), Fraction(3, 4)}) == 1
+
+    def test_extract_square_matches_trial_division_by_every_integer(self):
+        rng = random.Random(1504)
+        radicands = list(range(3000))
+        radicands += [rng.randrange(1, 10 ** 5) ** 2 * rng.randrange(1, 10 ** 4)
+                      for _ in range(300)]
+        radicands += [rng.randrange(1, 10 ** 40) for _ in range(50)]
+        radicands += [9973 ** 2 * 6, 10007 ** 2 * 6, (2 * 3 * 5 * 7) ** 4 * 11]
+        for d in radicands:
+            assert _extract_square(d) == _extract_square_reference(d), d
 
     def test_enclosure_brackets_true_value(self):
         mpmath.mp.dps = 60

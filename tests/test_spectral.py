@@ -1,6 +1,7 @@
 """Parseval norms, multipliers and weighted ratios on trigonometric polynomials."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.directions import make_direction
+from dirp.constants import e_cr
+from dirp.directions import inner_product, make_direction
 from dirp.errors import DimensionMismatch, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
-from dirp.quadratic import GOLDEN_RATIO, SQRT2
-from dirp.spectral import (TrigPoly, directional_norm, directional_symbol,
-                           grad_norm, half_mass_cutoff, l2_norm,
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
+from dirp.spectral import (TrigPoly, _raw_sum, directional_norm, directional_symbol,
+                           freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
-                           poincare_ratio)
+                           parseval_sums, poincare_ratio)
 
 mpmath.mp.dps = 80
 
@@ -235,3 +237,129 @@ class TestHalfMass:
         _, tail = half_mass_cutoff(p)
         assert tail.exact is not None
         assert tail.exact.as_fraction() <= Fraction(1, 2)
+
+
+# -- exact integer kernel against the general CertifiedReal path -------------
+
+PHI = make_direction([1, GOLDEN_RATIO])
+FIELD_DIRECTIONS = [
+    make_direction([1, Fraction(2, 7)]),                        # Q
+    make_direction(["quad:(1+sqrt2)/3", "rat:5/2"]),            # Q(sqrt2)
+    make_direction(["quad:sqrt5", "quad:(3-sqrt20)/7"]),        # Q(sqrt5), 20 = 4*5
+    PHI,
+]
+
+
+def _dyadic_terms(rng: random.Random, dim: int = 2, radius: int = 60) -> dict:
+    terms = {}
+    while len(terms) < rng.randint(1, 40):
+        k = tuple(rng.randint(-radius, radius) for _ in range(dim))
+        re = Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+        im = Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+        if any(k) and (re or im):
+            terms[k] = (re, im)
+    return terms
+
+
+def _general_sums(p: TrigPoly, a):
+    """(s0, sg, sd) through CertifiedReal arithmetic term by term."""
+    return (_raw_sum(p), _raw_sum(p, freq_norm_sq),
+            _raw_sum(p, lambda k: inner_product(k, a) * inner_product(k, a)))
+
+
+def _state(x):
+    q = x.exact
+    return (q.a, q.b, q.d)
+
+
+def _assert_encloses(x, value, digits=40):
+    lo, hi = x.enclosure(digits)
+    tol = Fraction(1, 10 ** (digits - 5))
+    assert lo - tol <= value <= hi + tol, (float(lo), float(value), float(hi))
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("a", FIELD_DIRECTIONS, ids=["Q", "Q(sqrt2)", "Q(sqrt5)", "phi"])
+    def test_matches_general_path_on_random_dyadic_polys(self, a):
+        rng = random.Random(2015)
+        for _ in range(25):
+            p = TrigPoly(2, _dyadic_terms(rng))
+            fast = parseval_sums(p, a)
+            slow = _general_sums(p, a)
+            for x, y in zip(fast, slow):
+                assert x.exact is not None and y.exact is not None
+                assert _state(x) == _state(y)
+
+    def test_three_dimensional_field_direction(self):
+        a = make_direction([1, SQRT2, QuadExact(0, 3, 8)])  # sqrt8 = 2 sqrt2
+        rng = random.Random(7)
+        for _ in range(10):
+            p = TrigPoly(3, _dyadic_terms(rng, dim=3, radius=20))
+            for x, y in zip(parseval_sums(p, a), _general_sums(p, a)):
+                assert _state(x) == _state(y)
+
+    def test_public_functionals_use_exact_sums(self):
+        p = TrigPoly(2, {(3, -2): (Fraction(1, 2), 1), (-5, 8): (0, Fraction(3, 4))})
+        s0, sg, sd = (x.exact for x in _general_sums(p, PHI))
+        assert poincare_ratio(p, PHI, 2, 2).exact == sg * sd / (s0 * s0)
+        assert parseval_sums(p)[2] is None
+
+    def test_mixed_field_direction_falls_back(self):
+        a = make_direction([SQRT2, "quad:sqrt3"])
+        p = TrigPoly(2, {(3, -2): (Fraction(1, 2), 1), (-5, 8): (0, Fraction(3, 4))})
+        s0, sg, sd = parseval_sums(p, a)
+        assert s0.exact == Fraction(5, 4) + Fraction(9, 16)
+        assert sd.exact is None
+        mpmath.mp.dps = 80
+        oracle = (Fraction(5, 4) * (3 * mpmath.sqrt(2) - 2 * mpmath.sqrt(3)) ** 2
+                  + Fraction(9, 16) * (-5 * mpmath.sqrt(2) + 8 * mpmath.sqrt(3)) ** 2)
+        _assert_encloses(sd, mpf_to_frac(oracle))
+
+    def test_const_e_direction_falls_back(self):
+        a = make_direction([1, "const:e"])
+        p = TrigPoly(2, {(2, -1): 1, (-3, 1): (0, Fraction(1, 2))})
+        _, _, sd = parseval_sums(p, a)
+        assert sd.exact is None
+        mpmath.mp.dps = 80
+        oracle = (2 - mpmath.e) ** 2 + Fraction(1, 4) * (-3 + mpmath.e) ** 2
+        _assert_encloses(sd, mpf_to_frac(oracle))
+
+    def test_inexact_coefficients_fall_back(self):
+        terms = {(3, -2): (Fraction(1, 2), 1), (-5, 8): (0, Fraction(3, 4)), (1, 1): 2}
+        p = TrigPoly(2, terms)
+        q = p.scale(e_cr())
+        mpmath.mp.dps = 80
+        e2 = mpf_to_frac(mpmath.e ** 2)
+        for x, y in zip(parseval_sums(q, PHI), parseval_sums(p, PHI)):
+            assert x.exact is None
+            _assert_encloses(x / y, e2)
+        (r_q, t_q), (r_p, t_p) = half_mass_cutoff(q), half_mass_cutoff(p)
+        _assert_encloses(r_q, r_p.exact.enclosure(60)[0])
+        _assert_encloses(t_q, t_p.exact.as_fraction())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_mass_tail_against_fraction_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            terms = _dyadic_terms(rng)
+            mass = {k: re * re + im * im for k, (re, im) in terms.items()}
+            s0 = sum(mass.values())
+            sg = sum(m * freq_norm_sq(k) for k, m in mass.items())
+            oracle = sum((m for k, m in mass.items() if freq_norm_sq(k) >= 4 * sg / s0),
+                         Fraction(0)) / s0
+            radius, tail = half_mass_cutoff(TrigPoly(2, terms))
+            assert tail.exact.as_fraction() == oracle
+            assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
+
+    def test_half_mass_boundary_frequency_is_tail(self):
+        # masses 4 at |k| = 1 and 1 at |k| = 4: radius^2 = 4*20/5 = 16 exactly
+        radius, tail = half_mass_cutoff(TrigPoly(2, {(1, 0): 2, (4, 0): 1}))
+        assert radius.exact == 4
+        assert tail.exact == Fraction(1, 5)
+
+    def test_certified_zero_coefficients_rejected(self):
+        p = TrigPoly(2, {(1, 2): 3}).scale(0)
+        with pytest.raises(ZeroFunction):
+            half_mass_cutoff(p)
+        with pytest.raises(ZeroFunction):
+            poincare_ratio(p, PHI, 1, 1)
