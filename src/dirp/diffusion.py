@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
-_DIRECT_CONV_MAX = 4096   # exact cyclic summation up to here, FFT above
+_DIRECT_CONV_MAX = 4096   # float64 direct summation up to here, FFT above
 _MASS_TOL = 1e-12
 DEFAULT_SEED = 1234
 
@@ -287,9 +287,8 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
 # ---------------------------------------------------------------------------
 
 def _cyclic_conv_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    M = len(a)
-    full = np.convolve(a, np.concatenate([b, b]))
-    return full[M:2 * M]
+    # the M outputs of the full product with [b, b] at M..2M-1, nothing else
+    return np.convolve(a, np.concatenate([b[1:], b]), "valid")
 
 
 def _cyclic_conv_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:

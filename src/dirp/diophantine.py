@@ -1,9 +1,10 @@
 """Continued fractions, badly-approximable diagnostics, and lattice minima.
 
-The lattice searches enumerate integer frequencies with a float64
-prefilter (rigorous error margins) and re-evaluate the surviving
-candidates with certified arithmetic, so results are exact-grade while
-the inner loop stays vectorized.  Every finite-depth verdict is
+The lattice searches split the ball into columns along the largest
+entry of alpha.  A float64 prefilter with rigorous error margins keeps,
+in each column, only the window of frequencies that can reach the best
+bracket (O(R^(d-1)) work), and certified arithmetic re-evaluates the
+survivors, so results are exact-grade.  Every finite-depth verdict is
 reported with its certification radius/depth and never as a theorem.
 """
 
@@ -224,28 +225,111 @@ class LatticeSearchResult:
         }
 
 
-def _halfspace_blocks(d: int, R: int, block_rows: int = 4_000_000) -> Iterator[np.ndarray]:
-    """Integer points in the box [-R, R]^d with the first nonzero coordinate
-    positive (one representative per +/- pair), in chunks."""
-    if d == 1:
-        yield np.arange(1, R + 1, dtype=np.int64).reshape(-1, 1)
+_BLOCK = 1 << 20  # frequencies per numpy block
+
+
+def _lead_sign(K: np.ndarray) -> np.ndarray:
+    """Sign of each row's first nonzero coordinate (0 for a zero row)."""
+    return np.sign(K[np.arange(len(K)), (K != 0).argmax(axis=1)])
+
+
+def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
+    """Points of Z^m with 0 < |k| <= R whose first nonzero coordinate is
+    positive (one representative per +/- pair), in blocks."""
+    if m == 0:
         return
-    rest = [np.arange(-R, R + 1, dtype=np.int64)] * (d - 1)
-    rows_per_first = (2 * R + 1) ** (d - 1)
-    step = max(1, block_rows // rows_per_first)
+    side = np.arange(-R, R + 1, dtype=np.int64)
+    step = max(1, _BLOCK // len(side) ** (m - 1))
     for start in range(0, R + 1, step):
         firsts = np.arange(start, min(start + step, R + 1), dtype=np.int64)
-        grids = np.meshgrid(firsts, *rest, indexing="ij")
+        grids = np.meshgrid(firsts, *[side] * (m - 1), indexing="ij")
         K = np.stack([g.reshape(-1) for g in grids], axis=1)
-        # half-space: first nonzero coordinate > 0
-        mask = K[:, 0] > 0
-        zero_so_far = K[:, 0] == 0
-        for j in range(1, d):
-            mask |= zero_so_far & (K[:, j] > 0)
-            zero_so_far &= K[:, j] == 0
-        K = K[mask]
-        if len(K):
-            yield K
+        keep = _lead_sign(K) > 0
+        if norm == "euclidean":
+            keep &= (K * K).sum(axis=1) <= R * R
+        yield K[keep]
+
+
+def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Float value w * mag and a rigorous radius, given a bound err on mag's error."""
+    val = w * mag
+    return val, w * err * 1.01 + val * 1e-12 + 1e-290
+
+
+def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
+                    running: bool = False) -> tuple[np.ndarray, ...]:
+    """(K, |K|^2, lo, hi, enumerated): the frequencies a lattice search must
+    look at, the float bracket [lo, hi] of |k|^sigma |<k,alpha>| at each, and
+    the number of half-ball frequencies covered.
+
+    The window coordinate j holds the largest float |alpha_j|; the others
+    form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
+    the least hi at the nearest integers to the centres (over the shells
+    below |k'|^2 when ``running``); pass 2 keeps each column's window
+    |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
+    """
+    alpha = np.array(a.floats(), dtype=np.float64)
+    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
+    sig = float(sigma)
+    j = int(np.argmax(np.abs(alpha)))
+    # W * E bounds w * ierr on the ball: once in verr, once as ierr / alpha_j in |k_j - x*|
+    slack = 2.02 * (float(R) ** sig if sig >= 0 else 1.0) * R * float(err.sum()) + 1e-290
+    scale = (1 - 1e-12) * (abs(alpha[j]) - err[j])
+    slope = np.delete(alpha, j) / -(alpha[j] or 1.0)  # all-zero floats: centres 0
+
+    def columns():
+        """(k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1."""
+        yield np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R)
+        for C in _half_ball(a.dim - 1, R, norm):
+            cap = np.full(len(C), R)
+            if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
+                rest = R * R - (C * C).sum(axis=1)
+                cap = np.floor(np.sqrt(rest)).astype(np.int64)
+                cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
+            yield C, -cap, cap
+
+    def weight(K):
+        if norm == "euclidean":
+            return (K * K).sum(axis=1).astype(np.float64) ** (sig / 2)
+        return np.abs(K).max(axis=1, initial=0).astype(np.float64) ** sig
+
+    def evaluate(C, kj):
+        K = np.insert(C, j, kj, axis=1)
+        K *= _lead_sign(K)[:, None]
+        val, verr = _bracket(weight(K), np.abs(K @ alpha), np.abs(K).astype(np.float64) @ err)
+        return K, (K * K).sum(axis=1), val - verr, val + verr
+
+    pass1 = [evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
+             for C, lower, upper in columns()]
+    _, shells, _, his = (np.concatenate(parts) for parts in zip(*pass1))
+    order = np.argsort(shells, kind="stable")
+    shells, envelope = shells[order], np.minimum.accumulate(his[order])
+
+    pool, enumerated = [], 0
+    for C, lower, upper in columns():
+        enumerated += int((upper - lower + 1).sum())
+        colsq = (C * C).sum(axis=1)
+        below = np.searchsorted(shells, colsq) if running else len(shells)
+        B = np.where(below > 0, envelope[below - 1], np.inf)
+        rho = weight(C) if sig >= 0 else float(R) ** sig
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
+        centre = C @ slope
+        p1 = np.clip(np.rint(centre), lower, upper)
+        first = np.minimum(np.maximum(lower, np.ceil(centre - h)), p1).astype(np.int64)
+        last = np.maximum(np.minimum(upper, np.floor(centre + h)), p1).astype(np.int64)
+        counts = last - first + 1
+        begin = np.cumsum(counts) - counts  # each column's first row in the block
+        start = 0
+        while start < len(C):  # blocks of about _BLOCK frequencies
+            stop = max(start + 1, int(np.searchsorted(begin, begin[start] + _BLOCK)))
+            cols = np.repeat(np.arange(start, stop), counts[start:stop])
+            rows = np.arange(begin[start], begin[stop - 1] + counts[stop - 1])
+            pool.append(evaluate(C[cols], first[cols] + rows - begin[cols]))
+            start = stop
+    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*pool))
+    return K, normsq, lo, hi, enumerated
 
 
 def _weight_cr(k: Sequence[int], sigma: Fraction, norm: str) -> CertifiedReal:
@@ -254,49 +338,6 @@ def _weight_cr(k: Sequence[int], sigma: Fraction, norm: str) -> CertifiedReal:
         return CertifiedReal.from_rational(base).pow_frac(sigma / 2)
     base = max(abs(c) for c in k)
     return CertifiedReal.from_rational(base).pow_frac(sigma)
-
-
-def _prefilter_candidates(a: Direction, R: int, sigma: Fraction,
-                          norm: str) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """Shell-sorted candidate argmin frequencies plus the enumeration count.
-
-    A point survives iff its rigorous float bracket overlaps the best
-    bracket seen anywhere in the ball, so the true argmin always survives.
-    """
-    alpha = np.array(a.floats(), dtype=np.float64)
-    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
-    sig = float(sigma)
-    best_hi = np.inf
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    enumerated = 0
-    for K in _halfspace_blocks(a.dim, R):
-        normsq = (K * K).sum(axis=1)
-        if norm == "euclidean":
-            sel = normsq <= R * R
-            K, normsq = K[sel], normsq[sel]
-        if not len(K):
-            continue
-        enumerated += len(K)
-        absK = np.abs(K).astype(np.float64)
-        inner = K @ alpha
-        ierr = absK @ err
-        if norm == "euclidean":
-            w = normsq.astype(np.float64) ** (sig / 2)
-        else:
-            w = np.abs(K).max(axis=1).astype(np.float64) ** sig
-        val = w * np.abs(inner)
-        verr = w * ierr * 1.01 + val * 1e-12 + 1e-290
-        best_hi = min(best_hi, float((val + verr).min()))
-        keep = (val - verr) <= best_hi
-        if keep.any():
-            kept.append((K[keep], normsq[keep], (val - verr)[keep]))
-    cands: list[tuple[int, tuple[int, ...]]] = []
-    for K, normsq, lo in kept:
-        for row, ns, l in zip(K, normsq, lo):
-            if l <= best_hi:  # re-cut with the final global bracket
-                cands.append((int(ns), tuple(int(c) for c in row)))
-    cands.sort()
-    return cands, enumerated
 
 
 def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
@@ -316,21 +357,35 @@ def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
     return abs(ip) * _weight_cr(k, sigma, norm), s
 
 
+def _check_search(R: int, norm: str) -> None:
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    if norm not in ("euclidean", "max"):
+        raise ValueError("norm must be euclidean or max")
+
+
+def _shell_order(K: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Row order by key (a norm), then lexicographic."""
+    return np.lexsort(tuple(K[:, i] for i in reversed(range(K.shape[1]))) + (key,))
+
+
 def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> LatticeSearchResult:
     """Minimum of |k|^sigma * |<k, alpha>| over 0 < |k| <= R.
 
-    Enumeration order is frequency shells by exact squared norm, then
+    Candidates come from the column windows of ``_column_windows``: a
+    frequency survives when its float bracket reaches the least upper
+    bracket in the ball, so the true argmin always survives.  They are
+    certified in order of frequency shells by exact squared norm, then
     lexicographic; one representative per +/- pair (the one whose first
     nonzero coordinate is positive) since the value is symmetric.  A
     certified exact zero of the inner product short-circuits the search
-    and is reported as exact_zero_witness.
+    and is reported as exact_zero_witness.  ``enumerated`` counts the
+    half-ball frequencies the search covers, each either evaluated or
+    excluded by its column's window.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    _check_search(R, norm)
     sigma = Fraction(sigma)
-    if norm not in ("euclidean", "max"):
-        raise ValueError("norm must be euclidean or max")
     if a.dim == 1:
         k = (1,)
         ip = a.entries[0]
@@ -340,22 +395,18 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
                                        ctx.working_digits, k, R)
         return LatticeSearchResult(a.key(), R, sigma, norm, abs(ip), k,
                                    ctx.working_digits, None, R)
-    cands, enumerated = _prefilter_candidates(a, R, sigma, norm)
-    best_val: Optional[CertifiedReal] = None
-    best_k: Optional[tuple[int, ...]] = None
-    witness = None
-    for _, k in cands:
+    K, normsq, lo, hi, enumerated = _column_windows(a, R, sigma, norm)
+    order = _shell_order(K, normsq)
+    best_val, best_k, witness = None, None, None
+    for i in order[lo[order] <= hi.min()]:
+        k = tuple(int(c) for c in K[i])
         value, s = _certified_value(k, a, sigma, norm, ctx)
         if s == 0:
             best_val = CertifiedReal.from_rational(0)
             best_k, witness = k, k
             break
-        if best_val is None:
-            best_val, best_k = value, k
-        else:
-            c = value.compare(best_val, ctx)
-            if c is not None and c < 0:
-                best_val, best_k = value, k  # ties keep the earlier shell/lex entry
+        if best_val is None or (value.compare(best_val, ctx) or 0) < 0:
+            best_val, best_k = value, k  # ties keep the earlier shell/lex entry
     return LatticeSearchResult(a.key(), R, sigma, norm, best_val, best_k,
                                ctx.working_digits, witness, enumerated)
 
@@ -365,38 +416,20 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
                         ) -> list[tuple[int, tuple[int, ...], CertifiedReal]]:
     """Running-minimum records: (|k|^2, k, value) at every radius where the
     ball minimum improves.  lattice_min(R') for any R' <= R is the last
-    record with |k|^2 <= R'^2.  Certified exact zeros appear as value 0."""
+    record with |k|^2 <= R'^2.  Certified exact zeros appear as value 0.
+
+    A frequency is a candidate when its float bracket reaches the least
+    upper bracket of the frequencies before it; the column windows bound
+    that by the pass-1 envelope over the smaller shells, which holds every
+    true record."""
+    _check_search(R, norm)
     sigma = Fraction(sigma)
-    alpha = np.array(a.floats(), dtype=np.float64)
-    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
-    sig = float(sigma)
-    rows = []
-    for K in _halfspace_blocks(a.dim, R):
-        normsq = (K * K).sum(axis=1)
-        if norm == "euclidean":
-            sel = normsq <= R * R
-            K, normsq = K[sel], normsq[sel]
-        if len(K):
-            rows.append((K, normsq))
-    K = np.concatenate([r[0] for r in rows])
-    normsq = np.concatenate([r[1] for r in rows])
-    inner = K @ alpha
-    ierr = np.abs(K).astype(np.float64) @ err
-    if norm == "euclidean":
-        w = normsq.astype(np.float64) ** (sig / 2)
-    else:
-        w = np.abs(K).max(axis=1).astype(np.float64) ** sig
-    val = w * np.abs(inner)
-    verr = w * ierr * 1.01 + val * 1e-12 + 1e-290
-    order = np.lexsort(tuple(K[:, j] for j in reversed(range(K.shape[1]))) + (normsq,))
-    hi_sorted = (val + verr)[order]
-    lo_sorted = (val - verr)[order]
-    run_hi = np.minimum.accumulate(hi_sorted)
-    prev_hi = np.concatenate(([np.inf], run_hi[:-1]))
-    cand_idx = order[lo_sorted <= prev_hi]
+    K, normsq, lo, hi, _ = _column_windows(a, R, sigma, norm, running=True)
+    order = _shell_order(K, normsq)
+    prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
     records: list[tuple[int, tuple[int, ...], CertifiedReal]] = []
     best: Optional[CertifiedReal] = None
-    for i in cand_idx:
+    for i in order[lo[order] <= prev_hi]:
         k = tuple(int(c) for c in K[i])
         value, s = _certified_value(k, a, sigma, norm, ctx)
         if s == 0:
@@ -448,12 +481,8 @@ def _dist_to_int_cr(ip: CertifiedReal, ctx: PrecisionContext) -> CertifiedReal:
     best = None
     for m in sorted(candidates):
         v = abs(ip - m)
-        if best is None:
+        if best is None or (v.compare(best, ctx) or 0) < 0:
             best = v
-        else:
-            c = v.compare(best, ctx)
-            if c is not None and c < 0:
-                best = v
     return best
 
 
@@ -512,45 +541,28 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     Aerr = np.array([f.float_radii() for f in S.forms], dtype=np.float64) \
         + 1e-15 * (np.abs(A) + 1.0)
 
-    best_hi = np.inf
-    best_hi_abs = np.inf
-    kept, kept_abs = [], []
+    # the columns are the whole search; the nearest integer is each one's window
+    pools, cuts = ([], []), [np.inf, np.inf]
     enumerated = 0
-    for X in _halfspace_blocks(nvars, R):
+    for X in _half_ball(nvars, R, "max"):
         enumerated += len(X)
-        absX = np.abs(X).astype(np.float64)
         L = X @ A.T
-        ierr = absX @ Aerr.T
-        dist = np.abs(L - np.rint(L))
-        dmax = dist.max(axis=1)
-        amax = np.abs(L).max(axis=1)
-        emax = ierr.max(axis=1)
-        w = np.abs(X).max(axis=1).astype(np.float64)
-        val = dmax * w ** float(expo)
-        verr = (w ** float(expo)) * emax * 1.01 + val * 1e-12 + 1e-290
-        val2 = amax * w ** float(expo_abs)
-        verr2 = (w ** float(expo_abs)) * emax * 1.01 + val2 * 1e-12 + 1e-290
-        best_hi = min(best_hi, float((val + verr).min()))
-        best_hi_abs = min(best_hi_abs, float((val2 + verr2).min()))
-        keep = (val - verr) <= best_hi
-        keep2 = (val2 - verr2) <= best_hi_abs
+        emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
         maxn = np.abs(X).max(axis=1)
-        if keep.any():
-            kept.append((X[keep], maxn[keep], (val - verr)[keep]))
-        if keep2.any():
-            kept_abs.append((X[keep2], maxn[keep2], (val2 - verr2)[keep2]))
+        mags = (np.abs(L - np.rint(L)).max(axis=1), np.abs(L).max(axis=1))
+        for v, (e, mag) in enumerate(zip((expo, expo_abs), mags)):
+            val, verr = _bracket(maxn.astype(np.float64) ** float(e), mag, emax)
+            cuts[v] = min(cuts[v], float((val + verr).min()))
+            keep = (val - verr) <= cuts[v]
+            pools[v].append((X[keep], maxn[keep], (val - verr)[keep]))
 
-    def finalize(kept_rows, cut, exponent, use_dist):
-        cands = []
-        for X, maxn, lo in kept_rows:
-            for row, mn, l in zip(X, maxn, lo):
-                if l <= cut:
-                    cands.append((int(mn), tuple(int(c) for c in row)))
-        cands.sort()
+    def finalize(pool, cut, exponent, use_dist):
+        X, maxn, lo = (np.concatenate(parts) for parts in zip(*pool))
+        order = _shell_order(X, maxn)
         best_val, best_x, witness = None, None, None
-        for _, x in cands:
-            parts = []
-            zero_all = True
+        for i in order[lo[order] <= cut]:
+            x = tuple(int(c) for c in X[i])
+            parts, zero_all = [], True
             for form in S.forms:
                 ip = inner_product(x, form)
                 v = _dist_to_int_cr(ip, ctx) if use_dist else abs(ip)
@@ -563,8 +575,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
                 parts.append(v)
             m = parts[0]
             for v in parts[1:]:
-                c = v.compare(m, ctx)
-                if c is not None and c > 0:
+                if (v.compare(m, ctx) or 0) > 0:
                     m = v
             value = m * CertifiedReal.from_rational(max(abs(c) for c in x)).pow_frac(exponent)
             if zero_all:
@@ -573,8 +584,8 @@ def system_lattice_min(S: LinearFormSystem, R: int,
                 best_val, best_x = value, x
         return best_val, best_x, witness
 
-    minimum, argmin, witness = finalize(kept, best_hi, expo, use_dist=True)
-    imp_min, imp_arg, _ = finalize(kept_abs, best_hi_abs, expo_abs, use_dist=False)
+    minimum, argmin, witness = finalize(pools[0], cuts[0], expo, use_dist=True)
+    imp_min, imp_arg, _ = finalize(pools[1], cuts[1], expo_abs, use_dist=False)
     lo, hi = minimum.enclosure(ctx.working_digits)
     dirichlet_ok = lo <= 1 + (hi - lo)
     name = "forms:[" + "; ".join(f.key() for f in S.forms) + "]"

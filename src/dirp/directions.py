@@ -154,12 +154,6 @@ class Direction:
     def key(self) -> str:
         return "dir:[" + ", ".join(self.specs) + "]"
 
-    def all_exact(self) -> bool:
-        return all(e.exact is not None for e in self.entries)
-
-    def all_rational(self) -> bool:
-        return all(e.exact is not None and e.exact.is_rational for e in self.entries)
-
     def floats(self, digits: int = 30) -> list[float]:
         return [float(e.midpoint(digits)) for e in self.entries]
 

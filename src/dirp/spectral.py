@@ -28,10 +28,6 @@ def freq_norm_sq(k: Sequence[int]) -> int:
     return sum(int(c) * int(c) for c in k)
 
 
-def freq_max_norm(k: Sequence[int]) -> int:
-    return max(abs(int(c)) for c in k)
-
-
 def freq_norm_cr(k: Sequence[int]) -> CertifiedReal:
     """Euclidean |k| as an exact quadratic value sqrt(k.k)."""
     return CertifiedReal.from_rational(freq_norm_sq(k)).sqrt()

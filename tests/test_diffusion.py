@@ -113,6 +113,31 @@ class TestConvolution:
         assert np.abs(_cyclic_conv_direct(a, b)
                       - _cyclic_conv_fft(a, b)).max() < 1e-12
 
+    def test_direct_equals_full_mode_slice_bit_for_bit(self):
+        from dirp.diffusion import _cyclic_conv_direct
+
+        def full_mode_slice(a, b):  # the earlier implementation, as the oracle
+            M = len(a)
+            return np.convolve(a, np.concatenate([b, b]))[M:2 * M]
+
+        rng = np.random.default_rng(11)
+        for M in (64, 4096, *rng.integers(65, 4096, 30)):
+            a, b = rng.random(M), rng.random(M)
+            assert np.array_equal(_cyclic_conv_direct(a, b), full_mode_slice(a, b))
+
+    def test_direct_matches_exact_cyclic_convolution(self):
+        from dirp.diffusion import _cyclic_conv_direct
+        M = 64
+        rng = np.random.default_rng(5)
+        a = rng.integers(1, 1000, M) / 1024
+        b = rng.random(M)
+        fa = [Fraction(float(x)) for x in a]
+        fb = [Fraction(float(x)) for x in b]
+        exact = [sum(fa[i] * fb[(n - i) % M] for i in range(M)) for n in range(M)]
+        got = _cyclic_conv_direct(a, b)
+        for n in range(M):
+            assert abs(Fraction(float(got[n])) - exact[n]) <= exact[n] * Fraction(M, 2 ** 52)
+
     def test_arc_self_convolution_is_triangular(self):
         mu = measure_from_rv(DRIFT, Fraction(2, 5), 512)  # uniform(0, 0.2)
         out = convolve(mu, mu)

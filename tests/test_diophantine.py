@@ -5,17 +5,19 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirp import diophantine
 from dirp.certified import CertifiedReal
 from dirp.constants import e_cr
 from dirp.diophantine import (LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
                               roth_exponents, system_lattice_min)
-from dirp.directions import make_direction
+from dirp.directions import make_direction, parse_direction
 from dirp.errors import (NonpositiveSigma, PrecisionExhausted, RationalRatio,
                          UnsupportedLevel)
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
@@ -203,6 +205,203 @@ class TestLatticeMin:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             lattice_min(PHI, 0, 1)
+
+    def test_profile_bad_radius(self):
+        with pytest.raises(ValueError, match="R must be"):
+            lattice_min_profile(PHI, 0, 1)
+
+    def test_profile_bad_norm(self):
+        with pytest.raises(ValueError, match="norm must be"):
+            lattice_min_profile(PHI, 10, 1, norm="bogus")
+
+    def test_zero_direction_witness(self):
+        res = lattice_min(make_direction([0, 0]), 3, 1)
+        assert res.exact_zero_witness == (0, 1) and res.enumerated == 14
+
+    def test_golden_radius_1e5(self):
+        res = lattice_min(PHI, 100_000, 1)
+        assert res.argmin == (75025, -46368)
+        assert res.enumerated == 15_707_962_728
+
+
+# ---------------------------------------------------------------------------
+# the column-window kernel against full enumeration
+# ---------------------------------------------------------------------------
+
+def _full_enumeration(d, R, norm):
+    """Every frequency of the ball whose first nonzero coordinate is positive."""
+    K = np.array([k for k in itertools.product(range(-R, R + 1), repeat=d)
+                  if next((c for c in k if c), 0) > 0
+                  and (norm == "max" or sum(c * c for c in k) <= R * R)],
+                 dtype=np.int64).reshape(-1, d)
+    return K, (K * K).sum(axis=1)
+
+
+def _oracle_brackets(a, R, sigma, norm):
+    """The float prefilter over the whole ball: (K, |K|^2, lo, hi)."""
+    K, normsq = _full_enumeration(a.dim, R, norm)
+    alpha = np.array(a.floats(), dtype=np.float64)
+    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
+    inner = K @ alpha
+    ierr = np.abs(K).astype(np.float64) @ err
+    if norm == "euclidean":
+        w = normsq.astype(np.float64) ** (float(sigma) / 2)
+    else:
+        w = np.abs(K).max(axis=1).astype(np.float64) ** float(sigma)
+    val = w * np.abs(inner)
+    verr = w * ierr * 1.01 + val * 1e-12 + 1e-290
+    return K, normsq, val - verr, val + verr
+
+
+def _shell_sorted(K, normsq, idx):
+    return sorted((int(normsq[i]), tuple(int(c) for c in K[i])) for i in idx)
+
+
+def _oracle_candidates(a, R, sigma, norm):
+    K, normsq, lo, hi = _oracle_brackets(a, R, sigma, norm)
+    return _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+
+
+def _oracle_lattice_min(a, R, sigma, norm):
+    best, best_k, witness = None, None, None
+    for _, k in _oracle_candidates(a, R, sigma, norm):
+        value, s = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
+        if s == 0:
+            best, best_k, witness = CertifiedReal.from_rational(0), k, k
+            break
+        if best is None or (value.compare(best) or 0) < 0:
+            best, best_k = value, k
+    return (best.to_json(40), best_k, witness, len(_full_enumeration(a.dim, R, norm)[0]))
+
+
+def _oracle_profile(a, R, sigma, norm):
+    K, normsq, lo, hi = _oracle_brackets(a, R, sigma, norm)
+    order = [i for _, _, i in sorted((int(normsq[i]), tuple(K[i]), i) for i in range(len(K)))]
+    records, best, run_hi = [], None, np.inf
+    for i in order:
+        candidate = lo[i] <= run_hi
+        run_hi = min(run_hi, hi[i])
+        if not candidate:
+            continue
+        k = tuple(int(c) for c in K[i])
+        value, s = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
+        if s == 0:
+            records.append((int(normsq[i]), k, CertifiedReal.from_rational(0)))
+            break
+        if best is None or (value.compare(best) or 0) < 0:
+            best = value
+            records.append((int(normsq[i]), k, value))
+    return [(ns, k, v.to_json(40)) for ns, k, v in records]
+
+
+def _oracle_system(S, R):
+    """Both variants of system_lattice_min by the float prefilter over the whole box."""
+    X, _ = _full_enumeration(S.nvars, R, "max")
+    A = np.array([f.floats() for f in S.forms], dtype=np.float64)
+    Aerr = np.array([f.float_radii() for f in S.forms], dtype=np.float64) \
+        + 1e-15 * (np.abs(A) + 1.0)
+    L = X @ A.T
+    emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
+    maxn = np.abs(X).max(axis=1)
+    expo = Fraction(S.nvars, S.ell)
+    out = []
+    for e, mag, use_dist in ((expo, np.abs(L - np.rint(L)).max(axis=1), True),
+                             (max(expo - 1, Fraction(0)), np.abs(L).max(axis=1), False)):
+        w = maxn.astype(np.float64) ** float(e)
+        val = mag * w
+        verr = w * emax * 1.01 + val * 1e-12 + 1e-290
+        best, best_x, witness = None, None, None
+        for _, x in _shell_sorted(X, maxn, np.nonzero(val - verr <= (val + verr).min())[0]):
+            parts = [abs(ip) if not use_dist else
+                     diophantine._dist_to_int_cr(ip, diophantine.DEFAULT_CONTEXT)
+                     for ip in (diophantine.inner_product(x, f) for f in S.forms)]
+            if all(v.sign() == 0 for v in parts):
+                best, best_x, witness = CertifiedReal.from_rational(0), x, x
+                break
+            m = parts[0]
+            for v in parts[1:]:
+                if (v.compare(m) or 0) > 0:
+                    m = v
+            value = m * CertifiedReal.from_rational(max(abs(c) for c in x)).pow_frac(e)
+            if best is None or (value.compare(best) or 0) < 0:
+                best, best_x = value, x
+        out.append((best, best_x, witness))
+    (m1, x1, w1), (m2, x2, _) = out
+    return m1.to_json(40), x1, w1, len(X), m2.to_json(40), x2
+
+
+def _outcome(fn):
+    """A search's result, or the error it raised, for comparing two searches."""
+    try:
+        return fn()
+    except (ValueError, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_directions(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        D = int(rng.choice([2, 3, 5, 6, 7]))
+        quad = f"quad:({int(rng.integers(-3, 4))}+sqrt{D})/{int(rng.integers(1, 5))}"
+        rat = f"rat:{int(rng.integers(-5, 6))}/{int(rng.integers(1, 4))}"
+        entries = [quad, rat] if i % 2 else [rat, quad]
+        if i % 3 == 2:
+            entries.append(f"quad:sqrt{D}")
+        out.append("dir:[" + ", ".join(entries) + "]")
+    return out
+
+
+KERNEL_DIRECTIONS = _random_directions(2024, 6) + [
+    "dir:[1, 0]", "dir:[0, quad:sqrt2, 1]", "dir:[0, 0]"]
+SIGMAS = (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+class TestColumnWindowKernel:
+    @pytest.mark.parametrize("spec", KERNEL_DIRECTIONS)
+    def test_lattice_min_and_profile_match_full_enumeration(self, spec):
+        a = parse_direction(spec)
+        R = 12 if a.dim == 2 else 5
+        for sigma, norm in itertools.product(SIGMAS, ("euclidean", "max")):
+            K, normsq, lo, hi, _ = diophantine._column_windows(a, R, sigma, norm)
+            kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+            assert kernel == _oracle_candidates(a, R, sigma, norm)
+
+            def search():
+                res = lattice_min(a, R, sigma, norm)
+                return (res.minimum.to_json(40), res.argmin, res.exact_zero_witness,
+                        res.enumerated)
+
+            assert _outcome(search) == _outcome(lambda: _oracle_lattice_min(a, R, sigma, norm))
+            profile = _outcome(lambda: [(ns, k, v.to_json(40))
+                                        for ns, k, v in lattice_min_profile(a, R, sigma, norm)])
+            assert profile == _outcome(lambda: _oracle_profile(a, R, sigma, norm))
+
+    def test_windows_beyond_the_nearest_integer(self):
+        # at small radii and large sigma a column's minimum can sit off its
+        # nearest integer, so only the window width keeps these candidates
+        for spec in _random_directions(7, 40):
+            a = parse_direction(spec)
+            for R, sigma, norm in itertools.product((1, 2, 3), (2, 3), ("euclidean", "max")):
+                K, normsq, lo, hi, _ = diophantine._column_windows(a, R, Fraction(sigma), norm)
+                kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+                assert kernel == _oracle_candidates(a, R, sigma, norm), (spec, R, sigma, norm)
+
+    @pytest.mark.parametrize("forms,R", [
+        (["dir:[quad:sqrt2]"], 40), (["dir:[rat:2/7]"], 30),
+        (["dir:[quad:(1+sqrt5)/2, quad:sqrt5]"], 7), (["dir:[0, quad:sqrt3]"], 6),
+        (["dir:[quad:sqrt2, quad:sqrt3]", "dir:[quad:sqrt5, rat:1/3]"], 6)])
+    def test_system_matches_full_enumeration(self, forms, R):
+        S = LinearFormSystem(tuple(parse_direction(f) for f in forms))
+        res = system_lattice_min(S, R)
+        got = (res.minimum.to_json(40), res.argmin, res.exact_zero_witness,
+               res.enumerated, res.improved_minimum.to_json(40), res.improved_argmin)
+        assert got == _oracle_system(S, R)
+
+    def test_zero_direction_is_searched_whole(self):
+        a = make_direction([0, 0])
+        K, normsq, lo, hi, enumerated = diophantine._column_windows(a, 3, Fraction(1), "euclidean")
+        assert enumerated == len(K) == 14
 
 
 class TestSystemLatticeMin:
