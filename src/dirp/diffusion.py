@@ -362,22 +362,22 @@ class ContractionValue:
         return self.value
 
 
-def _witness_functions(M: int, trials: int, rng: np.random.Generator):
+def _witness_functions(M: int, rng: np.random.Generator):
     n_max = min(M // 2, 64)
     for n in range(1, n_max + 1):
         for phase in (0.0, np.pi / 4, np.pi / 2):
             yield GridFunction.harmonic(M, n, phase)
-    for _ in range(trials):
+    for _ in range(16):
         yield GridFunction.random_mean_zero(M, rng)
 
 
-def contraction_factor(Y: RVSpec, t, p, M: int, trials: int = 16,
+def contraction_factor(Y: RVSpec, t, p, M: int,
                        seed: int = DEFAULT_SEED) -> ContractionValue:
     """h_p(t) on the grid: inf over mean-zero f of ||f - f*mu_t||_p/||f||_p.
 
     p = 2 is exact via the spectral characterization min_{n != 0}
     |1 - mu_hat(n)| over grid frequencies.  p in {1, inf} report the
-    minimum over a witness family (harmonics plus seeded random
+    minimum over a witness family (harmonics plus 16 seeded random
     functions), which is an upper bound on the true infimum.
     """
     mu = measure_from_rv(Y, t, M)
@@ -389,7 +389,7 @@ def contraction_factor(Y: RVSpec, t, p, M: int, trials: int = 16,
         raise ValueError("p must be 1, 2 or inf")
     rng = np.random.default_rng(seed)
     best = math.inf
-    for f in _witness_functions(M, trials, rng):
+    for f in _witness_functions(M, rng):
         g = apply_markov(f, mu)
         diff = GridFunction(M, f.values - g.values)
         denom = f.lp_norm(p)

@@ -3,9 +3,11 @@
 The lattice searches split the ball into columns along the largest
 entry of alpha.  A float64 prefilter with rigorous error margins keeps,
 in each column, only the window of frequencies that can reach the best
-bracket (O(R^(d-1)) work), and certified arithmetic re-evaluates the
-survivors, so results are exact-grade.  Every finite-depth verdict is
-reported with its certification radius/depth and never as a theorem.
+bracket (O(R^(d-1)) work), and one certified running-minimum loop
+re-evaluates the survivors, so results are exact-grade.  The same
+columns cover d = 1 (a single column k_1 = 1..R) and any weight exponent
+sigma, negative ones included.  Every finite-depth verdict is reported
+with its certification radius/depth and never as a theorem.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -250,6 +252,14 @@ def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
         yield K[keep]
 
 
+def _float_entries(forms: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
+    """Float entries of each form (one row per form) and a rigorous bound on
+    their error, padded for the rounding of the float arithmetic on them."""
+    A = np.array([f.floats() for f in forms], dtype=np.float64)
+    err = np.array([f.float_radii() for f in forms], dtype=np.float64)
+    return A, err + 1e-15 * (np.abs(A) + 1.0)
+
+
 def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Float value w * mag and a rigorous radius, given a bound err on mag's error."""
@@ -269,8 +279,7 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
     below |k'|^2 when ``running``); pass 2 keeps each column's window
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
     """
-    alpha = np.array(a.floats(), dtype=np.float64)
-    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
+    (alpha,), (err,) = _float_entries([a])
     sig = float(sigma)
     j = int(np.argmax(np.abs(alpha)))
     # W * E bounds w * ierr on the ball: once in verr, once as ierr / alpha_j in |k_j - x*|
@@ -333,28 +342,48 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
 
 
 def _weight_cr(k: Sequence[int], sigma: Fraction, norm: str) -> CertifiedReal:
+    """|k|^sigma; a negative sigma raises 1/|k| to the power -sigma."""
     if norm == "euclidean":
-        base = sum(c * c for c in k)
-        return CertifiedReal.from_rational(base).pow_frac(sigma / 2)
-    base = max(abs(c) for c in k)
-    return CertifiedReal.from_rational(base).pow_frac(sigma)
+        base, expo = sum(c * c for c in k), sigma / 2
+    else:
+        base, expo = max(abs(c) for c in k), sigma
+    if expo < 0:
+        base, expo = Fraction(1, base), -expo
+    return CertifiedReal.from_rational(base).pow_frac(expo)
 
 
 def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
-                     norm: str, ctx: PrecisionContext
-                     ) -> tuple[Optional[CertifiedReal], int]:
-    """(|k|^sigma * |<k,alpha>|, sign); value None when the inner product
-    is certified exactly zero."""
+                     norm: str, ctx: PrecisionContext) -> Optional[CertifiedReal]:
+    """|k|^sigma * |<k,alpha>|, or None when the inner product is certified
+    exactly zero."""
     ip = inner_product(k, a)
-    try:
-        s = ip.sign(ctx)
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(
-            f"<k,alpha> for k={k} cannot be separated from 0 within "
-            f"max_digits={ctx.max_digits}", offending=k) from exc
-    if s == 0:
-        return None, 0
-    return abs(ip) * _weight_cr(k, sigma, norm), s
+    if ip.sign(ctx) == 0:
+        return None
+    return abs(ip) * _weight_cr(k, sigma, norm)
+
+
+def _running_min(rows: Iterable[np.ndarray],
+                 certify: Callable[[tuple[int, ...]], Optional[CertifiedReal]],
+                 ctx: PrecisionContext) -> list[tuple[tuple[int, ...], CertifiedReal]]:
+    """Certify the rows in their given order and record (row, value) each
+    time the minimum strictly improves, so ties keep the earlier row.
+    ``certify`` returns None for a certified exact zero, which is recorded
+    as value 0 and ends the search."""
+    records: list[tuple[tuple[int, ...], CertifiedReal]] = []
+    for row in rows:
+        k = tuple(int(c) for c in row)
+        try:
+            value = certify(k)
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(
+                f"the value at k={k} cannot be separated from 0 within "
+                f"max_digits={ctx.max_digits}", offending=k) from exc
+        if value is None:
+            records.append((k, CertifiedReal.from_rational(0)))
+            break
+        if not records or (value.compare(records[-1][1], ctx) or 0) < 0:
+            records.append((k, value))
+    return records
 
 
 def _check_search(R: int, norm: str) -> None:
@@ -371,7 +400,8 @@ def _shell_order(K: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> LatticeSearchResult:
-    """Minimum of |k|^sigma * |<k, alpha>| over 0 < |k| <= R.
+    """Minimum of |k|^sigma * |<k, alpha>| over 0 < |k| <= R, for any d >= 1
+    and any rational sigma (a negative one weights large |k| down).
 
     Candidates come from the column windows of ``_column_windows``: a
     frequency survives when its float bracket reaches the least upper
@@ -382,32 +412,16 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     certified exact zero of the inner product short-circuits the search
     and is reported as exact_zero_witness.  ``enumerated`` counts the
     half-ball frequencies the search covers, each either evaluated or
-    excluded by its column's window.
+    excluded by its column's window; for d = 1 that is k_1 = 1..R.
     """
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    if a.dim == 1:
-        k = (1,)
-        ip = a.entries[0]
-        if ip.sign_soft(ctx) == 0:
-            return LatticeSearchResult(a.key(), R, sigma, norm,
-                                       CertifiedReal.from_rational(0), k,
-                                       ctx.working_digits, k, R)
-        return LatticeSearchResult(a.key(), R, sigma, norm, abs(ip), k,
-                                   ctx.working_digits, None, R)
     K, normsq, lo, hi, enumerated = _column_windows(a, R, sigma, norm)
     order = _shell_order(K, normsq)
-    best_val, best_k, witness = None, None, None
-    for i in order[lo[order] <= hi.min()]:
-        k = tuple(int(c) for c in K[i])
-        value, s = _certified_value(k, a, sigma, norm, ctx)
-        if s == 0:
-            best_val = CertifiedReal.from_rational(0)
-            best_k, witness = k, k
-            break
-        if best_val is None or (value.compare(best_val, ctx) or 0) < 0:
-            best_val, best_k = value, k  # ties keep the earlier shell/lex entry
-    return LatticeSearchResult(a.key(), R, sigma, norm, best_val, best_k,
+    argmin, minimum = _running_min(K[order[lo[order] <= hi.min()]],
+                                   lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
+    witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
+    return LatticeSearchResult(a.key(), R, sigma, norm, minimum, argmin,
                                ctx.working_digits, witness, enumerated)
 
 
@@ -427,18 +441,9 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     K, normsq, lo, hi, _ = _column_windows(a, R, sigma, norm, running=True)
     order = _shell_order(K, normsq)
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
-    records: list[tuple[int, tuple[int, ...], CertifiedReal]] = []
-    best: Optional[CertifiedReal] = None
-    for i in order[lo[order] <= prev_hi]:
-        k = tuple(int(c) for c in K[i])
-        value, s = _certified_value(k, a, sigma, norm, ctx)
-        if s == 0:
-            records.append((int(normsq[i]), k, CertifiedReal.from_rational(0)))
-            break
-        if best is None or (value.compare(best, ctx) or 0) < 0:
-            best = value
-            records.append((int(normsq[i]), k, value))
-    return records
+    records = _running_min(K[order[lo[order] <= prev_hi]],
+                           lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)
+    return [(sum(c * c for c in k), k, value) for k, value in records]
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +542,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     d = S.ambient_dim
     expo = Fraction(d - 1, ell)
     expo_abs = max(expo - 1, Fraction(0))
-    A = np.array([f.floats() for f in S.forms], dtype=np.float64)
-    Aerr = np.array([f.float_radii() for f in S.forms], dtype=np.float64) \
-        + 1e-15 * (np.abs(A) + 1.0)
+    A, Aerr = _float_entries(S.forms)
 
     # the columns are the whole search; the nearest integer is each one's window
     pools, cuts = ([], []), [np.inf, np.inf]
@@ -556,36 +559,30 @@ def system_lattice_min(S: LinearFormSystem, R: int,
             keep = (val - verr) <= cuts[v]
             pools[v].append((X[keep], maxn[keep], (val - verr)[keep]))
 
-    def finalize(pool, cut, exponent, use_dist):
-        X, maxn, lo = (np.concatenate(parts) for parts in zip(*pool))
+    def search(variant, exponent, use_dist):
+        """The last running-minimum record over one variant's candidates."""
+        X, maxn, lo = (np.concatenate(parts) for parts in zip(*pools[variant]))
         order = _shell_order(X, maxn)
-        best_val, best_x, witness = None, None, None
-        for i in order[lo[order] <= cut]:
-            x = tuple(int(c) for c in X[i])
+
+        def certify(x):
             parts, zero_all = [], True
             for form in S.forms:
                 ip = inner_product(x, form)
                 v = _dist_to_int_cr(ip, ctx) if use_dist else abs(ip)
-                try:
-                    if v.sign(ctx) != 0:
-                        zero_all = False
-                except PrecisionExhausted as exc:
-                    raise PrecisionExhausted(
-                        f"form value at x={x} cannot be resolved", offending=x) from exc
+                if v.sign(ctx) != 0:
+                    zero_all = False
                 parts.append(v)
             m = parts[0]
             for v in parts[1:]:
                 if (v.compare(m, ctx) or 0) > 0:
                     m = v
-            value = m * CertifiedReal.from_rational(max(abs(c) for c in x)).pow_frac(exponent)
-            if zero_all:
-                return CertifiedReal.from_rational(0), x, x
-            if best_val is None or (value.compare(best_val, ctx) or 0) < 0:
-                best_val, best_x = value, x
-        return best_val, best_x, witness
+            return None if zero_all else m * _weight_cr(x, exponent, "max")
 
-    minimum, argmin, witness = finalize(pools[0], cuts[0], expo, use_dist=True)
-    imp_min, imp_arg, _ = finalize(pools[1], cuts[1], expo_abs, use_dist=False)
+        return _running_min(X[order[lo[order] <= cuts[variant]]], certify, ctx)[-1]
+
+    argmin, minimum = search(0, expo, use_dist=True)
+    imp_arg, imp_min = search(1, expo_abs, use_dist=False)
+    witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
     lo, hi = minimum.enclosure(ctx.working_digits)
     dirichlet_ok = lo <= 1 + (hi - lo)
     name = "forms:[" + "; ".join(f.key() for f in S.forms) + "]"

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import constants
 from .certified import CertifiedReal
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .quadratic import QuadExact
 
 _QUAD_RE = re.compile(
@@ -72,11 +72,8 @@ def parse_quad(body: str) -> QuadExact:
     c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
     if c == 0:
         raise ParseError("quadratic spec with zero denominator")
-    q = QuadExact(a / c, b / c, d)
-    if q.is_rational and d != 0:
-        # (a+b*sqrtD)/c with square D collapses to a rational; allowed
-        pass
-    return q
+    # (a+b*sqrtD)/c with square D collapses to a rational; allowed
+    return QuadExact(a / c, b / c, d)
 
 
 def parse_entry(token: str) -> CertifiedReal:
@@ -154,12 +151,12 @@ class Direction:
     def key(self) -> str:
         return "dir:[" + ", ".join(self.specs) + "]"
 
-    def floats(self, digits: int = 30) -> list[float]:
-        return [float(e.midpoint(digits)) for e in self.entries]
+    def floats(self) -> list[float]:
+        return [float(e.midpoint(30)) for e in self.entries]
 
-    def float_radii(self, digits: int = 30) -> list[float]:
+    def float_radii(self) -> list[float]:
         # padded so the float is itself inside the reported radius
-        return [float(e.width(digits)) + 1e-300 for e in self.entries]
+        return [float(e.width(30)) + 1e-300 for e in self.entries]
 
     def normalize_first(self) -> tuple["Direction", bool]:
         """Scale so the leading entry is 1, permuting a nonzero entry to the
@@ -221,7 +218,6 @@ def parse_direction(text: str) -> Direction:
 def inner_product(k: Sequence[int], direction: Direction) -> CertifiedReal:
     """<k, alpha> with exactness preserved for rational/quadratic entries."""
     if len(k) != direction.dim:
-        from .errors import DimensionMismatch
         raise DimensionMismatch(f"frequency dim {len(k)} vs direction dim {direction.dim}")
     total = CertifiedReal.from_rational(0)
     for ki, entry in zip(k, direction.entries):

@@ -19,9 +19,8 @@ from . import __version__
 from .certified import CertifiedReal
 from .constants import E_LITERAL
 from .diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
-                        cesaro_average, contraction_lemma_check,
-                        convolution_power, density_floor_check, measure_from_rv,
-                        scaling_fit, taylor_limit_check)
+                        cesaro_average, convolution_power, density_floor_check,
+                        measure_from_rv, scaling_fit, taylor_limit_check)
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
                           lattice_min_profile, markov_bounds)
 from .directions import Direction, inner_product, make_direction
@@ -147,33 +146,33 @@ def criterion_4(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
 
 
 def _random_poly(rng: np.random.Generator) -> TrigPoly:
-    """<= 100 terms, d = 2, |k| <= 128 (euclidean), dyadic rational coeffs."""
-    while True:
-        n_terms = int(rng.integers(1, 101))
-        terms = {}
-        while len(terms) < n_terms:
-            k = tuple(int(c) for c in rng.integers(-128, 129, size=2))
-            if k == (0, 0) or k[0] * k[0] + k[1] * k[1] > 128 * 128:
-                continue
-            num_re = int(rng.integers(-8, 9))
-            num_im = int(rng.integers(-8, 9))
-            den = 2 ** int(rng.integers(0, 4))
-            if num_re == 0 and num_im == 0:
-                continue
-            terms[k] = (Fraction(num_re, den), Fraction(num_im, den))
-        p = TrigPoly(2, terms)
-        if not p.is_zero():
-            return p
+    """<= 100 terms, d = 2, |k| <= 128 (euclidean), dyadic rational coeffs;
+    every term kept is nonzero, so the polynomial is never zero."""
+    n_terms = int(rng.integers(1, 101))
+    terms = {}
+    while len(terms) < n_terms:
+        k = tuple(int(c) for c in rng.integers(-128, 129, size=2))
+        if k == (0, 0) or k[0] * k[0] + k[1] * k[1] > 128 * 128:
+            continue
+        num_re = int(rng.integers(-8, 9))
+        num_im = int(rng.integers(-8, 9))
+        den = 2 ** int(rng.integers(0, 4))
+        if num_re == 0 and num_im == 0:
+            continue
+        terms[k] = (Fraction(num_re, den), Fraction(num_im, den))
+    return TrigPoly(2, terms)
 
 
-def criteria_5_6(seed: int = DEFAULT_REPORT_SEED, samples: int = 1000,
+def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[dict, dict]:
     """Half-mass bound and the frequency-cutoff chain
-    ratio >= (1/(2 sqrt2)) * lattice_min(R_f) on one random population.
+    ratio >= (1/(2 sqrt2)) * lattice_min(R_f) on one random population
+    of 1000 polynomials.
 
     Both checks run in exact arithmetic: the half-mass tail is an exact
     rational, and the chain is compared after squaring inside Q(sqrt5).
     """
+    samples = 1000
     rng = np.random.default_rng(seed)
     # running-minimum records cover every cutoff radius R_f <= 2*128*sqrt2
     records = lattice_min_profile(_PHI, 363, 1, ctx=ctx)
@@ -327,10 +326,11 @@ def _random_measure(M: int, rng: np.random.Generator) -> GridMeasure:
     return GridMeasure(M, w / w.sum())
 
 
-def criterion_12(seed: int = DEFAULT_REPORT_SEED, triples: int = 200) -> dict:
+def criterion_12(seed: int = DEFAULT_REPORT_SEED) -> dict:
     """Young, telescoping, Cesaro and pointwise-density contraction bounds
-    on random (f, mu, n) triples, all three p at once, 1e-9 slack."""
+    on 200 random (f, mu, n) triples, all three p at once, 1e-9 slack."""
     rng = np.random.default_rng(seed)
+    triples = 200
     M = 256
     slack = 1e-9
     worst = -math.inf

@@ -44,8 +44,6 @@ def _coerce_coeff(value) -> tuple[CertifiedReal, CertifiedReal]:
         if isinstance(x, float):
             raise TypeError("binary floats are rejected as coefficients; "
                             "pass int, Fraction, decimal str or CertifiedReal")
-        if isinstance(x, str):
-            return CertifiedReal.from_rational(Fraction(x))
         return CertifiedReal.from_rational(Fraction(x))
     return conv(re), conv(im)
 
@@ -91,7 +89,7 @@ class TrigPoly:
         for k, (re, im) in self.terms.items():
             out[k] = (re * re_f - im * im_f, re * im_f + im * re_f)
         p = TrigPoly.__new__(TrigPoly)
-        p.dim, p.terms = self.dim, {k: v for k, v in out.items()}
+        p.dim, p.terms = self.dim, out
         return p
 
     # -- serialization ---------------------------------------------------

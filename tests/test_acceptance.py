@@ -8,7 +8,11 @@ re-checks the headline numbers independently where that is cheap.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +138,16 @@ def test_criterion_14_byte_identical_reports(report):
     assert report_to_bytes(again) == report_to_bytes(report)
     assert hashlib.sha256(report_to_bytes(report)).hexdigest() == REPORT_SHA256
     assert r["pass"]
+
+
+def test_report_bytes_are_golden_in_a_fresh_process():
+    # a different hash seed in a new interpreter must give the same artifact
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import hashlib; from dirp.report import build_report, report_to_bytes; "
+            f"print(hashlib.sha256(report_to_bytes(build_report({DEFAULT_REPORT_SEED})))"
+            ".hexdigest())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    assert out.stdout.strip() == REPORT_SHA256

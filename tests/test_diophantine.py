@@ -1,6 +1,7 @@
 """Continued fractions, lattice minima and classical constants."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dirp import diophantine
 from dirp.certified import CertifiedReal
+from dirp.cli import main
 from dirp.constants import e_cr
 from dirp.diophantine import (LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
@@ -125,13 +127,14 @@ class TestBoundedQuotients:
         assert "inadmissible" in rep.verdict
 
 
-def brute_force_min(alpha_mp, R, sigma=1.0):
+def brute_force_min(alpha_mp, R, sigma=1.0, norm="euclidean"):
     """Independent float oracle at mpmath precision: min |k|^sigma |<k,alpha>|."""
     best, best_k = None, None
     for k1, k2 in itertools.product(range(-R, R + 1), repeat=2):
-        if (k1, k2) == (0, 0) or k1 * k1 + k2 * k2 > R * R:
+        if (k1, k2) == (0, 0) or (norm == "euclidean" and k1 * k1 + k2 * k2 > R * R):
             continue
-        v = mpmath.sqrt(k1 * k1 + k2 * k2) ** sigma * abs(k1 * alpha_mp[0] + k2 * alpha_mp[1])
+        size = mpmath.sqrt(k1 * k1 + k2 * k2) if norm == "euclidean" else max(abs(k1), abs(k2))
+        v = mpmath.mpf(size) ** sigma * abs(k1 * alpha_mp[0] + k2 * alpha_mp[1])
         if best is None or v < best:
             best, best_k = v, (k1, k2)
     return best, best_k
@@ -173,6 +176,29 @@ class TestLatticeMin:
         res = lattice_min(make_direction([Fraction(3, 7)]), 10, 1)
         assert res.argmin == (1,)
         assert res.minimum.exact.as_fraction() == Fraction(3, 7)
+
+    def test_dimension_one_negative_sigma(self):
+        # |k|^-3 * |3k/2| falls with k, so the minimum sits on the sphere
+        res = lattice_min(make_direction([Fraction(3, 2)]), 10, -3)
+        assert res.argmin == (10,) and res.enumerated == 10
+        assert res.minimum.exact.as_fraction() == Fraction(3, 200)
+
+    def test_negative_sigma_cli_vs_brute_force(self, capsys):
+        assert main(["lattice", "--direction", "dir:[1, quad:sqrt2]", "--radius", "10",
+                     "--sigma=-1/2"]) == 0
+        got = json.loads(capsys.readouterr().out)["result"]
+        mpmath.mp.dps = 60
+        alpha = (mpmath.mpf(1), mpmath.sqrt(2))
+        ref, ref_k = brute_force_min(alpha, 10, sigma=-0.5)
+        assert tuple(got["argmin"]) in (ref_k, tuple(-c for c in ref_k))
+        assert abs(mpmath.mpf(got["minimum"]["value"]) - ref) < mpmath.mpf(10) ** -40
+        for norm in ("euclidean", "max"):
+            res = lattice_min(make_direction([1, SQRT2]), 20, Fraction(-1, 2), norm)
+            ref, ref_k = brute_force_min(alpha, 20, sigma=-0.5, norm=norm)
+            assert res.argmin in (ref_k, tuple(-c for c in ref_k))
+            assert abs(mpmath.mpf(res.minimum.to_json(50)["value"]) - ref) < mpmath.mpf(10) ** -40
+            records = lattice_min_profile(make_direction([1, SQRT2]), 20, Fraction(-1, 2), norm)
+            assert records[-1][1] == res.argmin
 
     def test_max_norm_never_exceeds_euclidean(self):
         r_e = lattice_min(PHI, 50, 1, norm="euclidean")
@@ -265,8 +291,8 @@ def _oracle_candidates(a, R, sigma, norm):
 def _oracle_lattice_min(a, R, sigma, norm):
     best, best_k, witness = None, None, None
     for _, k in _oracle_candidates(a, R, sigma, norm):
-        value, s = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
-        if s == 0:
+        value = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
+        if value is None:
             best, best_k, witness = CertifiedReal.from_rational(0), k, k
             break
         if best is None or (value.compare(best) or 0) < 0:
@@ -284,8 +310,8 @@ def _oracle_profile(a, R, sigma, norm):
         if not candidate:
             continue
         k = tuple(int(c) for c in K[i])
-        value, s = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
-        if s == 0:
+        value = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
+        if value is None:
             records.append((int(normsq[i]), k, CertifiedReal.from_rational(0)))
             break
         if best is None or (value.compare(best) or 0) < 0:
@@ -330,14 +356,6 @@ def _oracle_system(S, R):
     return m1.to_json(40), x1, w1, len(X), m2.to_json(40), x2
 
 
-def _outcome(fn):
-    """A search's result, or the error it raised, for comparing two searches."""
-    try:
-        return fn()
-    except (ValueError, PrecisionExhausted) as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _random_directions(seed, count):
     rng = np.random.default_rng(seed)
     out = []
@@ -372,10 +390,11 @@ class TestColumnWindowKernel:
                 return (res.minimum.to_json(40), res.argmin, res.exact_zero_witness,
                         res.enumerated)
 
-            assert _outcome(search) == _outcome(lambda: _oracle_lattice_min(a, R, sigma, norm))
-            profile = _outcome(lambda: [(ns, k, v.to_json(40))
-                                        for ns, k, v in lattice_min_profile(a, R, sigma, norm)])
-            assert profile == _outcome(lambda: _oracle_profile(a, R, sigma, norm))
+            # every case certifies, negative sigma included
+            assert search() == _oracle_lattice_min(a, R, sigma, norm)
+            profile = [(ns, k, v.to_json(40))
+                       for ns, k, v in lattice_min_profile(a, R, sigma, norm)]
+            assert profile == _oracle_profile(a, R, sigma, norm)
 
     def test_windows_beyond_the_nearest_integer(self):
         # at small radii and large sigma a column's minimum can sit off its

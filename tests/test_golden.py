@@ -1,8 +1,10 @@
-"""Golden CLI outputs: fixed `dirp lattice` commands must print the same
-bytes in fresh processes under different hash seeds.
+"""Golden CLI outputs: fixed `dirp` commands must print the same bytes in
+fresh processes under different hash seeds.
 
-The digests were recorded before the lattice search moved to column
-windows; a change to one needs a CHANGES.md line that says why.
+The `dirp lattice` digests were recorded before the lattice search moved
+to column windows, the others (and the d = 1 lattice command) before the
+lattice searches shared one certification loop; a change to one needs a
+CHANGES.md line that says why.
 """
 
 import hashlib
@@ -31,13 +33,37 @@ GOLDEN = {
     "system (sqrt2,sqrt3) R=40": (
         ["--system", "dir:[quad:sqrt2, quad:sqrt3]", "--radius", "40"],
         "b3dd3c07c7062334232835b3b43daa999ea4e00c8e4de310225761cb062d0667"),
+    "rat:3/7 R=10 (d = 1)": (
+        ["--direction", "rat:3/7", "--radius", "10"],
+        "d4027e85d629997066854c58561dfd95a95bad9738fb3579280177a87b5ba116"),
+}
+
+SUBCOMMANDS = {
+    "cf golden ratio": (
+        ["cf", "quad:(1+sqrt5)/2", "--depth", "30"],
+        "9c4acf58a8f2af8909a148387279df8124955bcc998f9a906e306796b92682ea"),
+    "cf pi bound 50": (
+        ["cf", "const:pi", "--depth", "100", "--bound", "50"],
+        "8340546a2f1c15b06217fe105e4aa9e9ae980542c2bb605d2c6ba62d76a7cc0f"),
+    "norms fib:10": (
+        ["norms", "fib:10", "--direction", "dir:[1, quad:(1+sqrt5)/2]"],
+        "fc2c163a6d9c4c1fa181572e0b52a40b8e81d37791b8205d54f97d03f952fda0"),
+    "ratio liouville delta:2": (
+        ["ratio", "liouville:3", "--direction", "dir:[1, liouville:10]", "--preset", "delta:2"],
+        "e929840ef79824874ae4cbf06422f8470aa0c109858246aa5acddc0a3318dbc9"),
+    "ratio cwave (1,e)": (
+        ["ratio", "cwave:6", "--direction", "dir:[1, const:e]"],
+        "f507ec1f4f576b7d2aca3c1942c66e4088afce9433537f2ee1ce7c4ccead8f5c"),
+    "diffusion uniform p=2": (
+        ["diffusion", "uniform:0:1/2", "--p", "2"],
+        "11fd477aa531f17f08dcc3285b7b0679c0eb41563391f1ffb69f960b0310edad"),
 }
 
 
-def _run(args, hashseed):
+def _run(argv, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "dirp.cli", "lattice", *args],
+    out = subprocess.run([sys.executable, "-m", "dirp.cli", *argv],
                          env=env, capture_output=True, check=True, timeout=300)
     return hashlib.sha256(out.stdout).hexdigest()
 
@@ -45,4 +71,10 @@ def _run(args, hashseed):
 @pytest.mark.parametrize("name", GOLDEN)
 def test_lattice_output_is_golden_across_processes(name):
     args, digest = GOLDEN[name]
-    assert [_run(args, seed) for seed in (0, 1)] == [digest, digest]
+    assert [_run(["lattice", *args], seed) for seed in (0, 1)] == [digest, digest]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_output_is_golden_across_processes(name):
+    argv, digest = SUBCOMMANDS[name]
+    assert [_run(argv, seed) for seed in (0, 1)] == [digest, digest]
