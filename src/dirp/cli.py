@@ -81,6 +81,8 @@ def _emit(payload, settings, csv_text: str | None = None) -> None:
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
     fmt = settings["format"]
+    if fmt == "csv" and csv_text is None:
+        fmt = "json"  # no CSV form: the JSON stands in, on stdout and in files
     out = settings["out"]
     if out:
         targets = []
@@ -98,7 +100,7 @@ def _emit(payload, settings, csv_text: str | None = None) -> None:
                 fh.write(content)
             os.replace(tmp, path)
     else:
-        if fmt == "csv" and csv_text is not None:
+        if fmt == "csv":
             sys.stdout.write(csv_text)
         else:
             sys.stdout.write(text + "\n")
@@ -162,6 +164,8 @@ def _cmd_lattice(args, settings, ctx) -> int:
                       for s in args.system.split(";") if s.strip())
         res = system_lattice_min(LinearFormSystem(forms),
                                  args.radius or settings["radius"], ctx)
+    elif args.direction is None:
+        raise ParseError("lattice needs --direction or --system")
     else:
         a = parse_direction(args.direction)
         res = lattice_min(a, args.radius or settings["radius"],

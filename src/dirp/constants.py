@@ -1,74 +1,70 @@
-"""Shipped high-precision constants.
+"""pi, e and log 2 as certified reals that refine to any precision.
 
-The decimal literals below carry 1000 significant digits.  Provenance:
-computed with two independent arbitrary-precision libraries (mpmath and
-sympy) at 1020 digits and cross-checked digit-for-digit before being
-frozen here; every downstream claim inherits the literal's +/- 1 ulp
-interval.  pi additionally appears in the (2*pi)^d normalization of the
-L2 norms.
+Each enclosure sums an integer fixed-point series at the requested
+precision: pi = 16 atan(1/5) - 4 atan(1/239) (Machin), e = sum of 1/k!,
+log 2 = 2 atanh(1/3).  Every term is a floor, less than one unit off, a
+series stops once its term floors to 0, and the enclosure counts one unit
+per term plus a bound on the tail.
 """
+
+from fractions import Fraction
 
 from .certified import CertifiedReal
 
-PI_LITERAL = (
-    "3.1415926535897932384626433832795028841971693993751058209749445923078164"
-    "062862089986280348253421170679821480865132823066470938446095505822317253"
-    "594081284811174502841027019385211055596446229489549303819644288109756659"
-    "334461284756482337867831652712019091456485669234603486104543266482133936"
-    "072602491412737245870066063155881748815209209628292540917153643678925903"
-    "600113305305488204665213841469519415116094330572703657595919530921861173"
-    "819326117931051185480744623799627495673518857527248912279381830119491298"
-    "336733624406566430860213949463952247371907021798609437027705392171762931"
-    "767523846748184676694051320005681271452635608277857713427577896091736371"
-    "787214684409012249534301465495853710507922796892589235420199561121290219"
-    "608640344181598136297747713099605187072113499999983729780499510597317328"
-    "160963185950244594553469083026425223082533446850352619311881710100031378"
-    "387528865875332083814206171776691473035982534904287554687311595628638823"
-    "537875937519577818577805321712268066130019278766111959092164201989"
-)
+_GUARD = 10  # fixed-point digits beyond those requested, absorbing the error count
 
-E_LITERAL = (
-    "2.7182818284590452353602874713526624977572470936999595749669676277240766"
-    "303535475945713821785251664274274663919320030599218174135966290435729003"
-    "342952605956307381323286279434907632338298807531952510190115738341879307"
-    "021540891499348841675092447614606680822648001684774118537423454424371075"
-    "390777449920695517027618386062613313845830007520449338265602976067371132"
-    "007093287091274437470472306969772093101416928368190255151086574637721112"
-    "523897844250569536967707854499699679468644549059879316368892300987931277"
-    "361782154249992295763514822082698951936680331825288693984964651058209392"
-    "398294887933203625094431173012381970684161403970198376793206832823764648"
-    "042953118023287825098194558153017567173613320698112509961818815930416903"
-    "515988885193458072738667385894228792284998920868058257492796104841984443"
-    "634632449684875602336248270419786232090021609902353043699418491463140934"
-    "317381436405462531520961836908887070167683964243781405927145635490613031"
-    "072085103837505101157477041718986106873969655212671546889570350354"
-)
 
-LOG2_LITERAL = (
-    "0.6931471805599453094172321214581765680755001343602552541206800094933936"
-    "219696947156058633269964186875420014810205706857336855202357581305570326"
-    "707516350759619307275708283714351903070386238916734711233501153644979552"
-    "391204751726815749320651555247341395258829504530070953263666426541042391"
-    "578149520437404303855008019441706416715186447128399681717845469570262716"
-    "310645461502572074024816377733896385506952606683411372738737229289564935"
-    "470257626520988596932019650585547647033067936544325476327449512504060694"
-    "381471046899465062201677204245245296126879465461931651746813926725041038"
-    "025462596568691441928716082938031727143677826548775664850856740776484514"
-    "644399404614226031930967354025744460703080960850474866385231381816767514"
-    "386674766478908814371419854942315199735488037516586127535291661000710535"
-    "582498794147295092931138971559982056543928717000721808576102523688921324"
-    "497138932037843935308877482597017155910708823683627589842589185353024363"
-    "421436706118923678919237231467232172053401649256872747782344535347"
-)
+def _atan_inv(m: int, scale: int, hyperbolic: bool = False) -> tuple[int, int]:
+    """Integers lo <= scale * atan(1/m) <= hi (atanh(1/m) if hyperbolic), m >= 2."""
+    total, n, p, sign = 0, 1, scale // m, 1
+    while p:
+        total += sign * (p // n)
+        n += 2
+        p //= m * m
+        if not hyperbolic:
+            sign = -sign
+    err = (n - 1) // 2 + 2  # each term under one unit off; the tail under 2 units
+    return total - err, total + err
+
+
+def _fixed_point(series) -> CertifiedReal:
+    """CertifiedReal from series(scale) -> integer bounds on scale * x."""
+    def fn(digits):
+        scale = 10 ** (digits + _GUARD)
+        lo, hi = series(scale)
+        return Fraction(lo, scale), Fraction(hi, scale)
+
+    return CertifiedReal.from_fn(fn)
+
+
+def _pi(scale: int) -> tuple[int, int]:
+    lo5, hi5 = _atan_inv(5, scale)
+    lo239, hi239 = _atan_inv(239, scale)
+    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+
+
+def _e(scale: int) -> tuple[int, int]:
+    total, k, t = 0, 0, scale
+    while t:
+        total += t
+        k += 1
+        t //= k
+    # k terms, each under one unit low; the tail is below 2 units
+    return total, total + k + 2
+
+
+def _log2(scale: int) -> tuple[int, int]:
+    lo, hi = _atan_inv(3, scale, hyperbolic=True)
+    return 2 * lo, 2 * hi
 
 
 def pi_cr() -> CertifiedReal:
-    return CertifiedReal.from_decimal_literal(PI_LITERAL)
+    return _fixed_point(_pi)
 
 
 def e_cr() -> CertifiedReal:
-    return CertifiedReal.from_decimal_literal(E_LITERAL)
+    return _fixed_point(_e)
 
 
 def log2_cr() -> CertifiedReal:
-    return CertifiedReal.from_decimal_literal(LOG2_LITERAL)
+    return _fixed_point(_log2)

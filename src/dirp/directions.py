@@ -86,20 +86,19 @@ def parse_entry(token: str) -> CertifiedReal:
                 f"bare entry {token!r} is not rational; use dec:/quad:/const:") from exc
     tag, _, body = token.partition(":")
     tag = tag.strip().lower()
-    if tag == "rat":
-        return CertifiedReal.from_rational(Fraction(body))
-    if tag == "quad":
-        return CertifiedReal.from_quad(parse_quad(body))
-    if tag == "dec":
-        try:
+    try:
+        if tag == "rat":
+            return CertifiedReal.from_rational(Fraction(body))
+        if tag == "quad":
+            return CertifiedReal.from_quad(parse_quad(body))
+        if tag == "dec":
             return CertifiedReal.from_decimal_literal(body.strip())
-        except (ValueError, ArithmeticError) as exc:
-            raise ParseError(f"bad decimal literal {body!r}") from exc
-    if tag == "cf":
-        quotients = _parse_int_list(body)
-        return CertifiedReal.from_rational(_finite_cf_value(quotients))
-    if tag == "liouville":
-        return liouville_constant(int(body))
+        if tag == "cf":
+            return CertifiedReal.from_rational(_finite_cf_value(_parse_int_list(body)))
+        if tag == "liouville":
+            return liouville_constant(int(body))
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(f"bad {tag}: entry {body!r}") from exc
     if tag == "const":
         name = body.strip().lower()
         table = {"e": constants.e_cr, "pi": constants.pi_cr, "log2": constants.log2_cr}
@@ -113,11 +112,7 @@ def _parse_int_list(body: str) -> list[int]:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"expected [..] list, got {body!r}")
-    items = [s.strip() for s in body[1:-1].split(",") if s.strip()]
-    try:
-        return [int(s) for s in items]
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {body!r}") from exc
+    return [int(s) for s in body[1:-1].split(",") if s.strip()]
 
 
 def _split_top_level(body: str) -> list[str]:

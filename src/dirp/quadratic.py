@@ -1,11 +1,14 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-A QuadExact holds a + b*sqrt(d) with Fraction a, b and squarefree-ish
-integer d >= 0 (square factors of d are absorbed into b, so two values
-are comparable iff their d match or one of them is rational).  Signs,
-floors and equalities are decided exactly; this is what lets inner
-products <k, alpha> be certified as exactly zero or nonzero for
-rational and quadratic-irrational direction entries.
+A QuadExact holds a + b*sqrt(d) with Fraction a, b and a non-square
+integer d >= 0 (d = 0 exactly when b = 0; a perfect-square radicand
+collapses to a rational).  d is kept as written: square factors are
+not factored out, because the field test needs none.  Two values are
+comparable iff one is rational or d1*d2 is a perfect square, and then
+the larger radicand is rebased onto the smaller.  Signs, floors and
+equalities are decided exactly; this is what lets inner products
+<k, alpha> be certified as exactly zero or nonzero for rational and
+quadratic-irrational direction entries.
 """
 
 from __future__ import annotations
@@ -14,45 +17,6 @@ import math
 from fractions import Fraction
 
 from .precision import iroot
-
-
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
-
-
-_TRIAL_PRIMES = _primes_upto(10_000)
-
-
-def _extract_square(d: int) -> tuple[int, int]:
-    """d = s*s*m with small square factors removed from m.
-
-    Trial division by the primes up to 10^4 (a composite square cannot
-    divide once its prime squares are gone), plus perfect-square checks,
-    so m is not guaranteed squarefree for huge radicands; that only weakens the
-    cross-field compatibility test (values fall back to interval
-    arithmetic), never the exactness of sign/floor within one field.
-    """
-    if d < 0:
-        raise ValueError("need d >= 0")
-    r = math.isqrt(d)
-    if r * r == d:
-        return r, 1
-    s, m = 1, d
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % (p * p) == 0:
-            m //= p * p
-            s *= p
-    r = math.isqrt(m)
-    if r * r == m:
-        return s * r, 1
-    return s, m
 
 
 class QuadExact:
@@ -66,11 +30,11 @@ class QuadExact:
         elif d == 0:
             b = Fraction(0)
         else:
-            s, m = _extract_square(d)
-            if m == 1:
-                a, b, d = a + b * s, Fraction(0), 0
-            else:
-                b, d = b * s, m
+            if d < 0:
+                raise ValueError("need d >= 0")
+            r = math.isqrt(d)
+            if r * r == d:
+                a, b, d = a + b * r, Fraction(0), 0
         self.a, self.b, self.d = a, b, d
 
     # -- predicates ----------------------------------------------------
@@ -91,17 +55,35 @@ class QuadExact:
             return QuadExact(other)
         return None
 
-    def _compatible(self, other: "QuadExact") -> bool:
-        return self.d == 0 or other.d == 0 or self.d == other.d
+    def _pair(self, other):
+        """(d, a1, b1, a2, b2) with self = a1 + b1 sqrt(d) and other =
+        a2 + b2 sqrt(d), or None when other is not a rational or a value of
+        the same field.  Q(sqrt d1) = Q(sqrt d2) iff d1*d2 is a square r^2;
+        the larger radicand is then rebased onto the smaller one through
+        sqrt(d_big) = (r / d_small) sqrt(d_small)."""
+        other = self._coerce(other)
+        if other is None:
+            return None
+        d1, d2 = self.d, other.d
+        b1, b2 = self.b, other.b
+        if d1 and d2 and d1 != d2:
+            r = math.isqrt(d1 * d2)
+            if r * r != d1 * d2:
+                return None
+            if d1 < d2:
+                b2 = b2 * r / d1
+            else:
+                b1, d1 = b1 * r / d2, d2
+        return d1 or d2, self.a, b1, other.a, b2
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None or not self._compatible(other):
+        p = self._pair(other)
+        if p is None:
             return NotImplemented
-        d = self.d or other.d
-        return QuadExact(self.a + other.a, self.b + other.b, d)
+        d, a1, b1, a2, b2 = p
+        return QuadExact(a1 + a2, b1 + b2, d)
 
     __radd__ = __add__
 
@@ -118,29 +100,23 @@ class QuadExact:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None or not self._compatible(other):
+        p = self._pair(other)
+        if p is None:
             return NotImplemented
-        d = self.d or other.d
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return QuadExact(a, b, d)
+        d, a1, b1, a2, b2 = p
+        return QuadExact(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExact":
-        return QuadExact(self.a, -self.b, self.d)
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None or not self._compatible(other):
+        p = self._pair(other)
+        if p is None:
             return NotImplemented
-        if other.sign() == 0:
+        d, a1, b1, a2, b2 = p
+        norm = a2 * a2 - b2 * b2 * d
+        if norm == 0:
             raise ZeroDivisionError("division by exact zero")
-        conj = other.conjugate()
-        norm = other.a * other.a - other.b * other.b * other.d
-        num = self * conj
-        return QuadExact(num.a / norm, num.b / norm, num.d)
+        return QuadExact((a1 * a2 - b1 * b2 * d) / norm, (b1 * a2 - a1 * b2) / norm, d)
 
     def __rtruediv__(self, other):
         return QuadExact(other) / self
@@ -152,31 +128,24 @@ class QuadExact:
         a, b, d = self.a, self.b, self.d
         if b == 0:
             return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
         sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 vs b^2 d
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0  # impossible for squarefree d > 1, kept for safety
-        return sa if lhs > rhs else sb
+        if a == 0 or (a > 0) == (b > 0):
+            return sb
+        # opposite signs: a^2 != b^2 d because d is not a square
+        return sb if b * b * d > a * a else -sb
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._compatible(other):
-            return False
-        return (self - other).sign() == 0
+        p = self._pair(other)
+        if p is None:
+            return NotImplemented if self._coerce(other) is None else False
+        return p[1:3] == p[3:]  # sqrt(d) is irrational: equal values, equal parts
 
     def __hash__(self):
-        # a rational value equals its Fraction, so it must hash like one
+        # a rational value equals its Fraction, so it must hash like one;
+        # (a, b^2 d, sign b) does not depend on the radicand chosen
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -188,19 +157,11 @@ class QuadExact:
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # bracket b*sqrt(d) with integer sqrt bounds, then tighten
-        lo, hi = self.enclosure(30)
-        flo, fhi = math.floor(lo), math.floor(hi)
-        digits = 30
-        while flo != fhi:
-            digits *= 2
-            lo, hi = self.enclosure(digits)
-            flo, fhi = math.floor(lo), math.floor(hi)
-            if digits > 10_000:  # value is irrational, so this terminates
-                raise RuntimeError("floor did not resolve")
-        return flo
+        # self = (P + B sqrt d) / n with n > 0, and sqrt(B^2 d) is irrational
+        n = math.lcm(self.a.denominator, self.b.denominator)
+        P, B = int(self.a * n), int(self.b * n)
+        r = math.isqrt(B * B * self.d)
+        return (P + (r if B >= 0 else -r - 1)) // n
 
     # -- enclosure -------------------------------------------------------
 
@@ -227,3 +188,13 @@ class QuadExact:
 
 GOLDEN_RATIO = QuadExact(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = QuadExact(0, 1, 2)
+
+
+def common_field(values) -> tuple[int, list[tuple[Fraction, Fraction]]] | None:
+    """(D, [(a, b), ...]) with each value = a + b sqrt(D), D the smallest
+    radicand among them; None unless all values lie in one field."""
+    unit = QuadExact(0, 1, min((q.d for q in values if q.d), default=0))
+    pairs = [unit._pair(q) for q in values]
+    if any(p is None for p in pairs):
+        return None
+    return unit.d, [(a, b) for _, _, _, a, b in pairs]

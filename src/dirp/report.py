@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .certified import CertifiedReal
-from .constants import E_LITERAL
 from .diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
                         cesaro_average, convolution_power, density_floor_check,
                         measure_from_rv, scaling_fit, taylor_limit_check)
@@ -260,7 +259,9 @@ def criterion_9(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     s2_ok = (cf_s2.exact and cf_s2.quotients[0] == 1
              and all(q == 2 for q in cf_s2.quotients[1:])
              and cf_s2.period is not None)
-    e60 = CertifiedReal.from_decimal_literal(E_LITERAL[:61])
+    # e frozen at 60 digits: this row expands a finite literal, not e_cr()
+    e60 = CertifiedReal.from_decimal_literal(
+        "2.71828182845904523536028747135266249775724709369995957496696")
     cf_e = cf_expand(e60, 25, ctx)
     mq, idx = cf_e.max_quotient()
     e_ok = cf_e.certified_depth >= 20 and mq >= 10

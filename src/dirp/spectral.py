@@ -19,7 +19,7 @@ from .constants import pi_cr
 from .directions import Direction, inner_product
 from .errors import DimensionMismatch, ParseError, ZeroFunction
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
-from .quadratic import QuadExact
+from .quadratic import QuadExact, common_field
 
 FreqVector = tuple[int, ...]
 
@@ -180,15 +180,14 @@ def _integer_masses(f: TrigPoly) -> IntegerMasses | None:
 
 def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | None:
     """(D, Q, x, y) with integers and alpha_i = (x_i + y_i sqrt D) / Q;
-    None unless every entry is exact and the irrational ones share one D."""
+    None unless every entry is exact and all lie in one field."""
     qs = [e.exact for e in a.entries]
-    if any(q is None for q in qs):
+    field = None if any(q is None for q in qs) else common_field(qs)
+    if field is None:
         return None
-    ds = {q.d for q in qs if q.d}
-    if len(ds) > 1:
-        return None
-    Q = math.lcm(*(c.denominator for q in qs for c in (q.a, q.b)))
-    return (ds.pop() if ds else 0), Q, [int(q.a * Q) for q in qs], [int(q.b * Q) for q in qs]
+    D, coords = field
+    Q = math.lcm(*(c.denominator for ab in coords for c in ab))
+    return D, Q, [int(x * Q) for x, _ in coords], [int(y * Q) for _, y in coords]
 
 
 def _s0(f: TrigPoly, masses: IntegerMasses | None) -> CertifiedReal:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dirp.certified import CertifiedReal, cr_min
 from dirp.errors import PrecisionExhausted
 from dirp.precision import PrecisionContext
-from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, _extract_square
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
+
 
 def _extract_square_reference(d: int) -> tuple[int, int]:
     """Square extraction by trial division with every integer up to 10^4."""
@@ -61,6 +62,20 @@ class TestQuadExact:
         assert GOLDEN_RATIO.floor() == 1
         assert (-SQRT2).floor() == -2
 
+    def test_floor_brackets_exactly(self):
+        # f <= x < f + 1, decided through sign() rather than floor()
+        rng = random.Random(29)
+        for _ in range(500):
+            x = QuadExact(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 4)),
+                          Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
+                          rng.choice([2, 3, 5, 8, 12, 10007 ** 2 * 2, rng.randrange(2, 10 ** 30)]))
+            f = x.floor()
+            assert (x - f).sign() >= 0 and (x - (f + 1)).sign() < 0, x
+        # 99 sqrt2 - 140 = 0.00714..., 70 sqrt2 = 98.9949...
+        assert (SQRT2 * 99 - 140).floor() == 0
+        assert (140 - SQRT2 * 99).floor() == -1
+        assert (SQRT2 * 70).floor() == 98
+
     def test_division(self):
         x = (QuadExact(1) + SQRT2) / (QuadExact(3) - SQRT2)
         assert x * (QuadExact(3) - SQRT2) == QuadExact(1) + SQRT2
@@ -78,15 +93,41 @@ class TestQuadExact:
         assert QuadExact(3) in {3}
         assert len({QuadExact(Fraction(3, 4)), Fraction(3, 4)}) == 1
 
-    def test_extract_square_matches_trial_division_by_every_integer(self):
+    def test_square_factors_give_one_field(self):
+        # d1, d2 name one field iff d1*d2 is a square; nothing is factored,
+        # so square factors far above any trial-division bound are seen too
         rng = random.Random(1504)
-        radicands = list(range(3000))
-        radicands += [rng.randrange(1, 10 ** 5) ** 2 * rng.randrange(1, 10 ** 4)
-                      for _ in range(300)]
-        radicands += [rng.randrange(1, 10 ** 40) for _ in range(50)]
-        radicands += [9973 ** 2 * 6, 10007 ** 2 * 6, (2 * 3 * 5 * 7) ** 4 * 11]
-        for d in radicands:
-            assert _extract_square(d) == _extract_square_reference(d), d
+        big_primes = [10007, 99991, 1000003, 2 ** 61 - 1]
+        cases = [(rng.choice([-3, -1, 1, Fraction(2, 7), 5]),
+                  rng.choice(big_primes + [rng.randrange(2, 10 ** 6)]),
+                  rng.randrange(2, 10 ** 5)) for _ in range(200)]
+        cases += [(1, 10007, 2), (Fraction(-1, 3), 9973 * 10007, 6)]
+        for b, s, m in cases:
+            x, y = QuadExact(0, b, s * s * m), QuadExact(0, b * s, m)
+            assert x == y and y == x, (b, s, m)
+            assert hash(x) == hash(y), (b, s, m)
+            assert (CertifiedReal.from_quad(x) - CertifiedReal.from_quad(y)).sign() == 0
+            # the trial-division oracle's reduction names the same value
+            r, rest = _extract_square_reference(s * s * m)
+            assert x == QuadExact(0, b * r, rest), (b, s, m)
+            assert x != QuadExact(0, b * s + 1, m)
+        assert SQRT2.__add__(QuadExact(0, 1, 3)) is NotImplemented
+
+    def test_rebase_onto_the_smaller_radicand(self):
+        sqrt8, sqrt18 = QuadExact(0, 1, 8), QuadExact(0, 1, 18)
+        assert (sqrt8.d, sqrt8.b) == (8, 1)
+        total = sqrt8 + SQRT2
+        assert (total.d, total.b) == (2, 3)
+        assert sqrt8 * SQRT2 == 4 and (sqrt8 * SQRT2).is_rational
+        assert sqrt18 / sqrt8 == Fraction(3, 2)
+        assert (sqrt18 - sqrt8 - SQRT2).sign() == 0
+        assert (sqrt18 - QuadExact(Fraction(42426, 10 ** 4))).sign() == 1
+        assert len({sqrt8, QuadExact(0, 2, 2), QuadExact(0, -2, 2)}) == 2
+        assert common_field([QuadExact(1), sqrt18, QuadExact(3, 5, 8)]) == (
+            8, [(1, 0), (0, Fraction(3, 2)), (3, 5)])
+        assert common_field([sqrt8, QuadExact(0, 1, 12)]) is None
+        with pytest.raises(ValueError):
+            QuadExact(0, 1, -2)
 
     def test_enclosure_brackets_true_value(self):
         mpmath.mp.dps = 60

@@ -76,6 +76,20 @@ class TestLattice:
         assert doc["result"]["argmin"] == [2]
         assert doc["result"]["dirichlet_envelope_ok"] is True
 
+    def test_square_factor_above_trial_division_is_exact_zero(self, capsys):
+        # 200280098 = 2 * 10007^2, so <(10007, -1), alpha> is exactly 0
+        doc = run_json(capsys, "lattice", "--direction",
+                       "dir:[quad:sqrt2, quad:sqrt200280098]", "--radius", "10010")
+        res = doc["result"]
+        assert res["exact_zero_witness"] == [10007, -1]
+        assert res["argmin"] == [10007, -1]
+        assert res["minimum"] == {"digits": 80, "radius": "0", "value": "0"}
+
+    def test_missing_direction_is_input_error(self, capsys):
+        code, out, err = run(capsys, "lattice", "--radius", "10")
+        assert code == 2 and out == ""
+        assert err == "error: lattice needs --direction or --system\n"
+
 
 class TestCf:
     def test_rational(self, capsys):
@@ -121,6 +135,23 @@ class TestDiffusion:
         capsys.readouterr()
         doc = json.loads(first)
         assert doc["result"]["regime"] == "linear regime"
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ("norms", "fib:5", "--direction", "dir:[1, quad:(1+sqrt5)/2]"),
+        ("cf", "rat:355/113"),
+        ("lattice", "--direction", "dir:[1, quad:sqrt2]", "--radius", "10"),
+    ])
+    def test_csv_without_csv_form_writes_json_to_file(self, tmp_path, capsys, argv):
+        code, printed, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        target = tmp_path / "out.csv"
+        assert main([*argv, "--format", "csv", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        # files carry the JSON without stdout's trailing newline
+        assert target.read_text(encoding="utf-8") + "\n" == printed
+        assert json.loads(printed)["config"]["format"] == "csv"
 
 
 class TestConfigPrecedence:

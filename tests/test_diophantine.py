@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dirp import diophantine
 from dirp.certified import CertifiedReal
 from dirp.cli import main
-from dirp.constants import e_cr
+from dirp.constants import e_cr, pi_cr
 from dirp.diophantine import (LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
@@ -80,6 +80,19 @@ class TestContinuedFractions:
             x = 1 / (x - a)
         cf = cf_expand(e_cr(), 20)
         assert cf.quotients[:20] == quotients
+
+    def test_pi_to_depth_1200_matches_mpmath(self):
+        # the series refine past any fixed literal: 1200 quotients need
+        # about 1230 digits of pi
+        mpmath.mp.dps = 1400
+        x, quotients = +mpmath.pi, []
+        for _ in range(1200):
+            a = int(mpmath.floor(x))
+            quotients.append(a)
+            x = 1 / (x - a)
+        cf = cf_expand(pi_cr(), 1200)
+        assert cf.certified_depth == 1200
+        assert cf.quotients == quotients
 
     def test_short_literal_reports_partial_depth(self):
         x = CertifiedReal.from_decimal_literal("2.718")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dirp.constants import E_LITERAL, LOG2_LITERAL, PI_LITERAL, e_cr, log2_cr, pi_cr
+from dirp.constants import e_cr, log2_cr, pi_cr
 from dirp.directions import (inner_product, liouville_constant, make_direction,
                              parse_direction, parse_entry)
 from dirp.errors import DimensionMismatch, ParseError
@@ -62,7 +62,7 @@ class TestGrammar:
 
     @pytest.mark.parametrize("bad", [
         "dir:[1,", "quad:sqrt(-2)", "unknown:3", "dec:abc", "cf:[1,x]",
-        "const:gamma", "dir:(1,2)", "3.5x",
+        "const:gamma", "dir:(1,2)", "3.5x", "rat:abc", "rat:1/0", "liouville:x",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
@@ -74,11 +74,14 @@ class TestGrammar:
 
 
 class TestConstants:
-    def test_literals_match_mpmath_to_990_digits(self):
-        mpmath.mp.dps = 1010
-        for literal, ref in ((PI_LITERAL, mpmath.pi), (E_LITERAL, mpmath.e),
-                             (LOG2_LITERAL, mpmath.log(2))):
-            assert abs(mpmath.mpf(literal) - ref) < mpmath.mpf(10) ** -990
+    @pytest.mark.parametrize("digits", [30, 80, 1000, 3000])
+    def test_series_enclosures_match_mpmath(self, digits):
+        mpmath.mp.dps = digits + 30
+        for cr, ref in ((pi_cr(), mpmath.pi), (e_cr(), mpmath.e),
+                        (log2_cr(), mpmath.log(2))):
+            lo, hi = cr.enclosure(digits)
+            assert contains_mp(cr, ref, digits)
+            assert hi - lo < Fraction(1, 10 ** digits)
 
     def test_constant_enclosures(self):
         mpmath.mp.dps = 120

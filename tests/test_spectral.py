@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirp.constants import e_cr
-from dirp.directions import inner_product, make_direction
+from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from dirp.spectral import (TrigPoly, _raw_sum, directional_norm, directional_symbol,
+from dirp.spectral import (TrigPoly, _quadratic_field, _raw_sum, directional_norm, directional_symbol,
                            freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
@@ -296,6 +296,17 @@ class TestExactKernel:
         for _ in range(10):
             p = TrigPoly(3, _dyadic_terms(rng, dim=3, radius=20))
             for x, y in zip(parseval_sums(p, a), _general_sums(p, a)):
+                assert _state(x) == _state(y)
+
+    def test_square_factor_above_trial_division_shares_the_field(self):
+        # 200280098 = 2 * 10007^2, so the second entry is 10007 sqrt2
+        a = parse_direction("dir:[quad:sqrt2, quad:sqrt200280098]")
+        assert _quadratic_field(a) == (2, 1, [0, 0], [1, 10007])
+        rng = random.Random(10007)
+        for _ in range(10):
+            p = TrigPoly(2, _dyadic_terms(rng))
+            for x, y in zip(parseval_sums(p, a), _general_sums(p, a)):
+                assert x.exact is not None
                 assert _state(x) == _state(y)
 
     def test_public_functionals_use_exact_sums(self):
