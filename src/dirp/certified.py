@@ -13,6 +13,7 @@ defense against the catastrophic cancellation that inner products
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -59,13 +60,11 @@ class CertifiedReal:
     @classmethod
     def from_decimal_literal(cls, text: str) -> "CertifiedReal":
         """Literal correctly rounded to its last digit; the interval is
-        one unit in the last place on each side and never shrinks."""
-        value = Fraction(text)
-        mantissa = text.lower().split("e")[0]
-        places = len(mantissa.split(".")[1]) if "." in mantissa else 0
-        if "e" in text.lower():
-            places -= int(text.lower().split("e")[1])
-        ulp = Fraction(1, 10 ** places) if places >= 0 else Fraction(10 ** -places)
+        one unit in the last place on each side and never shrinks.  Text
+        that is not a finite decimal raises an ArithmeticError or ValueError."""
+        literal = Decimal(text)
+        value = Fraction(literal)
+        ulp = Fraction(10) ** literal.as_tuple().exponent
         iv = (value - ulp, value + ulp)
         return cls(fn=lambda digits: iv, refinable=False)
 
@@ -271,10 +270,6 @@ class CertifiedReal:
         or precision exhaustion on inexact operands)."""
         return (self - self._wrap(other)).sign_soft(ctx)
 
-    def contains(self, x, digits: int = 60) -> bool:
-        lo, hi = self.enclosure(digits)
-        return lo <= Fraction(x) <= hi
-
     # -- conversions ------------------------------------------------------
 
     def midpoint(self, digits: int = 40) -> Fraction:
@@ -297,16 +292,3 @@ class CertifiedReal:
         lo, hi = self.enclosure(30)
         return f"CertifiedReal({float((lo + hi) / 2)!r} +/- {float((hi - lo) / 2):.2e})"
 
-
-def cr_min(a: CertifiedReal, b: CertifiedReal,
-           ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
-    """min(a, b) as a CertifiedReal (interval min when the order is unclear)."""
-    c = a.compare(b, ctx)
-    if c is not None:
-        return a if c <= 0 else b
-
-    def fn(digits):
-        ia, ib = a.enclosure(digits), b.enclosure(digits)
-        return (min(ia[0], ib[0]), min(ia[1], ib[1]))
-
-    return CertifiedReal(fn=fn, refinable=a.refinable and b.refinable)

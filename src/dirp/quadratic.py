@@ -91,10 +91,11 @@ class QuadExact:
         return QuadExact(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        p = self._pair(other)
+        if p is None:
             return NotImplemented
-        return self + (-other)
+        d, a1, b1, a2, b2 = p
+        return QuadExact(a1 - a2, b1 - b2, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -147,11 +148,15 @@ class QuadExact:
             return hash(self.a)
         return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
+    # outside one field these give NotImplemented, so Python raises its own
+    # "'<' not supported" TypeError; CertifiedReal.compare decides such pairs
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() <= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

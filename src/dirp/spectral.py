@@ -33,23 +33,31 @@ def freq_norm_cr(k: Sequence[int]) -> CertifiedReal:
     return CertifiedReal.from_rational(freq_norm_sq(k)).sqrt()
 
 
-def _coerce_coeff(value) -> tuple[CertifiedReal, CertifiedReal]:
+def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
     if isinstance(value, tuple) and len(value) == 2:
         re, im = value
     else:
         re, im = value, 0
     def conv(x):
-        if isinstance(x, CertifiedReal):
-            return x
-        if isinstance(x, float):
-            raise TypeError("binary floats are rejected as coefficients; "
-                            "pass int, Fraction, decimal str or CertifiedReal")
-        return CertifiedReal.from_rational(Fraction(x))
+        if isinstance(x, (float, CertifiedReal)):
+            raise TypeError(f"{type(x).__name__} coefficients are rejected; "
+                            "pass int, Fraction or a decimal or p/q str")
+        return Fraction(x)
     return conv(re), conv(im)
 
 
+def _exact_text(x: Fraction) -> str:
+    """x as a decimal when its expansion terminates, else as p/q.  The
+    division is exact at this precision, so no digit is lost or padded."""
+    den = x.denominator
+    if den // math.gcd(den, 10 ** den.bit_length()) != 1:  # a prime factor besides 2 and 5
+        return str(x)
+    return fraction_to_decimal_str(x, len(str(abs(x.numerator))) + den.bit_length())
+
+
 class TrigPoly:
-    """Finite map from integer frequency vectors to complex coefficients.
+    """Finite map from integer frequency vectors to exact Gaussian-rational
+    coefficients (re, im), both Fractions; zero terms are not stored.
 
     The zero frequency is rejected unless drop_mean=True, in which case
     it is stripped (the polynomial is mean zero by construction).
@@ -61,7 +69,7 @@ class TrigPoly:
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
         self.dim = dim
-        store: dict[FreqVector, tuple[CertifiedReal, CertifiedReal]] = {}
+        store: dict[FreqVector, tuple[Fraction, Fraction]] = {}
         for k, coeff in terms.items():
             kt = tuple(int(c) for c in k)
             if len(kt) != dim:
@@ -72,9 +80,8 @@ class TrigPoly:
                 raise ValueError("zero frequency present (mean != 0); "
                                  "pass drop_mean=True to strip it")
             re, im = _coerce_coeff(coeff)
-            if re.sign_soft() == 0 and im.sign_soft() == 0:
-                continue
-            store[kt] = (re, im)
+            if re or im:
+                store[kt] = (re, im)
         self.terms = store
 
     def __len__(self):
@@ -84,32 +91,18 @@ class TrigPoly:
         return not self.terms
 
     def scale(self, factor) -> "TrigPoly":
-        re_f, im_f = _coerce_coeff(factor)
-        out = {}
-        for k, (re, im) in self.terms.items():
-            out[k] = (re * re_f - im * im_f, re * im_f + im * re_f)
-        p = TrigPoly.__new__(TrigPoly)
-        p.dim, p.terms = self.dim, out
-        return p
+        fr, fi = _coerce_coeff(factor)
+        return TrigPoly(self.dim, {k: (re * fr - im * fi, re * fi + im * fr)
+                                   for k, (re, im) in self.terms.items()})
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self, digits: int = DEFAULT_CONTEXT.working_digits) -> dict:
-        def dec(x: CertifiedReal) -> str:
-            if x.exact is not None and x.exact.is_rational:
-                f = x.exact.as_fraction()
-                den = f.denominator
-                while den % 2 == 0:
-                    den //= 2
-                while den % 5 == 0:
-                    den //= 5
-                if den == 1:  # exact decimal exists
-                    return fraction_to_decimal_str(f, max(len(str(abs(f.numerator))) + 4, 20))
-            return fraction_to_decimal_str(x.midpoint(digits), digits)
+    def to_json(self) -> dict:
+        """Lossless: from_json(to_json(p)) has the same terms as p."""
         return {
             "dim": self.dim,
             "terms": [
-                {"k": list(k), "re": dec(re), "im": dec(im)}
+                {"k": list(k), "re": _exact_text(re), "im": _exact_text(im)}
                 for k, (re, im) in sorted(self.terms.items())
             ],
         }
@@ -119,8 +112,7 @@ class TrigPoly:
         if isinstance(data, str):
             data = json.loads(data)
         try:
-            terms = {tuple(t["k"]): (Fraction(t["re"]), Fraction(t["im"]))
-                     for t in data["terms"]}
+            terms = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
             return cls(int(data["dim"]), terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed TrigPoly JSON: {exc}") from exc
@@ -129,27 +121,21 @@ class TrigPoly:
 # -- coefficient sums ------------------------------------------------------
 #
 # The three Parseval sums s0 = sum |a_k|^2, sg = sum |a_k|^2 |k|^2 and
-# sd = sum |a_k|^2 <k,alpha>^2.  When every coefficient is an exact rational
-# they are accumulated as Python integers (the exact kernel below); sd too,
-# when the entries of alpha share one field Q(sqrt D).  Otherwise they go
-# through CertifiedReal arithmetic (_raw_sum).  Both paths give the same
-# canonical Fraction / QuadExact wherever both apply.
+# sd = sum |a_k|^2 <k,alpha>^2 are accumulated as Python integers (the exact
+# kernel below); sd too, when the entries of alpha share one field Q(sqrt D).
+# Other directions go through CertifiedReal arithmetic (_raw_sum), which
+# gives the same canonical Fraction / QuadExact wherever both apply.
 
 # (L^2, [(k, A_k)]) with |a_k|^2 = A_k / L^2 and integer A_k
 IntegerMasses = tuple[int, list[tuple[FreqVector, int]]]
-
-
-def _abs_sq(coeff: tuple[CertifiedReal, CertifiedReal]) -> CertifiedReal:
-    re, im = coeff
-    return re * re + im * im
 
 
 def _raw_sum(f: TrigPoly,
              weight_sq: Callable[[FreqVector], object] | None = None) -> CertifiedReal:
     """Sum over terms of |a_k|^2 * w(k)^2 (w == 1 when weight_sq is None)."""
     total = CertifiedReal.from_rational(0)
-    for k, coeff in sorted(f.terms.items()):
-        contrib = _abs_sq(coeff)
+    for k, (re, im) in sorted(f.terms.items()):
+        contrib = CertifiedReal.from_rational(re * re + im * im)
         if weight_sq is not None:
             w2 = weight_sq(k)
             if not isinstance(w2, CertifiedReal):
@@ -159,23 +145,13 @@ def _raw_sum(f: TrigPoly,
     return total
 
 
-def _rational(x: CertifiedReal) -> Fraction | None:
-    return x.exact.a if x.exact is not None and x.exact.is_rational else None
-
-
-def _integer_masses(f: TrigPoly) -> IntegerMasses | None:
+def _integer_masses(f: TrigPoly) -> IntegerMasses:
     """A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient
-    denominators; None unless every coefficient is an exact rational."""
-    coeffs = []
-    for k, (re, im) in f.terms.items():
-        x, y = _rational(re), _rational(im)
-        if x is None or y is None:
-            return None
-        coeffs.append((k, x, y))
-    L = math.lcm(*(c.denominator for _, x, y in coeffs for c in (x, y)))
-    return L * L, [(k, (x.numerator * (L // x.denominator)) ** 2
-                       + (y.numerator * (L // y.denominator)) ** 2)
-                   for k, x, y in coeffs]
+    denominators."""
+    L = math.lcm(*(c.denominator for coeff in f.terms.values() for c in coeff))
+    return L * L, [(k, (re.numerator * (L // re.denominator)) ** 2
+                       + (im.numerator * (L // im.denominator)) ** 2)
+                   for k, (re, im) in f.terms.items()]
 
 
 def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | None:
@@ -190,26 +166,22 @@ def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | No
     return D, Q, [int(x * Q) for x, _ in coords], [int(y * Q) for _, y in coords]
 
 
-def _s0(f: TrigPoly, masses: IntegerMasses | None) -> CertifiedReal:
-    if masses is None:
-        return _raw_sum(f)
+def _s0(masses: IntegerMasses) -> CertifiedReal:
     scale, terms = masses
     return CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale))
 
 
-def _sg(f: TrigPoly, masses: IntegerMasses | None) -> CertifiedReal:
-    if masses is None:
-        return _raw_sum(f, freq_norm_sq)
+def _sg(masses: IntegerMasses) -> CertifiedReal:
     scale, terms = masses
     return CertifiedReal.from_rational(
         Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale))
 
 
-def _sd(f: TrigPoly, masses: IntegerMasses | None, a: Direction,
+def _sd(f: TrigPoly, masses: IntegerMasses, a: Direction,
         ctx: PrecisionContext) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
-    field = _quadratic_field(a) if masses is not None else None
+    field = _quadratic_field(a)
     if field is None:
         def weight_sq(k):
             ip = inner_product(k, a)
@@ -233,10 +205,10 @@ def parseval_sums(f: TrigPoly, a: Direction | None = None,
                   ctx: PrecisionContext = DEFAULT_CONTEXT
                   ) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal | None]:
     """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
-    given, sum |a_k|^2 <k,alpha>^2 (else None).  Exact values wherever the
-    coefficients and the direction allow it."""
+    given, sum |a_k|^2 <k,alpha>^2 (else None).  s0 and sg are exact, and
+    so is sd wherever the direction allows it."""
     masses = _integer_masses(f)
-    return (_s0(f, masses), _sg(f, masses),
+    return (_s0(masses), _sg(masses),
             None if a is None else _sd(f, masses, a, ctx))
 
 
@@ -244,28 +216,25 @@ def _two_pi_pow(d: int) -> CertifiedReal:
     return (pi_cr() * 2).pow_int(d)
 
 
-def _nonzero_sums(f: TrigPoly, ctx: PrecisionContext
-                  ) -> tuple[IntegerMasses | None, CertifiedReal, CertifiedReal]:
-    """(masses, s0, sg); raises ZeroFunction for a certified-zero polynomial."""
+def _nonzero_sums(f: TrigPoly) -> tuple[IntegerMasses, CertifiedReal, CertifiedReal]:
+    """(masses, s0, sg); raises ZeroFunction for the zero polynomial.  Every
+    stored term is nonzero, so s0 > 0 otherwise."""
     if f.is_zero():
         raise ZeroFunction("operation needs a nonzero polynomial")
     masses = _integer_masses(f)
-    s0 = _s0(f, masses)
-    if s0.sign(ctx) == 0:
-        raise ZeroFunction("all coefficients are certified zero")
-    return masses, s0, _sg(f, masses)
+    return masses, _s0(masses), _sg(masses)
 
 
 # -- norms -----------------------------------------------------------------
 
 def l2_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2)."""
-    return (_two_pi_pow(f.dim) * _s0(f, _integer_masses(f))).sqrt()
+    return (_two_pi_pow(f.dim) * _s0(_integer_masses(f))).sqrt()
 
 
 def grad_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |k|^2 |a_k|^2)."""
-    return (_two_pi_pow(f.dim) * _sg(f, _integer_masses(f))).sqrt()
+    return (_two_pi_pow(f.dim) * _sg(_integer_masses(f))).sqrt()
 
 
 def directional_norm(f: TrigPoly, a: Direction,
@@ -310,7 +279,7 @@ def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir,
     exp_grad, exp_dir = Fraction(exp_grad), Fraction(exp_dir)
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")
-    masses, s0, sg = _nonzero_sums(f, ctx)
+    masses, s0, sg = _nonzero_sums(f)
     sd = _sd(f, masses, a, ctx)
     num = sg.pow_frac(exp_grad / 2) * sd.pow_frac(exp_dir / 2)
     den = s0.pow_frac((exp_grad + exp_dir) / 2)
@@ -331,7 +300,7 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
             raise DimensionMismatch("direction dimension mismatch")
     exp_grad = Fraction(exp_grad) if exp_grad is not None else Fraction(d - 1)
     exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
-    masses, s0, sg = _nonzero_sums(f, ctx)
+    masses, s0, sg = _nonzero_sums(f)
     dir_sum = CertifiedReal.from_rational(0)
     for a in dirs:
         dir_sum = dir_sum + _sd(f, masses, a, ctx).sqrt()
@@ -345,19 +314,10 @@ def half_mass_cutoff(f: TrigPoly,
                      ) -> tuple[CertifiedReal, CertifiedReal]:
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
-    masses, s0, sg = _nonzero_sums(f, ctx)
+    (_, terms), s0, sg = _nonzero_sums(f)
     radius = (sg / s0).sqrt() * 2
-    if masses is not None:
-        # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
-        _, terms = masses
-        S0 = sum(A for _, A in terms)
-        SG = sum(A * freq_norm_sq(k) for k, A in terms)
-        tail = sum(A for k, A in terms if freq_norm_sq(k) * S0 >= 4 * SG)
-        return radius, CertifiedReal.from_rational(Fraction(tail, S0))
-    tail = CertifiedReal.from_rational(0)
-    for k, coeff in sorted(f.terms.items()):
-        # |k| >= radius  <=>  |k|^2 * s0 - 4*sg >= 0
-        gap = s0 * freq_norm_sq(k) - sg * 4
-        if gap.sign(ctx) >= 0:
-            tail = tail + _abs_sq(coeff)
-    return radius, tail / s0
+    # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
+    S0 = sum(A for _, A in terms)
+    SG = sum(A * freq_norm_sq(k) for k, A in terms)
+    tail = sum(A for k, A in terms if freq_norm_sq(k) * S0 >= 4 * SG)
+    return radius, CertifiedReal.from_rational(Fraction(tail, S0))

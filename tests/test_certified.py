@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.certified import CertifiedReal, cr_min
+from dirp.certified import CertifiedReal
 from dirp.errors import PrecisionExhausted
 from dirp.precision import PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
@@ -139,6 +139,12 @@ class TestQuadExact:
     def test_incompatible_fields_fall_back(self):
         assert SQRT2.__add__(QuadExact(0, 1, 3)) is NotImplemented
 
+    @pytest.mark.parametrize("op", ["<", "<="])
+    def test_cross_field_ordering_is_not_supported(self, op):
+        with pytest.raises(TypeError, match=f"'{op}' not supported"):
+            eval(f"a {op} b", {"a": SQRT2, "b": QuadExact(0, 1, 3)})
+        assert eval(f"a {op} b", {"a": SQRT2, "b": QuadExact(0, 1, 8)})  # sqrt8 = 2 sqrt2
+
 
 class TestCertifiedReal:
     @given(a=rationals, b=rationals)
@@ -214,7 +220,6 @@ class TestCertifiedReal:
         a = CertifiedReal.from_quad(SQRT2)
         b = CertifiedReal.from_rational(Fraction(3, 2))
         assert a.compare(b) == -1
-        assert cr_min(a, b) is a
 
     def test_float_rejection(self):
         with pytest.raises(TypeError):

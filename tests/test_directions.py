@@ -63,6 +63,7 @@ class TestGrammar:
     @pytest.mark.parametrize("bad", [
         "dir:[1,", "quad:sqrt(-2)", "unknown:3", "dec:abc", "cf:[1,x]",
         "const:gamma", "dir:(1,2)", "3.5x", "rat:abc", "rat:1/0", "liouville:x",
+        "dec:1/2", "dec:1/0",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Parseval norms, multipliers and weighted ratios on trigonometric polynomials."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from dirp.constants import e_cr
 from dirp.directions import inner_product, make_direction, parse_direction
-from dirp.errors import DimensionMismatch, ZeroFunction
+from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 from dirp.spectral import (TrigPoly, _quadratic_field, _raw_sum, directional_norm, directional_symbol,
@@ -65,10 +66,28 @@ class TestTrigPoly:
     def test_json_round_trip(self):
         p = TrigPoly(2, {(3, -4): (Fraction(1, 2), Fraction(-1, 4)), (1, 1): 2})
         q = TrigPoly.from_json(p.to_json())
-        assert q.terms.keys() == p.terms.keys()
-        for k in p.terms:
-            assert q.terms[k][0].exact == p.terms[k][0].exact
-            assert q.terms[k][1].exact == p.terms[k][1].exact
+        assert q.terms == p.terms == {(3, -4): (Fraction(1, 2), Fraction(-1, 4)),
+                                      (1, 1): (Fraction(2), Fraction(0))}
+
+    @given(terms=st.dictionaries(
+        frequencies,
+        st.tuples(*[st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                              st.sampled_from([1, 3, 7, 2 ** 70, 10 ** 40, 3 * 2 ** 70]))] * 2),
+        min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_json_round_trip_is_lossless(self, terms):
+        p = TrigPoly(2, terms)
+        q = TrigPoly.from_json(json.dumps(p.to_json()))
+        assert q.dim == p.dim and q.terms == p.terms
+
+    def test_json_prints_exact_decimals_and_fractions(self):
+        p = TrigPoly(1, {(1,): (Fraction(1, 8), Fraction(-1, 3)), (2,): (Fraction(1, 2 ** 70), 40)})
+        assert [(t["re"], t["im"]) for t in p.to_json()["terms"]] == [
+            ("0.125", "-1/3"), ("8.470329472543003390683225006796419620513916015625E-22", "40")]
+
+    def test_json_float_coefficient_rejected(self):
+        with pytest.raises(ParseError):
+            TrigPoly.from_json({"dim": 1, "terms": [{"k": [1], "re": 0.5, "im": "0"}]})
 
 
 class TestNorms:
@@ -335,18 +354,18 @@ class TestExactKernel:
         oracle = (2 - mpmath.e) ** 2 + Fraction(1, 4) * (-3 + mpmath.e) ** 2
         _assert_encloses(sd, mpf_to_frac(oracle))
 
-    def test_inexact_coefficients_fall_back(self):
-        terms = {(3, -2): (Fraction(1, 2), 1), (-5, 8): (0, Fraction(3, 4)), (1, 1): 2}
-        p = TrigPoly(2, terms)
-        q = p.scale(e_cr())
-        mpmath.mp.dps = 80
-        e2 = mpf_to_frac(mpmath.e ** 2)
-        for x, y in zip(parseval_sums(q, PHI), parseval_sums(p, PHI)):
-            assert x.exact is None
-            _assert_encloses(x / y, e2)
-        (r_q, t_q), (r_p, t_p) = half_mass_cutoff(q), half_mass_cutoff(p)
-        _assert_encloses(r_q, r_p.exact.enclosure(60)[0])
-        _assert_encloses(t_q, t_p.exact.as_fraction())
+    def test_inexact_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            TrigPoly(2, {(3, -2): e_cr()})
+        with pytest.raises(TypeError):
+            TrigPoly(2, {(3, -2): (1, e_cr())})
+        with pytest.raises(TypeError):
+            TrigPoly(2, {(3, -2): (Fraction(1, 2), 1)}).scale(e_cr())
+
+    def test_scale_is_exact(self):
+        p = TrigPoly(2, {(3, -2): (Fraction(1, 2), 1), (1, 1): 2}).scale((0, Fraction(1, 3)))
+        assert p.terms == {(3, -2): (Fraction(-1, 3), Fraction(1, 6)), (1, 1): (0, Fraction(2, 3))}
+        assert p.scale(0).is_zero()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_half_mass_tail_against_fraction_oracle(self, seed):
