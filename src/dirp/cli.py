@@ -106,16 +106,16 @@ def _emit(payload, settings, csv_text: str | None = None) -> None:
             sys.stdout.write(text + "\n")
 
 
-def _load_poly(token: str, direction=None) -> TrigPoly:
+def _load_poly(token: str, direction, ctx) -> TrigPoly:
     if token.startswith("@"):
         with open(token[1:], encoding="utf-8") as fh:
             return TrigPoly.from_json(fh.read())
-    return parse_family_token(token, direction).poly
+    return parse_family_token(token, direction, ctx).poly
 
 
 def _cmd_norms(args, settings, ctx) -> int:
     a = parse_direction(args.direction)
-    f = _load_poly(args.poly, a)
+    f = _load_poly(args.poly, a, ctx)
     digits = settings["digits"]
     result = {
         "l2": l2_norm(f, ctx).to_json(digits),
@@ -129,7 +129,7 @@ def _cmd_norms(args, settings, ctx) -> int:
 
 def _cmd_ratio(args, settings, ctx) -> int:
     dirs = [parse_direction(d) for d in args.direction]
-    f = _load_poly(args.poly, dirs[0])
+    f = _load_poly(args.poly, dirs[0], ctx)
     d, ell = f.dim, len(dirs)
     preset = args.preset
     if preset == "thm1":
@@ -210,8 +210,7 @@ def _cmd_diffusion(args, settings, ctx) -> int:
     est = scaling_fit(Y, p, t_grid, M, seed=settings["seed"])
     rows = ["p,t,h,method,M,seed"]
     label = "inf" if p == math.inf else str(p)
-    method = "spectral-exact" if p == 2 else f"witness-family (seed={settings['seed']})"
-    for t, h in zip(est.t_grid, est.h_values):
+    for t, h, method in zip(est.t_grid, est.h_values, est.methods):
         rows.append(f"{label},{t!r},{h!r},{method},{M},{settings['seed']}")
     _emit(est.to_json(), settings, csv_text="\n".join(rows) + "\n")
     if est.regime == "indeterminate":

@@ -11,12 +11,13 @@ from witness families and are labeled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .directions import _split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 _DIRECT_CONV_MAX = 4096   # float64 direct summation up to here, FFT above
@@ -83,11 +84,6 @@ class RVSpec:
         """Total length of the absolutely continuous support."""
         return sum((hi - lo for _, lo, hi in self.uniforms), Fraction(0))
 
-    def key(self) -> str:
-        parts = [f"uniform:{lo}:{hi}*{w}" for w, lo, hi in self.uniforms]
-        parts += [f"atom:{p}*{m}" for p, m in self.atoms]
-        return " + ".join(parts)
-
 
 def _frac(text: str) -> Fraction:
     try:
@@ -101,35 +97,12 @@ def _parse_pairs(body: str) -> list[tuple[str, str]]:
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"expected [..], got {body!r}")
     pairs = []
-    depth, start = 0, None
-    for i, ch in enumerate(body[1:-1], start=1):
-        if ch in "([":
-            if depth == 0:
-                if ch != "(":
-                    raise ParseError(f"expected (a,b) pair in {body!r}")
-                start = i
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth == 0 and start is not None:
-                inner = body[start + 1:i]
-                # split on the first comma not nested in brackets
-                d2 = 0
-                for j, c2 in enumerate(inner):
-                    if c2 in "([":
-                        d2 += 1
-                    elif c2 in ")]":
-                        d2 -= 1
-                    elif c2 == "," and d2 == 0:
-                        pairs.append((inner[:j], inner[j + 1:]))
-                        break
-                else:
-                    raise ParseError(f"pair without comma in {body!r}")
-                start = None
-        elif depth == 0 and ch not in ", \t":
-            raise ParseError(f"unexpected {ch!r} in {body!r}")
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {body!r}")
+    for item in _split_top_level(body[1:-1]):
+        item = item.strip()
+        fields = _split_top_level(item[1:-1])
+        if not (item.startswith("(") and item.endswith(")")) or len(fields) != 2:
+            raise ParseError(f"expected (a,b) pair, got {item!r} in {body!r}")
+        pairs.append((fields[0], fields[1]))
     return pairs
 
 
@@ -160,7 +133,6 @@ def parse_rv(text: str) -> RVSpec:
 class GridMeasure:
     M: int
     weights: np.ndarray
-    log: list = field(default_factory=list)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -169,9 +141,7 @@ class GridMeasure:
         if self.weights.min() < -1e-13:
             raise ValueError("negative cell mass")
         self.weights = np.maximum(self.weights, 0.0)
-        drift = abs(float(self.weights.sum()) - 1.0)
-        if drift > _MASS_TOL:
-            self.log.append(f"renormalized: mass drift {drift:.3e}")
+        if abs(float(self.weights.sum()) - 1.0) > _MASS_TOL:
             self.weights = self.weights / self.weights.sum()
 
     @classmethod
@@ -245,31 +215,14 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
                 f"uniform part ({lo},{hi}) scaled by t={t} spans fewer than "
                 f"4 of {M} cells; increase M")
     mass = [Fraction(0)] * M
-    half_cell = Fraction(1, 2 * M)
     for w, lo, hi in Y.uniforms:
-        # cells are centered on the grid points j/M, matching the atom
-        # interpolation below, so symmetric laws stay spectrally symmetric
-        a, b = t * lo + half_cell, t * hi + half_cell
-        length = b - a
-        shift = math.floor(a)     # work with a' in [0,1)
-        a -= shift
-        b -= shift
-        full = math.floor(length)
-        if full:  # whole turns cover every cell equally
-            per_cell = w * full / (length * M)
-            for j in range(M):
-                mass[j] += per_cell
-        a2 = a + full
-        rem = length - full
-        if rem > 0:
-            dens = w / length
-            j0 = math.floor(a2 * M)
-            j1 = math.floor(b * M) if b * M != math.floor(b * M) else int(b * M) - 1
-            for j in range(j0, j1 + 1):
-                left = max(a2, Fraction(j, M))
-                right = min(b, Fraction(j + 1, M))
-                if right > left:
-                    mass[j % M] += dens * (right - left)
+        # in cell units, with cells centered on the grid points j/M (as in
+        # the atom interpolation below) so symmetric laws stay spectrally
+        # symmetric; unwrapped cell c overlaps [a, b] and wraps to c mod M
+        a, b = t * lo * M + Fraction(1, 2), t * hi * M + Fraction(1, 2)
+        dens = w / (b - a)
+        for c in range(math.floor(a), math.ceil(b)):
+            mass[c % M] += dens * (min(b, c + 1) - max(a, c))
     for p, m in Y.atoms:
         x = t * p
         x -= math.floor(x)        # wrap to [0,1)
@@ -304,8 +257,7 @@ def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
     if a.M != b.M:
         raise GridMismatch(f"grid sizes differ: {a.M} vs {b.M}")
-    return GridMeasure(a.M, _cyclic_conv(a.weights, b.weights),
-                       log=list(a.log) + list(b.log))
+    return GridMeasure(a.M, _cyclic_conv(a.weights, b.weights))
 
 
 def convolution_power(a: GridMeasure, n: int) -> GridMeasure:
@@ -342,7 +294,7 @@ def cesaro_average(mu: GridMeasure, n: int) -> GridMeasure:
     for _ in range(n - 1):
         power = _cyclic_conv(power, mu.weights)
         acc += power
-    return GridMeasure(mu.M, acc / n, log=list(mu.log))
+    return GridMeasure(mu.M, acc / n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +332,18 @@ def contraction_factor(Y: RVSpec, t, p, M: int,
     minimum over a witness family (harmonics plus 16 seeded random
     functions), which is an upper bound on the true infimum.
     """
-    mu = measure_from_rv(Y, t, M)
+    mhat = np.fft.fft(measure_from_rv(Y, t, M).weights)
     if p == 2:
-        mhat = np.fft.fft(mu.weights)
         h = float(np.abs(1 - mhat[1:]).min())
         return ContractionValue(2, float(t), h, "spectral-exact", M, False)
     if p not in (1, math.inf, "inf"):
         raise ValueError("p must be 1, 2 or inf")
+    # f * mu is a correlation, so f - f * mu has multiplier 1 - conj(mhat)
+    multiplier = 1 - np.conj(mhat)
     rng = np.random.default_rng(seed)
     best = math.inf
     for f in _witness_functions(M, rng):
-        g = apply_markov(f, mu)
-        diff = GridFunction(M, f.values - g.values)
+        diff = GridFunction(M, np.real(np.fft.ifft(np.fft.fft(f.values) * multiplier)))
         denom = f.lp_norm(p)
         if denom > 0:
             best = min(best, diff.lp_norm(p) / denom)

@@ -75,20 +75,34 @@ def fibonacci_family(n: int) -> FamilyMember:
     })
 
 
-def liouville_family(N: int, base: int = 10) -> FamilyMember:
+def liouville_cap(base: int = 10, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
+    """Largest N whose wave ctx can evaluate against (1, sum_n b^{-n!}).
+    The inner product is about b^{N! - (N+1)!} with |k| about b^{N!}, so
+    the constant is needed to b^{-(N+1)!}: more than (N+1)! log10(b)
+    digits, which must stay below ctx.max_digits."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    N = 0
+    while math.factorial(N + 2) * math.log10(base) < ctx.max_digits:
+        N += 1
+    return N
+
+
+def liouville_family(N: int, base: int = 10,
+                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilyMember:
     """sin(b^{N!} (sum_{n<=N} x / b^{n!} - y)), frequency
     (sum_{n<=N} b^{N!-n!}, -b^{N!}).
 
     Against the direction (1, sum_n b^{-n!}) the inner product is minus the
     series tail sum_{n>N} b^{N!-n!}, which collapses super-exponentially;
     these waves defeat any polynomially weighted directional inequality.
+    N runs from 1 to liouville_cap(base, ctx).
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if not 1 <= N <= 4:
+    cap = liouville_cap(base, ctx)
+    if not 1 <= N <= cap:
         raise PrecisionCapExceeded(
-            f"N={N} outside 1..4: evaluating the inner-product tail would "
-            f"need more than the configured precision cap")
+            f"N={N} outside 1..{cap}: evaluating the inner-product tail would "
+            f"need more than max_digits={ctx.max_digits}")
     factorials = []
     f = 1
     for i in range(1, N + 1):
@@ -138,7 +152,8 @@ def convergent_wave(a: Direction, n: int,
     })
 
 
-def parse_family_token(token: str, a: Optional[Direction] = None) -> FamilyMember:
+def parse_family_token(token: str, a: Optional[Direction] = None,
+                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilyMember:
     """CLI addressing: fib:n | liouville:N[:base] | cwave:n."""
     tag, _, body = token.partition(":")
     tag = tag.strip().lower()
@@ -148,11 +163,11 @@ def parse_family_token(token: str, a: Optional[Direction] = None) -> FamilyMembe
         if tag == "liouville":
             parts = body.split(":")
             return liouville_family(int(parts[0]),
-                                    int(parts[1]) if len(parts) > 1 else 10)
+                                    int(parts[1]) if len(parts) > 1 else 10, ctx)
         if tag == "cwave":
             if a is None:
                 raise ParseError("cwave:n needs a direction")
-            return convergent_wave(a, int(body))
+            return convergent_wave(a, int(body), ctx)
     except ValueError as exc:
         raise ParseError(f"bad family token {token!r}: {exc}") from exc
     raise ParseError(f"unknown family token {token!r}")
@@ -191,13 +206,14 @@ class SharpnessTable:
         return buf.getvalue()
 
 
-def _member_for(family: str, a: Direction, n: int) -> FamilyMember:
+def _member_for(family: str, a: Direction, n: int,
+                ctx: PrecisionContext) -> FamilyMember:
     if family == "fibonacci":
         return fibonacci_family(n)
     if family == "liouville":
-        return liouville_family(n)
+        return liouville_family(n, ctx=ctx)
     if family == "convergent_wave":
-        return convergent_wave(a, n)
+        return convergent_wave(a, n, ctx)
     raise ParseError(f"unknown family {family!r}")
 
 
@@ -214,11 +230,12 @@ def sharpness_table(a: Direction, family: str, n_max: int,
     have ratio below 2, so every dyadic scale beyond the first few
     contains a row.
     """
-    if family == "liouville":
-        n_max = min(n_max, 4)
+    if family == "liouville" and n_max > (cap := liouville_cap(ctx=ctx)):
+        raise PrecisionCapExceeded(
+            f"liouville rows run to N={cap} at max_digits={ctx.max_digits}, not {n_max}")
     rows: list[SharpnessRow] = []
     for n in range(1, n_max + 1):
-        m = _member_for(family, a, n)
+        m = _member_for(family, a, n, ctx)
         k = m.metadata["k"]
         abs_k = freq_norm_cr(k)
         abs_inner = abs(inner_product(k, a))

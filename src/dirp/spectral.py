@@ -166,17 +166,6 @@ def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | No
     return D, Q, [int(x * Q) for x, _ in coords], [int(y * Q) for _, y in coords]
 
 
-def _s0(masses: IntegerMasses) -> CertifiedReal:
-    scale, terms = masses
-    return CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale))
-
-
-def _sg(masses: IntegerMasses) -> CertifiedReal:
-    scale, terms = masses
-    return CertifiedReal.from_rational(
-        Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale))
-
-
 def _sd(f: TrigPoly, masses: IntegerMasses, a: Direction,
         ctx: PrecisionContext) -> CertifiedReal:
     if f.dim != a.dim:
@@ -207,8 +196,10 @@ def parseval_sums(f: TrigPoly, a: Direction | None = None,
     """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
     given, sum |a_k|^2 <k,alpha>^2 (else None).  s0 and sg are exact, and
     so is sd wherever the direction allows it."""
-    masses = _integer_masses(f)
-    return (_s0(masses), _sg(masses),
+    scale, terms = masses = _integer_masses(f)
+    return (CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale)),
+            CertifiedReal.from_rational(
+                Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale)),
             None if a is None else _sd(f, masses, a, ctx))
 
 
@@ -216,32 +207,29 @@ def _two_pi_pow(d: int) -> CertifiedReal:
     return (pi_cr() * 2).pow_int(d)
 
 
-def _nonzero_sums(f: TrigPoly) -> tuple[IntegerMasses, CertifiedReal, CertifiedReal]:
-    """(masses, s0, sg); raises ZeroFunction for the zero polynomial.  Every
-    stored term is nonzero, so s0 > 0 otherwise."""
+def _require_nonzero(f: TrigPoly) -> None:
+    """Every stored term is nonzero, so s0 > 0 unless f is the zero polynomial."""
     if f.is_zero():
         raise ZeroFunction("operation needs a nonzero polynomial")
-    masses = _integer_masses(f)
-    return masses, _s0(masses), _sg(masses)
 
 
 # -- norms -----------------------------------------------------------------
 
 def l2_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2)."""
-    return (_two_pi_pow(f.dim) * _s0(_integer_masses(f))).sqrt()
+    return (_two_pi_pow(f.dim) * parseval_sums(f)[0]).sqrt()
 
 
 def grad_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |k|^2 |a_k|^2)."""
-    return (_two_pi_pow(f.dim) * _sg(_integer_masses(f))).sqrt()
+    return (_two_pi_pow(f.dim) * parseval_sums(f)[1]).sqrt()
 
 
 def directional_norm(f: TrigPoly, a: Direction,
                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2 <k,alpha>^2), with cancellation-safe
     evaluation of the inner products."""
-    return (_two_pi_pow(f.dim) * _sd(f, _integer_masses(f), a, ctx)).sqrt()
+    return (_two_pi_pow(f.dim) * parseval_sums(f, a, ctx)[2]).sqrt()
 
 
 def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object],
@@ -279,8 +267,8 @@ def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir,
     exp_grad, exp_dir = Fraction(exp_grad), Fraction(exp_dir)
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")
-    masses, s0, sg = _nonzero_sums(f)
-    sd = _sd(f, masses, a, ctx)
+    _require_nonzero(f)
+    s0, sg, sd = parseval_sums(f, a, ctx)
     num = sg.pow_frac(exp_grad / 2) * sd.pow_frac(exp_dir / 2)
     den = s0.pow_frac((exp_grad + exp_dir) / 2)
     return num / den
@@ -300,10 +288,11 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
             raise DimensionMismatch("direction dimension mismatch")
     exp_grad = Fraction(exp_grad) if exp_grad is not None else Fraction(d - 1)
     exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
-    masses, s0, sg = _nonzero_sums(f)
+    _require_nonzero(f)
+    s0, sg, _ = parseval_sums(f)
     dir_sum = CertifiedReal.from_rational(0)
     for a in dirs:
-        dir_sum = dir_sum + _sd(f, masses, a, ctx).sqrt()
+        dir_sum = dir_sum + parseval_sums(f, a, ctx)[2].sqrt()
     num = sg.pow_frac(exp_grad / 2) * dir_sum.pow_frac(exp_sum)
     den = s0.pow_frac((exp_grad + exp_sum) / 2)
     return num / den
@@ -314,10 +303,11 @@ def half_mass_cutoff(f: TrigPoly,
                      ) -> tuple[CertifiedReal, CertifiedReal]:
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
-    (_, terms), s0, sg = _nonzero_sums(f)
-    radius = (sg / s0).sqrt() * 2
+    _require_nonzero(f)
+    weighted = [(freq_norm_sq(k), A) for k, A in _integer_masses(f)[1]]
+    S0 = sum(A for _, A in weighted)
+    SG = sum(n2 * A for n2, A in weighted)
+    radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2
     # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
-    S0 = sum(A for _, A in terms)
-    SG = sum(A * freq_norm_sq(k) for k, A in terms)
-    tail = sum(A for k, A in terms if freq_norm_sq(k) * S0 >= 4 * SG)
+    tail = sum(A for n2, A in weighted if n2 * S0 >= 4 * SG)
     return radius, CertifiedReal.from_rational(Fraction(tail, S0))

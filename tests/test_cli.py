@@ -52,9 +52,15 @@ class TestRatio:
         assert doc["result"]["exponents"] == ["1/2", "1/2"]
 
     def test_precision_cap_is_exit_3(self, capsys):
-        code, _, _ = run(capsys, "ratio", "liouville:5", "--direction",
-                         "dir:[1, liouville:10]")
-        assert code == 3
+        # liouville:N needs more than (N+1)! digits: 9! > 100000 = max_digits
+        code, _, err = run(capsys, "ratio", "liouville:8", "--direction",
+                           "dir:[1, liouville:10]")
+        assert code == 3 and "max_digits=100000" in err
+
+    def test_precision_cap_follows_max_digits(self, capsys):
+        code, _, err = run(capsys, "ratio", "liouville:5", "--direction",
+                           "dir:[1, liouville:10]", "--max-digits", "720")
+        assert code == 3 and "max_digits=720" in err
 
 
 class TestLattice:

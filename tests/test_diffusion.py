@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
-                            cesaro_average, contraction_factor,
+from dirp.diffusion import (GridFunction, GridMeasure, RVSpec, _witness_functions,
+                            apply_markov, cesaro_average, contraction_factor,
                             contraction_lemma_check, convolution_power,
                             convolve, density_floor_check, measure_from_rv,
                             parse_rv, scaling_fit, taylor_limit_check)
@@ -17,6 +17,46 @@ from dirp.errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 DRIFT = RVSpec.uniform(0, Fraction(1, 2))
 SYM = RVSpec.uniform(Fraction(-1, 2), Fraction(1, 2))
+
+
+def _turn_unit_masses(Y: RVSpec, t, M: int) -> np.ndarray:
+    """Oracle: cell masses of tY from an independent loop in turn units,
+    which shifts each uniform part into [0, 1), spreads its whole turns
+    evenly and integrates the remainder from cell j0 to cell j1."""
+    t = Fraction(t)
+    mass = [Fraction(0)] * M
+    half_cell = Fraction(1, 2 * M)
+    for w, lo, hi in Y.uniforms:
+        a, b = t * lo + half_cell, t * hi + half_cell
+        length = b - a
+        shift = math.floor(a)
+        a -= shift
+        b -= shift
+        full = math.floor(length)
+        if full:
+            per_cell = w * full / (length * M)
+            for j in range(M):
+                mass[j] += per_cell
+        a2 = a + full
+        rem = length - full
+        if rem > 0:
+            dens = w / length
+            j0 = math.floor(a2 * M)
+            j1 = math.floor(b * M) if b * M != math.floor(b * M) else int(b * M) - 1
+            for j in range(j0, j1 + 1):
+                left = max(a2, Fraction(j, M))
+                right = min(b, Fraction(j + 1, M))
+                if right > left:
+                    mass[j % M] += dens * (right - left)
+    for p, m in Y.atoms:
+        x = t * p
+        x -= math.floor(x)
+        j = math.floor(x * M)
+        frac = x * M - j
+        mass[j % M] += m * (1 - frac)
+        if frac:
+            mass[(j + 1) % M] += m * frac
+    return GridMeasure(M, np.array([float(v) for v in mass])).weights
 
 
 class TestRVSpec:
@@ -41,7 +81,9 @@ class TestRVSpec:
             RVSpec.from_atoms([(0, Fraction(1, 2))])
 
     @pytest.mark.parametrize("bad", ["uniform:1:0", "atoms:[(0.5)]",
-                                     "junk:1", "atoms:(0.5,1)"])
+                                     "junk:1", "atoms:(0.5,1)",
+                                     "atoms:[(0,1/2),,(1/3,1/2)]", "atoms:[(1,2,3)]",
+                                     "atoms:[(0.5,1]", "atoms:[(0,1)x]"])
     def test_rejects_malformed(self, bad):
         with pytest.raises((ParseError, ValueError)):
             parse_rv(bad)
@@ -79,6 +121,21 @@ class TestDiscretization:
         mu = measure_from_rv(SYM, Fraction(1, 10), 512)
         mhat = np.fft.fft(mu.weights)
         assert np.abs(mhat.imag).max() < 1e-12
+
+    @pytest.mark.parametrize("M", [64, 1000, 4096])
+    @pytest.mark.parametrize("spec,t", [
+        ("uniform:-7/3:11/5", Fraction(1)),          # 4.5 turns, start off-grid
+        ("uniform:-7/3:11/5", Fraction(3, 7)),
+        ("uniform:-1:1", Fraction(1, 2)),            # exactly one turn
+        ("uniform:0:1/2", Fraction(1, 5)),
+        ("mix:[(1/3,uniform;-2;3/7),(1/3,atoms;[(1/5,1)]),(1/3,uniform;5/11;6/11)]",
+         Fraction(1)),
+        ("mix:[(1/2,uniform;-3/2;-1/4),(1/2,uniform;1/3;2)]", Fraction(2, 3)),
+    ])
+    def test_cell_masses_match_turn_unit_oracle_bit_for_bit(self, spec, t, M):
+        Y = parse_rv(spec)
+        assert np.array_equal(measure_from_rv(Y, t, M).weights,
+                              _turn_unit_masses(Y, t, M))
 
     def test_under_resolved(self):
         with pytest.raises(UnderResolved):
@@ -232,6 +289,21 @@ class TestContractionFactor:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             contraction_factor(DRIFT, Fraction(1, 10), 3, 256)
+
+    @pytest.mark.parametrize("M", [256, 8192])
+    @pytest.mark.parametrize("p", [1, math.inf])
+    @pytest.mark.parametrize("Y", [
+        DRIFT, parse_rv("mix:[(1/2,uniform;-1/4;1/4),(1/2,atoms;[(1/3,1)])]")])
+    def test_witness_family_matches_markov_loop(self, Y, p, M):
+        # the same witnesses pushed through apply_markov one at a time
+        t = Fraction(1, 8)
+        mu = measure_from_rv(Y, t, M)
+        best = math.inf
+        for f in _witness_functions(M, np.random.default_rng(7)):
+            diff = GridFunction(M, f.values - apply_markov(f, mu).values)
+            best = min(best, diff.lp_norm(p) / f.lp_norm(p))
+        h = contraction_factor(Y, t, p, M, seed=7)
+        assert abs(h.value - best) <= 1e-9 * best
 
     def test_spectral_matches_harmonic_scan(self):
         M = 256

@@ -6,11 +6,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dirp.directions import make_direction
+from dirp.directions import inner_product, make_direction
 from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
 from dirp.extremizers import (convergent_wave, fibonacci_family,
-                              fibonacci_numbers, liouville_family,
+                              fibonacci_numbers, liouville_cap, liouville_family,
                               parse_family_token, sharpness_table)
+from dirp.precision import PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2
 from dirp.spectral import _raw_sum, poincare_ratio
 from dirp.constants import e_cr
@@ -81,10 +82,30 @@ class TestLiouville:
         assert hi <= Fraction(1001, 1000) * Fraction(1, 10 ** 18)
 
     def test_index_bounds(self):
+        # |k_N| ~ 10^(N!) and <k_N, alpha> ~ 10^(N! - (N+1)!), so alpha is
+        # needed to (N+1)! digits: 720 at N = 5, 40320 at N = 7 and 362880
+        # at N = 8, against the default max_digits = 100000
+        assert liouville_cap() == 7
+        assert liouville_family(7).frequency[1] == -10 ** 5040
         with pytest.raises(PrecisionCapExceeded):
-            liouville_family(5)
+            liouville_family(8)
         with pytest.raises(PrecisionCapExceeded):
             liouville_family(0)
+        assert liouville_family(5, ctx=PrecisionContext(max_digits=721)).index == 5
+        with pytest.raises(PrecisionCapExceeded):
+            liouville_family(5, ctx=PrecisionContext(max_digits=720))
+        assert liouville_cap(2) == 7  # 9! * log10(2) ~ 109238 digits at N = 8
+
+    def test_first_index_past_the_old_cap_certifies(self):
+        # <k_5, alpha> = -sum_{n>=6} 10^(120-n!), within 1e-4320 of -10^-600;
+        # the sign resolves at 800 digits
+        ctx = PrecisionContext(working_digits=100, max_digits=1000)
+        L = make_direction([1, "liouville:10"])
+        ip = inner_product(liouville_family(5, ctx=ctx).frequency, L)
+        assert ip.sign(ctx) == -1
+        lo, hi = (-ip).enclosure(800)
+        assert Fraction(999, 1000) / 10 ** 600 <= lo
+        assert hi <= Fraction(1001, 1000) / 10 ** 600
 
     def test_other_base(self):
         m = liouville_family(2, base=2)
@@ -148,10 +169,12 @@ class TestSharpnessTable:
         assert abs(ratios[-1] - 0.8506508) < 1e-6
 
     def test_liouville_collapses(self):
-        table = sharpness_table(make_direction([1, "liouville:10"]),
-                                "liouville", 8)
-        assert len(table.rows) == 4  # capped
+        L = make_direction([1, "liouville:10"])
+        table = sharpness_table(L, "liouville", 5)
+        assert len(table.rows) == 5
         assert table.verdict.startswith("inequality fails")
+        with pytest.raises(PrecisionCapExceeded):
+            sharpness_table(L, "liouville", 6, ctx=PrecisionContext(max_digits=5040))
 
     def test_convergent_wave_on_e_collapses(self):
         table = sharpness_table(make_direction([1, e_cr()]),

@@ -1,10 +1,12 @@
-"""The README's library tour and polynomial-file example run as written."""
+"""The README's library tour, polynomial-file example and random-variable
+examples run as written."""
 
 import json
 import re
 from pathlib import Path
 
 from dirp.cli import main
+from dirp.diffusion import parse_rv
 from dirp.quadratic import QuadExact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +33,13 @@ def test_readme_polynomial_file_is_fib_10(tmp_path, capsys):
         assert main(["norms", poly, "--direction", "dir:[1, quad:(1+sqrt5)/2]"]) == 0
         results.append(json.loads(capsys.readouterr().out)["result"])
     assert results[0] == results[1]
+
+
+def test_readme_random_variable_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Random variables (diffusion)"):].split("\n\n", 1)[0]
+    specs = [s for s in re.findall(r"`([^`]+)`", paragraph)
+             if s.split(":", 1)[0] in ("uniform", "atoms", "mix")]
+    assert [s.split(":", 1)[0] for s in specs] == ["uniform", "atoms", "mix"]
+    for spec in specs:
+        parse_rv(spec)  # raises ParseError or ValueError on a spec it rejects
