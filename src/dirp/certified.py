@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import PrecisionExhausted
 from .precision import (
@@ -31,6 +31,16 @@ from .quadratic import QuadExact
 
 Interval = tuple[Fraction, Fraction]
 _GUARD = 10  # extra digits requested from operands of a composite
+
+
+def _sign_of(lo: Fraction, hi: Fraction) -> Optional[int]:
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    if lo == 0 and hi == 0:
+        return 0
+    return None
 
 
 class CertifiedReal:
@@ -72,6 +82,34 @@ class CertifiedReal:
     def from_fn(cls, fn: Callable[[int], Interval]) -> "CertifiedReal":
         return cls(fn=fn)
 
+    @classmethod
+    def sum(cls, terms: Iterable) -> "CertifiedReal":
+        """One node for the whole sum: exact when every term is exact and
+        all fold in one field, else an enclosure that asks each of the n
+        terms for digits + _GUARD + len(str(n)) digits, adds the endpoints
+        exactly and rounds once (a chain of n additions would ask its first
+        term for digits + _GUARD * n)."""
+        terms = [cls._wrap(t) for t in terms]
+        if all(t.exact is not None for t in terms):
+            total = QuadExact(0)
+            for t in terms:
+                total = total.__add__(t.exact)
+                if total is NotImplemented:
+                    break
+            else:
+                return cls(exact=total)
+        guard = _GUARD + len(str(len(terms)))
+
+        def fn(digits):
+            lo = hi = Fraction(0)
+            for t in terms:
+                tlo, thi = t.enclosure(digits + guard)
+                lo += tlo
+                hi += thi
+            return round_out(lo, hi, digits)
+
+        return cls(fn=fn, refinable=all(t.refinable for t in terms))
+
     # -- enclosure ---------------------------------------------------------
 
     def enclosure(self, digits: int) -> Interval:
@@ -99,25 +137,37 @@ class CertifiedReal:
         enclosure keeps straddling 0 and no exact decision is available."""
         if self.exact is not None:
             return self.exact.sign()
+        return self._refine(_sign_of, "enclosure straddles 0", "sign", ctx)
+
+    def significant(self, sig: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Decimal:
+        """The value rounded to `sig` significant digits, refining as sign()
+        does until both ends of the enclosure round to it.  Raises
+        PrecisionExhausted rather than return digits the enclosure leaves open."""
+        def decide(lo, hi):
+            rounded = Decimal(fraction_to_decimal_str(hi, sig))
+            return rounded if Decimal(fraction_to_decimal_str(lo, sig)) == rounded else None
+        return self._refine(decide, f"enclosure does not fix {sig} significant digits",
+                            f"{sig} significant digits", ctx)
+
+    def _refine(self, decide, stuck: str, goal: str, ctx: PrecisionContext):
+        """decide(lo, hi) on enclosures at ctx.working_digits, doubling up to
+        ctx.max_digits, until it returns something other than None."""
         digits = ctx.working_digits
         prev_width = None
         while True:
             lo, hi = self.enclosure(digits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if lo == 0 and hi == 0:
-                return 0
+            result = decide(lo, hi)
+            if result is not None:
+                return result
             width = hi - lo
             if (prev_width is not None and width >= prev_width) or not self.refinable:
                 raise PrecisionExhausted(
-                    "enclosure straddles 0 and cannot be refined further", offending=self)
+                    f"{stuck} and cannot be refined further", offending=self)
             prev_width = width
             digits *= 2
             if digits > ctx.max_digits:
                 raise PrecisionExhausted(
-                    f"sign not resolved within max_digits={ctx.max_digits}", offending=self)
+                    f"{goal} not resolved within max_digits={ctx.max_digits}", offending=self)
 
     def sign_soft(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Optional[int]:
         try:

@@ -214,8 +214,4 @@ def inner_product(k: Sequence[int], direction: Direction) -> CertifiedReal:
     """<k, alpha> with exactness preserved for rational/quadratic entries."""
     if len(k) != direction.dim:
         raise DimensionMismatch(f"frequency dim {len(k)} vs direction dim {direction.dim}")
-    total = CertifiedReal.from_rational(0)
-    for ki, entry in zip(k, direction.entries):
-        if ki:
-            total = total + entry * ki
-    return total
+    return CertifiedReal.sum(entry * ki for ki, entry in zip(k, direction.entries) if ki)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,19 +191,20 @@ class SharpnessTable:
     rows: list[SharpnessRow]
     verdict: str
     annulus_note: str = ""
+    ctx: PrecisionContext = DEFAULT_CONTEXT
 
     def to_csv(self, digits: int = 20) -> str:
+        """Every value to `digits` significant digits that its enclosure
+        fixes; PrecisionExhausted when ctx cannot refine that far."""
+        def text(x):
+            return "" if x is None else str(x.significant(digits, self.ctx))
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["family", "index", "k", "abs_k", "inner", "ratio", "limit"])
         for r in self.rows:
-            w.writerow([
-                self.family, r.index, " ".join(str(c) for c in r.k),
-                f"{float(r.abs_k):.{digits}g}",
-                f"{float(r.abs_inner):.{digits}g}",
-                f"{float(r.ratio):.{digits}g}",
-                f"{float(r.limit):.{digits}g}" if r.limit is not None else "",
-            ])
+            w.writerow([self.family, r.index, " ".join(str(c) for c in r.k),
+                        text(r.abs_k), text(r.abs_inner), text(r.ratio), text(r.limit)])
         return buf.getvalue()
 
 
@@ -225,7 +227,8 @@ def sharpness_table(a: Direction, family: str, n_max: int,
     The verdict reports finite-range evidence only: "inequality fails"
     when the running minimum of the ratios keeps collapsing (at the end
     of the table it is below 3/4 of its value a quarter of the way in, or
-    below 1e-6), otherwise the observed floor.  For the Fibonacci family the
+    below 1e-6), otherwise the observed floor.  Ratios are compared at the
+    20 significant digits their enclosures fix.  For the Fibonacci family the
     dyadic-annulus diagnostic checks that consecutive frequency norms
     have ratio below 2, so every dyadic scale beyond the first few
     contains a row.
@@ -243,20 +246,18 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         limit = m.metadata.get("expected_limit")
         rows.append(SharpnessRow(n, k, abs_k, abs_inner, ratio, limit))
 
-    ratios = [float(r.ratio) for r in rows]
-    running = []
-    cur = math.inf
-    for v in ratios:
-        cur = min(cur, v)
-        running.append(cur)
+    ratios = [Fraction(r.ratio.significant(20, ctx)) for r in rows]
+    running = list(itertools.accumulate(ratios, min))
     base = running[max(1, len(running) // 4)]
-    collapsing = running[-1] < 1e-6 or (base > 0 and running[-1] < 0.75 * base)
+    lowest = rows[ratios.index(running[-1])].ratio
+    collapsing = (running[-1] < Fraction(1, 10 ** 6)
+                  or (base > 0 and running[-1] < Fraction(3, 4) * base))
     if collapsing:
         verdict = ("inequality fails: weighted ratios are not bounded below "
-                   f"in the certified range (running minimum {running[-1]:.3e})")
+                   f"in the certified range (running minimum {lowest.significant(4, ctx)})")
     else:
         verdict = (f"no failure detected up to n={n_max}: observed floor "
-                   f"{running[-1]:.6g} (finite-range evidence, not a proof)")
+                   f"{lowest.significant(6, ctx)} (finite-range evidence, not a proof)")
 
     annulus_note = ""
     if family == "fibonacci" and len(rows) >= 4:
@@ -266,4 +267,4 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         ok = worst < 2
         annulus_note = (f"consecutive frequency-norm ratios max {worst:.6f} "
                         f"{'< 2: every dyadic annulus is hit' if ok else '>= 2'}")
-    return SharpnessTable(family, a.key(), rows, verdict, annulus_note)
+    return SharpnessTable(family, a.key(), rows, verdict, annulus_note, ctx)

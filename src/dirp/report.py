@@ -26,8 +26,8 @@ from .directions import Direction, inner_product, make_direction
 from .extremizers import fibonacci_family, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
-                       parseval_sums)
+from .spectral import (TrigPoly, _half_mass_cutoff, _integer_masses, _parseval_sums,
+                       directional_norm, grad_norm, l2_norm, parseval_sums)
 
 DEFAULT_REPORT_SEED = 1234
 _PHI = make_direction([1, GOLDEN_RATIO])
@@ -183,10 +183,11 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
     chain_fail = 0
     for _ in range(samples):
         p = _random_poly(rng)
-        s0, sg, sd = (x.exact for x in parseval_sums(p, _PHI, ctx))
+        masses = _integer_masses(p)
+        s0, sg, sd = (x.exact for x in _parseval_sums(p, masses, _PHI, ctx))
         s0, sg = s0.as_fraction(), sg.as_fraction()
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
-        _, tail = half_mass_cutoff(p, ctx)
+        _, tail = _half_mass_cutoff(masses)
         if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
             half_fail += 1
         # chain: ratio^2 = sg*sd/s0^2 >= minsq/8 with minsq at shells <= R_f^2

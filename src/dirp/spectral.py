@@ -133,16 +133,10 @@ IntegerMasses = tuple[int, list[tuple[FreqVector, int]]]
 def _raw_sum(f: TrigPoly,
              weight_sq: Callable[[FreqVector], object] | None = None) -> CertifiedReal:
     """Sum over terms of |a_k|^2 * w(k)^2 (w == 1 when weight_sq is None)."""
-    total = CertifiedReal.from_rational(0)
-    for k, (re, im) in sorted(f.terms.items()):
+    def term(k, re, im):
         contrib = CertifiedReal.from_rational(re * re + im * im)
-        if weight_sq is not None:
-            w2 = weight_sq(k)
-            if not isinstance(w2, CertifiedReal):
-                w2 = CertifiedReal.from_rational(w2)
-            contrib = contrib * w2
-        total = total + contrib
-    return total
+        return contrib if weight_sq is None else contrib * weight_sq(k)
+    return CertifiedReal.sum(term(k, re, im) for k, (re, im) in sorted(f.terms.items()))
 
 
 def _integer_masses(f: TrigPoly) -> IntegerMasses:
@@ -196,7 +190,13 @@ def parseval_sums(f: TrigPoly, a: Direction | None = None,
     """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
     given, sum |a_k|^2 <k,alpha>^2 (else None).  s0 and sg are exact, and
     so is sd wherever the direction allows it."""
-    scale, terms = masses = _integer_masses(f)
+    return _parseval_sums(f, _integer_masses(f), a, ctx)
+
+
+def _parseval_sums(f: TrigPoly, masses: IntegerMasses, a: Direction | None,
+                   ctx: PrecisionContext
+                   ) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal | None]:
+    scale, terms = masses
     return (CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale)),
             CertifiedReal.from_rational(
                 Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale)),
@@ -290,9 +290,7 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
     exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
     _require_nonzero(f)
     s0, sg, _ = parseval_sums(f)
-    dir_sum = CertifiedReal.from_rational(0)
-    for a in dirs:
-        dir_sum = dir_sum + parseval_sums(f, a, ctx)[2].sqrt()
+    dir_sum = CertifiedReal.sum(parseval_sums(f, a, ctx)[2].sqrt() for a in dirs)
     num = sg.pow_frac(exp_grad / 2) * dir_sum.pow_frac(exp_sum)
     den = s0.pow_frac((exp_grad + exp_sum) / 2)
     return num / den
@@ -304,7 +302,11 @@ def half_mass_cutoff(f: TrigPoly,
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
     _require_nonzero(f)
-    weighted = [(freq_norm_sq(k), A) for k, A in _integer_masses(f)[1]]
+    return _half_mass_cutoff(_integer_masses(f))
+
+
+def _half_mass_cutoff(masses: IntegerMasses) -> tuple[CertifiedReal, CertifiedReal]:
+    weighted = [(freq_norm_sq(k), A) for k, A in masses[1]]
     S0 = sum(A for _, A in weighted)
     SG = sum(n2 * A for n2, A in weighted)
     radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2

@@ -2,17 +2,23 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.certified import CertifiedReal
+from dirp.certified import _GUARD, CertifiedReal
+from dirp.directions import parse_direction
 from dirp.errors import PrecisionExhausted
-from dirp.precision import PrecisionContext
+from dirp.precision import PrecisionContext, round_out
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
+from dirp.spectral import TrigPoly, poincare_ratio
+
+POLY60 = Path(__file__).resolve().parent / "data" / "poly60.json"
 
 
 def _extract_square_reference(d: int) -> tuple[int, int]:
@@ -240,3 +246,107 @@ class TestCertifiedReal:
         assert mpmath.mpf(lo.numerator) / lo.denominator <= ref
         assert mpmath.mpf(hi.numerator) / hi.denominator >= ref
         assert hi - lo < Fraction(1, 10 ** 55)
+
+
+def _rounded_leaf(x: Fraction, asked: list | None = None) -> CertifiedReal:
+    """A refinable inexact leaf for x: [x] rounded out to the 10^-digits grid."""
+    def fn(digits):
+        if asked is not None:
+            asked.append(digits)
+        return round_out(x, x, digits)
+    return CertifiedReal.from_fn(fn)
+
+
+# (kind, value): exact rational, refinable leaf, or a decimal literal m * 10^-e
+_sum_terms = st.one_of(
+    st.tuples(st.just("exact"), rationals),
+    st.tuples(st.just("refinable"), rationals),
+    st.tuples(st.just("dec"), st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 120))),
+)
+
+
+class TestCertifiedSum:
+    @given(terms=st.lists(_sum_terms, max_size=40), digits=st.sampled_from([30, 80, 150]))
+    @settings(max_examples=80, deadline=None)
+    def test_enclosure_contains_the_exact_sum(self, terms, digits):
+        parts, total, frozen = [], Fraction(0), Fraction(0)
+        for kind, value in terms:
+            if kind == "exact":
+                parts.append(CertifiedReal.from_rational(value))
+            elif kind == "refinable":
+                parts.append(_rounded_leaf(value))
+            else:
+                m, e = value
+                parts.append(CertifiedReal.from_decimal_literal(f"{m}E-{e}"))
+                value = Fraction(m, 10 ** e)
+                frozen += 2 * Fraction(1, 10 ** e)   # a literal is 2 ulp wide
+            total += value
+        s = CertifiedReal.sum(parts)
+        lo, hi = s.enclosure(digits)
+        assert lo <= total <= hi
+        assert hi - lo <= 2 * Fraction(1, 10 ** digits) + frozen
+        assert s.refinable == all(kind != "dec" for kind, _ in terms)
+        assert (s.exact is not None) == all(kind == "exact" for kind, _ in terms)
+
+    def test_exact_in_one_field(self):
+        s = CertifiedReal.sum([SQRT2, 1, QuadExact(0, 3, 8), Fraction(1, 2)])
+        assert s.exact == QuadExact(Fraction(3, 2), 7, 2)
+        assert CertifiedReal.sum([]).exact == QuadExact(0)
+
+    def test_inexact_across_two_fields(self):
+        s = CertifiedReal.sum([SQRT2, QuadExact(0, 1, 3), 1])
+        assert s.exact is None
+        mpmath.mp.dps = 100
+        ref = mpmath.sqrt(2) + mpmath.sqrt(3) + 1
+        lo, hi = s.enclosure(80)
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= ref
+        assert mpmath.mpf(hi.numerator) / hi.denominator >= ref
+        assert hi - lo <= Fraction(2, 10 ** 80)
+
+    def test_decimal_straddle_still_raises(self):
+        s = CertifiedReal.sum([CertifiedReal.from_decimal_literal("1.5"),
+                               _rounded_leaf(Fraction(1, 3)), Fraction(-11, 6)])
+        assert not s.refinable
+        with pytest.raises(PrecisionExhausted):
+            s.sign()
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_leaves_are_asked_for_log_n_guard_digits(self, n):
+        asked = []
+        s = CertifiedReal.sum(_rounded_leaf(Fraction(1, 3), asked) for _ in range(n))
+        lo, hi = s.enclosure(80)
+        assert lo <= Fraction(n, 3) <= hi
+        assert len(asked) == n
+        assert max(asked) <= 80 + _GUARD + 4
+
+    def test_long_poincare_ratio_stays_near_working_precision(self, monkeypatch):
+        # a chain of 60 additions asked e for ~750 digits at 80
+        poly = TrigPoly.from_json(POLY60.read_text())
+        asked = []
+        enclosure = CertifiedReal.enclosure
+
+        def recording(self, digits):
+            asked.append(digits)
+            return enclosure(self, digits)
+
+        monkeypatch.setattr(CertifiedReal, "enclosure", recording)
+        ratio = poincare_ratio(poly, parse_direction("dir:[1, const:e]"), 1, 1)
+        ratio.to_json(80)
+        assert 80 <= max(asked) <= 200
+
+
+class TestSignificant:
+    def test_rounds_to_nearest(self):
+        assert _rounded_leaf(Fraction(2, 3)).significant(5) == Decimal("0.66667")
+        assert CertifiedReal.from_rational(Fraction(1, 2)).significant(20) == Decimal("0.5")
+
+    def test_refines_past_the_working_precision(self):
+        tiny = Fraction(10 ** 20 + 1, 3 * 10 ** 520)
+        assert _rounded_leaf(tiny).significant(4) == Decimal("3.333E-501")
+        with pytest.raises(PrecisionExhausted):
+            _rounded_leaf(tiny).significant(4, PrecisionContext(max_digits=400))
+
+    def test_frozen_interval_raises(self):
+        with pytest.raises(PrecisionExhausted):
+            CertifiedReal.from_decimal_literal("1.5").significant(5)
+        assert CertifiedReal.from_decimal_literal("1.55").significant(1) == Decimal("2")

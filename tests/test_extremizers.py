@@ -1,5 +1,7 @@
 """Extremizer families and sharpness tables."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
 from dirp.extremizers import (convergent_wave, fibonacci_family,
                               fibonacci_numbers, liouville_cap, liouville_family,
                               parse_family_token, sharpness_table)
-from dirp.precision import PrecisionContext
+from dirp.precision import PrecisionContext, fraction_to_decimal_str
 from dirp.quadratic import GOLDEN_RATIO, SQRT2
 from dirp.spectral import _raw_sum, poincare_ratio
 from dirp.constants import e_cr
@@ -175,6 +177,23 @@ class TestSharpnessTable:
         assert table.verdict.startswith("inequality fails")
         with pytest.raises(PrecisionCapExceeded):
             sharpness_table(L, "liouville", 6, ctx=PrecisionContext(max_digits=5040))
+
+    def test_liouville_rows_print_their_true_values(self):
+        # rows 4 and 5 are about 1e-72 and 1e-480, far below the absolute
+        # width of a working-precision enclosure
+        table = sharpness_table(make_direction([1, "liouville:10"]), "liouville", 5)
+        lines = list(csv.DictReader(io.StringIO(table.to_csv())))
+        for row, line in zip(table.rows[3:], lines[3:]):
+            for value, text in ((row.abs_inner, line["inner"]), (row.ratio, line["ratio"])):
+                lo, hi = value.enclosure(2000)
+                printed = Fraction(text)
+                assert 0 < lo and printed > 0
+                # 20 significant digits, rounded to nearest
+                assert max(abs(printed - lo), abs(hi - printed)) <= printed / 10 ** 19
+        assert Fraction(lines[4]["ratio"]) < Fraction(1, 10 ** 479)
+        lo, hi = table.rows[4].ratio.enclosure(2000)
+        minimum = table.verdict.partition("running minimum ")[2].rstrip(")")
+        assert Fraction(minimum) == Fraction(fraction_to_decimal_str((lo + hi) / 2, 4))
 
     def test_convergent_wave_on_e_collapses(self):
         table = sharpness_table(make_direction([1, e_cr()]),

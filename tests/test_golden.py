@@ -3,8 +3,9 @@ fresh processes under different hash seeds.
 
 The `dirp lattice` digests were recorded before the lattice search moved
 to column windows, the others (and the d = 1 lattice command) before the
-lattice searches shared one certification loop; a change to one needs a
-CHANGES.md line that says why.
+lattice searches shared one certification loop, and the four 60-term
+polynomial commands before certified sums became one n-ary node; a change
+to one needs a CHANGES.md line that says why.
 """
 
 import hashlib
@@ -16,6 +17,9 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# 60 terms, |k_i| <= 40, dyadic coefficients; drawn from
+# numpy.random.default_rng(60) the way perfbench's interval workload draws
+POLY60 = "@" + str(Path(__file__).resolve().parent / "data" / "poly60.json")
 
 GOLDEN = {
     "phi R=2000": (
@@ -57,6 +61,18 @@ SUBCOMMANDS = {
     "diffusion uniform p=2": (
         ["diffusion", "uniform:0:1/2", "--p", "2"],
         "11fd477aa531f17f08dcc3285b7b0679c0eb41563391f1ffb69f960b0310edad"),
+    "ratio thm1 poly60 (pi,sqrt2)": (
+        ["ratio", POLY60, "--direction", "dir:[const:pi, quad:sqrt2]", "--preset", "thm1"],
+        "f3d47406ebeb968257fd4ade10964937f25f04ffbbdd1acebf2deb42a24aa8b1"),
+    "ratio thm1 poly60 (1,dec e)": (
+        ["ratio", POLY60, "--direction", "dir:[1, dec:2.718281828459045]", "--preset", "thm1"],
+        "52d643d609479eba90d2ddc99f729ef0a06d39f282e44b2e0e61e69444b15281"),
+    "norms poly60 (pi,sqrt2)": (
+        ["norms", POLY60, "--direction", "dir:[const:pi, quad:sqrt2]"],
+        "f1971b69c08eeba4385e2dab23616f3a58253cef2c70d82ef20a10e5da7f4ee2"),
+    "norms poly60 (1,dec e)": (
+        ["norms", POLY60, "--direction", "dir:[1, dec:2.718281828459045]"],
+        "72e67bb789bc96e9ee238dd26a5db7a0005ffcd6488afc05ea4e7d808e4bf613"),
 }
 
 
