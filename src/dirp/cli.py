@@ -26,7 +26,7 @@ from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
 from .precision import PrecisionContext
-from .report import DEFAULT_REPORT_SEED, build_report, report_to_bytes
+from .report import DEFAULT_REPORT_SEED, build_report
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
 
@@ -118,9 +118,9 @@ def _cmd_norms(args, settings, ctx) -> int:
     f = _load_poly(args.poly, a, ctx)
     digits = settings["digits"]
     result = {
-        "l2": l2_norm(f, ctx).to_json(digits),
-        "grad": grad_norm(f, ctx).to_json(digits),
-        "directional": directional_norm(f, a, ctx).to_json(digits),
+        "l2": l2_norm(f).to_json(digits),
+        "grad": grad_norm(f).to_json(digits),
+        "directional": directional_norm(f, a).to_json(digits),
         "direction": a.key(),
     }
     _emit(result, settings)
@@ -133,17 +133,17 @@ def _cmd_ratio(args, settings, ctx) -> int:
     d, ell = f.dim, len(dirs)
     preset = args.preset
     if preset == "thm1":
-        value = poincare_ratio(f, dirs[0], d - 1, 1, ctx)
+        value = poincare_ratio(f, dirs[0], d - 1, 1)
         exps = (d - 1, 1)
     elif preset == "thm2":
-        value = multi_directional_functional(f, dirs, d - 1, ell, ctx)
+        value = multi_directional_functional(f, dirs, d - 1, ell)
         exps = (d - 1, ell)
     elif preset == "improved":
-        value = multi_directional_functional(f, dirs, d - ell, ell, ctx)
+        value = multi_directional_functional(f, dirs, d - ell, ell)
         exps = (d - ell, ell)
     elif preset.startswith("delta:"):
         eg, ed = delta_from_sigma(Fraction(preset[6:]))
-        value = poincare_ratio(f, dirs[0], eg, ed, ctx)
+        value = poincare_ratio(f, dirs[0], eg, ed)
         exps = (eg, ed)
     else:
         raise ParseError(f"unknown preset {preset!r}")
@@ -162,14 +162,12 @@ def _cmd_lattice(args, settings, ctx) -> int:
     if args.system:
         forms = tuple(parse_direction(s.strip())
                       for s in args.system.split(";") if s.strip())
-        res = system_lattice_min(LinearFormSystem(forms),
-                                 args.radius or settings["radius"], ctx)
+        res = system_lattice_min(LinearFormSystem(forms), settings["radius"], ctx)
     elif args.direction is None:
         raise ParseError("lattice needs --direction or --system")
     else:
         a = parse_direction(args.direction)
-        res = lattice_min(a, args.radius or settings["radius"],
-                          Fraction(args.sigma), args.norm, ctx)
+        res = lattice_min(a, settings["radius"], Fraction(args.sigma), args.norm, ctx)
     _emit(res.to_json(digits), settings)
     return EXIT_OK
 
@@ -206,7 +204,7 @@ def _cmd_diffusion(args, settings, ctx) -> int:
     Y = parse_rv(args.rv)
     p = math.inf if args.p == "inf" else int(args.p)
     t_grid = [Fraction(t.strip()) for t in args.t_grid.split(",")]
-    M = args.grid or settings["grid"]
+    M = settings["grid"]
     est = scaling_fit(Y, p, t_grid, M, seed=settings["seed"])
     rows = ["p,t,h,method,M,seed"]
     label = "inf" if p == math.inf else str(p)
@@ -234,24 +232,33 @@ class _Unresolved(DirpError):
     pass
 
 
+def _global_flags(default) -> argparse.ArgumentParser:
+    """The global flags, each defaulting to `default`.  The subcommands'
+    copy uses SUPPRESS: argparse copies a subparser's defaults over the
+    values parsed before the subcommand, so a flag may come before or
+    after it, and one given after wins."""
+    flags = argparse.ArgumentParser(add_help=False, argument_default=default)
+    flags.add_argument("--digits", type=int,
+                       help="working precision (decimal digits)")
+    flags.add_argument("--max-digits", type=int, dest="max_digits")
+    flags.add_argument("--radius", type=int, help="default lattice radius R")
+    flags.add_argument("--grid", type=int, help="default grid size M")
+    flags.add_argument("--seed", type=int)
+    flags.add_argument("--out", help="write output to this path (atomically)")
+    flags.add_argument("--format", choices=("json", "csv", "both"))
+    flags.add_argument("--config", help="key=value config file")
+    return flags
+
+
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int,
-                        help="working precision (decimal digits)")
-    common.add_argument("--max-digits", type=int, dest="max_digits")
-    common.add_argument("--radius", type=int, help="default lattice radius R")
-    common.add_argument("--grid", type=int, help="default grid size M")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="write output to this path (atomically)")
-    common.add_argument("--format", choices=("json", "csv", "both"))
-    common.add_argument("--config", help="key=value config file")
     ap = argparse.ArgumentParser(
-        prog="dirp", parents=[common],
+        prog="dirp", parents=[_global_flags(None)],
         description="certified directional Poincare / diffusion toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    sub_flags = _global_flags(argparse.SUPPRESS)
 
     def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        return sub.add_parser(name, parents=[sub_flags], **kw)
 
     p = add("norms", help="l2/gradient/directional norms")
     p.add_argument("poly", help="family token (fib:n, liouville:N[:base], "

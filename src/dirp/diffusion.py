@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .directions import _split_top_level
+from .directions import split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 _DIRECT_CONV_MAX = 4096   # float64 direct summation up to here, FFT above
@@ -97,9 +97,9 @@ def _parse_pairs(body: str) -> list[tuple[str, str]]:
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError(f"expected [..], got {body!r}")
     pairs = []
-    for item in _split_top_level(body[1:-1]):
+    for item in split_top_level(body[1:-1]):
         item = item.strip()
-        fields = _split_top_level(item[1:-1])
+        fields = split_top_level(item[1:-1])
         if not (item.startswith("(") and item.endswith(")")) or len(fields) != 2:
             raise ParseError(f"expected (a,b) pair, got {item!r} in {body!r}")
         pairs.append((fields[0], fields[1]))

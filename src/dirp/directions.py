@@ -38,12 +38,12 @@ def liouville_constant(base: int = 10) -> CertifiedReal:
 
     def fn(digits):
         partial = Fraction(0)
-        n, fact = 1, 1
-        while fact <= digits + 20:
-            partial += Fraction(1, base ** fact)
+        n, fact, cap = 1, 1, 10 ** (digits + 20)
+        while (power := base ** fact) <= cap:
+            partial += Fraction(1, power)
             n += 1
             fact *= n
-        tail = 2 * Fraction(1, base ** fact)
+        tail = Fraction(2, power)
         return (partial, partial + tail)
 
     return CertifiedReal.from_fn(fn)
@@ -115,7 +115,7 @@ def _parse_int_list(body: str) -> list[int]:
     return [int(s) for s in body[1:-1].split(",") if s.strip()]
 
 
-def _split_top_level(body: str) -> list[str]:
+def split_top_level(body: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in body:
         if ch in "[(":
@@ -204,7 +204,7 @@ def parse_direction(text: str) -> Direction:
         body = text[4:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError(f"dir: expects [..], got {body!r}")
-        tokens = _split_top_level(body[1:-1])
+        tokens = split_top_level(body[1:-1])
         return make_direction([t.strip() for t in tokens])
     # single entry, dimension 1
     return make_direction([text])

@@ -13,11 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .certified import CertifiedReal
 from .diophantine import cf_expand
-from .directions import Direction, inner_product, make_direction
+from .directions import Direction, inner_product
 from .errors import DepthNotCertified, ParseError, PrecisionCapExceeded, RationalRatio
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import GOLDEN_RATIO, QuadExact
@@ -242,7 +242,7 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         k = m.metadata["k"]
         abs_k = freq_norm_cr(k)
         abs_inner = abs(inner_product(k, a))
-        ratio = poincare_ratio(m.poly, a, Fraction(1), Fraction(1), ctx)
+        ratio = poincare_ratio(m.poly, a, Fraction(1), Fraction(1))
         limit = m.metadata.get("expected_limit")
         rows.append(SharpnessRow(n, k, abs_k, abs_inner, ratio, limit))
 

@@ -19,15 +19,15 @@ from . import __version__
 from .certified import CertifiedReal
 from .diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
                         cesaro_average, convolution_power, density_floor_check,
-                        measure_from_rv, scaling_fit, taylor_limit_check)
+                        scaling_fit, taylor_limit_check)
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
                           lattice_min_profile, markov_bounds)
-from .directions import Direction, inner_product, make_direction
+from .directions import make_direction
 from .extremizers import fibonacci_family, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from .spectral import (TrigPoly, _half_mass_cutoff, _integer_masses, _parseval_sums,
-                       directional_norm, grad_norm, l2_norm, parseval_sums)
+from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
+                       parseval_sums)
 
 DEFAULT_REPORT_SEED = 1234
 _PHI = make_direction([1, GOLDEN_RATIO])
@@ -95,22 +95,22 @@ def criterion_2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     }
 
 
-def criterion_3(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
+def criterion_3() -> dict:
     """Liouville wave N = 3: directional collapse ~1e-18 and metadata bounds."""
     m = liouville_family(3)
     L = make_direction([1, "liouville:10"])
-    l2 = l2_norm(m.poly, ctx)
-    dir_ratio = directional_norm(m.poly, L, ctx) / l2
-    thm1 = (grad_norm(m.poly, ctx) / l2) * dir_ratio
+    l2 = l2_norm(m.poly)
+    dir_ratio = directional_norm(m.poly, L) / l2
+    thm1 = (grad_norm(m.poly) / l2) * dir_ratio
     # window [0.999e-18, 1.001e-18]
     lo, hi = dir_ratio.enclosure(80)
     window = (Fraction(999, 10 ** 3) / 10 ** 18 <= lo
               and hi <= Fraction(1001, 10 ** 3) / 10 ** 18)
     thm1_ok = _leq(thm1, Fraction(1, 10 ** 11), 80)
     # ||f_3|| = pi*sqrt2 exactly <=> raw coefficient mass is exactly 1/2
-    mass, _, _ = parseval_sums(m.poly, ctx=ctx)
+    mass, _, _ = parseval_sums(m.poly)
     l2_exact = mass.exact is not None and mass.exact == QuadExact(Fraction(1, 2))
-    grad_ratio = grad_norm(m.poly, ctx) / l2
+    grad_ratio = grad_norm(m.poly) / l2
     grad_ok = _leq(grad_ratio, 6 * 10 ** 6, 60)
     return {
         "criterion": 3,
@@ -183,11 +183,10 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
     chain_fail = 0
     for _ in range(samples):
         p = _random_poly(rng)
-        masses = _integer_masses(p)
-        s0, sg, sd = (x.exact for x in _parseval_sums(p, masses, _PHI, ctx))
+        s0, sg, sd = (x.exact for x in parseval_sums(p, _PHI))
         s0, sg = s0.as_fraction(), sg.as_fraction()
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
-        _, tail = _half_mass_cutoff(masses)
+        _, tail = half_mass_cutoff(p)
         if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
             half_fail += 1
         # chain: ratio^2 = sg*sd/s0^2 >= minsq/8 with minsq at shells <= R_f^2
@@ -240,7 +239,7 @@ def criterion_7() -> dict:
     }
 
 
-def criterion_8(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
+def criterion_8() -> dict:
     values = {level: markov_bounds(level) for level in (1, 2, 3)}
     expected = {1: QuadExact(0, 1, 5), 2: QuadExact(0, 1, 8),
                 3: QuadExact(0, Fraction(1, 5), 221)}
@@ -412,11 +411,11 @@ def criterion_14(seed: int = DEFAULT_REPORT_SEED) -> dict:
 def build_report(seed: int = DEFAULT_REPORT_SEED,
                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     rows = [
-        criterion_1(ctx), criterion_2(ctx), criterion_3(ctx), criterion_4(ctx),
+        criterion_1(ctx), criterion_2(ctx), criterion_3(), criterion_4(ctx),
     ]
     rows += list(criteria_5_6(seed, ctx=ctx))
     rows += [
-        criterion_7(), criterion_8(ctx), criterion_9(ctx),
+        criterion_7(), criterion_8(), criterion_9(ctx),
         criterion_10(seed), criterion_11(), criterion_12(seed),
         criterion_13(), criterion_14(seed),
     ]

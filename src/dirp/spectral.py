@@ -12,16 +12,19 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .certified import CertifiedReal
 from .constants import pi_cr
 from .directions import Direction, inner_product
 from .errors import DimensionMismatch, ParseError, ZeroFunction
-from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
+from .precision import fraction_to_decimal_str
 from .quadratic import QuadExact, common_field
 
 FreqVector = tuple[int, ...]
+# (L^2, [(k, A_k)]) with |a_k|^2 = A_k / L^2 and integer A_k
+IntegerMasses = tuple[int, tuple[tuple[FreqVector, int], ...]]
 
 
 def freq_norm_sq(k: Sequence[int]) -> int:
@@ -58,6 +61,8 @@ def _exact_text(x: Fraction) -> str:
 class TrigPoly:
     """Finite map from integer frequency vectors to exact Gaussian-rational
     coefficients (re, im), both Fractions; zero terms are not stored.
+    `terms` is read-only, and `masses` holds its IntegerMasses: A_k =
+    (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators.
 
     The zero frequency is rejected unless drop_mean=True, in which case
     it is stripped (the polynomial is mean zero by construction).
@@ -82,7 +87,12 @@ class TrigPoly:
             re, im = _coerce_coeff(coeff)
             if re or im:
                 store[kt] = (re, im)
-        self.terms = store
+        self.terms = MappingProxyType(store)
+        L = math.lcm(*(c.denominator for coeff in store.values() for c in coeff))
+        self.masses: IntegerMasses = (L * L, tuple(
+            (k, (re.numerator * (L // re.denominator)) ** 2
+                + (im.numerator * (L // im.denominator)) ** 2)
+            for k, (re, im) in store.items()))
 
     def __len__(self):
         return len(self.terms)
@@ -121,13 +131,12 @@ class TrigPoly:
 # -- coefficient sums ------------------------------------------------------
 #
 # The three Parseval sums s0 = sum |a_k|^2, sg = sum |a_k|^2 |k|^2 and
-# sd = sum |a_k|^2 <k,alpha>^2 are accumulated as Python integers (the exact
-# kernel below); sd too, when the entries of alpha share one field Q(sqrt D).
-# Other directions go through CertifiedReal arithmetic (_raw_sum), which
-# gives the same canonical Fraction / QuadExact wherever both apply.
-
-# (L^2, [(k, A_k)]) with |a_k|^2 = A_k / L^2 and integer A_k
-IntegerMasses = tuple[int, list[tuple[FreqVector, int]]]
+# sd = sum |a_k|^2 <k,alpha>^2 are accumulated as Python integers from
+# TrigPoly.masses (the exact kernel below); sd too, when the entries of alpha
+# share one field Q(sqrt D).  Other directions go through CertifiedReal
+# arithmetic (_raw_sum), which gives the same canonical Fraction / QuadExact
+# wherever both apply.  Nothing here decides a precision: inexact sums are
+# lazy enclosures, refined by whoever prints or compares them.
 
 
 def _raw_sum(f: TrigPoly,
@@ -137,15 +146,6 @@ def _raw_sum(f: TrigPoly,
         contrib = CertifiedReal.from_rational(re * re + im * im)
         return contrib if weight_sq is None else contrib * weight_sq(k)
     return CertifiedReal.sum(term(k, re, im) for k, (re, im) in sorted(f.terms.items()))
-
-
-def _integer_masses(f: TrigPoly) -> IntegerMasses:
-    """A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient
-    denominators."""
-    L = math.lcm(*(c.denominator for coeff in f.terms.values() for c in coeff))
-    return L * L, [(k, (re.numerator * (L // re.denominator)) ** 2
-                       + (im.numerator * (L // im.denominator)) ** 2)
-                   for k, (re, im) in f.terms.items()]
 
 
 def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | None:
@@ -160,20 +160,19 @@ def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | No
     return D, Q, [int(x * Q) for x, _ in coords], [int(y * Q) for _, y in coords]
 
 
-def _sd(f: TrigPoly, masses: IntegerMasses, a: Direction,
-        ctx: PrecisionContext) -> CertifiedReal:
+def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
     field = _quadratic_field(a)
     if field is None:
+        # ip * ip encloses <k,alpha>^2 even when its sign is undecided
         def weight_sq(k):
             ip = inner_product(k, a)
-            ip.sign(ctx)  # raises PrecisionExhausted on an unresolvable near-zero
             return ip * ip
         return _raw_sum(f, weight_sq)
     # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
     D, Q, x, y = field
-    scale, terms = masses
+    scale, terms = f.masses
     rat = irr = 0
     for k, A in terms:
         P = sum(ki * xi for ki, xi in zip(k, x))
@@ -184,23 +183,16 @@ def _sd(f: TrigPoly, masses: IntegerMasses, a: Direction,
     return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D))
 
 
-def parseval_sums(f: TrigPoly, a: Direction | None = None,
-                  ctx: PrecisionContext = DEFAULT_CONTEXT
+def parseval_sums(f: TrigPoly, a: Direction | None = None
                   ) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal | None]:
     """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
     given, sum |a_k|^2 <k,alpha>^2 (else None).  s0 and sg are exact, and
     so is sd wherever the direction allows it."""
-    return _parseval_sums(f, _integer_masses(f), a, ctx)
-
-
-def _parseval_sums(f: TrigPoly, masses: IntegerMasses, a: Direction | None,
-                   ctx: PrecisionContext
-                   ) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal | None]:
-    scale, terms = masses
+    scale, terms = f.masses
     return (CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale)),
             CertifiedReal.from_rational(
                 Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale)),
-            None if a is None else _sd(f, masses, a, ctx))
+            None if a is None else _sd(f, a))
 
 
 def _two_pi_pow(d: int) -> CertifiedReal:
@@ -215,25 +207,23 @@ def _require_nonzero(f: TrigPoly) -> None:
 
 # -- norms -----------------------------------------------------------------
 
-def l2_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+def l2_norm(f: TrigPoly) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2)."""
     return (_two_pi_pow(f.dim) * parseval_sums(f)[0]).sqrt()
 
 
-def grad_norm(f: TrigPoly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+def grad_norm(f: TrigPoly) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |k|^2 |a_k|^2)."""
     return (_two_pi_pow(f.dim) * parseval_sums(f)[1]).sqrt()
 
 
-def directional_norm(f: TrigPoly, a: Direction,
-                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+def directional_norm(f: TrigPoly, a: Direction) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2 <k,alpha>^2), with cancellation-safe
     evaluation of the inner products."""
-    return (_two_pi_pow(f.dim) * parseval_sums(f, a, ctx)[2]).sqrt()
+    return (_two_pi_pow(f.dim) * parseval_sums(f, a)[2]).sqrt()
 
 
-def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object],
-                    ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object]) -> CertifiedReal:
     """sqrt((2*pi)^d * sum |a_k|^2 |P(k)|^2) for a diagonal symbol P."""
     def weight_sq(k):
         p = symbol(k)
@@ -257,8 +247,7 @@ def directional_symbol(a: Direction, s_power: int = 0) -> Callable[[FreqVector],
 
 # -- functionals -----------------------------------------------------------
 
-def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir,
-                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir) -> CertifiedReal:
     """grad^eg * dir^ed / l2^(eg+ed); dimensionless and scale invariant.
     Computed from the raw coefficient sums so the (2*pi)^d factors cancel
     identically.  The single-exponential infimum of this ratio over the
@@ -268,15 +257,14 @@ def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir,
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")
     _require_nonzero(f)
-    s0, sg, sd = parseval_sums(f, a, ctx)
+    s0, sg, sd = parseval_sums(f, a)
     num = sg.pow_frac(exp_grad / 2) * sd.pow_frac(exp_dir / 2)
     den = s0.pow_frac((exp_grad + exp_dir) / 2)
     return num / den
 
 
 def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
-                                 exp_grad=None, exp_sum=None,
-                                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> CertifiedReal:
+                                 exp_grad=None, exp_sum=None) -> CertifiedReal:
     """grad^eg * (sum_i dir_i)^es / l2^(eg+es) for several directions.
     Defaults: eg = d-1, es = ell; the improved variant uses (d-ell, ell)."""
     ell = len(dirs)
@@ -290,23 +278,17 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
     exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
     _require_nonzero(f)
     s0, sg, _ = parseval_sums(f)
-    dir_sum = CertifiedReal.sum(parseval_sums(f, a, ctx)[2].sqrt() for a in dirs)
+    dir_sum = CertifiedReal.sum(parseval_sums(f, a)[2].sqrt() for a in dirs)
     num = sg.pow_frac(exp_grad / 2) * dir_sum.pow_frac(exp_sum)
     den = s0.pow_frac((exp_grad + exp_sum) / 2)
     return num / den
 
 
-def half_mass_cutoff(f: TrigPoly,
-                     ctx: PrecisionContext = DEFAULT_CONTEXT
-                     ) -> tuple[CertifiedReal, CertifiedReal]:
+def half_mass_cutoff(f: TrigPoly) -> tuple[CertifiedReal, CertifiedReal]:
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
     _require_nonzero(f)
-    return _half_mass_cutoff(_integer_masses(f))
-
-
-def _half_mass_cutoff(masses: IntegerMasses) -> tuple[CertifiedReal, CertifiedReal]:
-    weighted = [(freq_norm_sq(k), A) for k, A in masses[1]]
+    weighted = [(freq_norm_sq(k), A) for k, A in f.masses[1]]
     S0 = sum(A for _, A in weighted)
     SG = sum(n2 * A for n2, A in weighted)
     radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2

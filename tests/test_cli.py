@@ -184,6 +184,27 @@ class TestConfigPrecedence:
                        "--radius", "5", "--digits", "40")
         assert doc["config"]["digits"] == 40
 
+    def test_global_flags_before_subcommand_are_kept(self, tmp_path, capsys):
+        cfg = tmp_path / "dirp.cfg"
+        cfg.write_text("radius = 7\n")
+        flags = ["--digits", "40", "--max-digits", "5000", "--seed", "7",
+                 "--config", str(cfg)]
+        before = run_json(capsys, *flags, "cf", "rat:22/7")
+        after = run_json(capsys, "cf", "rat:22/7", *flags)
+        assert before["config"] == after["config"] == {
+            "digits": 40, "max_digits": 5000, "radius": 7, "grid": 4096,
+            "seed": 7, "format": "json"}
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        for argv in (["--out", str(before), "cf", "rat:22/7"],
+                     ["cf", "rat:22/7", "--out", str(after)]):
+            code, printed, err = run(capsys, *argv)
+            assert code == 0 and printed == "", err
+        assert before.read_text() == after.read_text()
+
+    def test_flag_after_subcommand_wins(self, capsys):
+        doc = run_json(capsys, "--digits", "40", "cf", "rat:22/7", "--digits", "50")
+        assert doc["config"]["digits"] == 50
+
     def test_malformed_config_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("digits 40\n")

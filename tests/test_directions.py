@@ -104,6 +104,15 @@ class TestLiouvilleConstant:
                           for n in range(1, 9))
         assert contains_mp(liouville_constant(2), ref, 80)
 
+    @pytest.mark.parametrize("base", [2, 3, 10, 100])
+    def test_resolved_to_the_asked_digits_in_every_base(self, base):
+        # the series runs until base^(-n!) drops below 10^-(digits+20)
+        mpmath.mp.dps = 200
+        ref = mpmath.fsum(mpmath.mpf(base) ** -mpmath.factorial(n) for n in range(1, 7))
+        x = liouville_constant(base)
+        assert x.width(80) <= Fraction(2, 10 ** 80)
+        assert contains_mp(x, ref, 80)
+
     def test_base_below_two_rejected(self):
         with pytest.raises(ParseError):
             liouville_constant(1)

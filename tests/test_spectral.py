@@ -4,12 +4,14 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirp.certified import CertifiedReal
 from dirp.constants import e_cr
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
@@ -21,6 +23,7 @@ from dirp.spectral import (TrigPoly, _quadratic_field, _raw_sum, directional_nor
                            parseval_sums, poincare_ratio)
 
 mpmath.mp.dps = 80
+POLY60 = Path(__file__).resolve().parent / "data" / "poly60.json"
 
 
 def mpf_to_frac(v) -> Fraction:
@@ -393,3 +396,47 @@ class TestExactKernel:
             half_mass_cutoff(p)
         with pytest.raises(ZeroFunction):
             poincare_ratio(p, PHI, 1, 1)
+
+
+class TestLazySums:
+    """Spectral sums are enclosures; precision is chosen where they are printed."""
+
+    def test_terms_are_read_only(self):
+        p = TrigPoly(2, {(1, 2): 3})
+        with pytest.raises(TypeError):
+            p.terms[(1, 2)] = (Fraction(1), Fraction(0))
+        with pytest.raises(TypeError):
+            p.terms[(3, 4)] = (Fraction(1), Fraction(0))
+
+    def test_masses_follow_the_terms(self):
+        p = TrigPoly(2, {(1, 2): (Fraction(1, 2), Fraction(1, 3)), (0, 5): 2})
+        scale, masses = p.masses
+        assert scale == 36
+        assert dict(masses) == {(1, 2): 3 ** 2 + 2 ** 2, (0, 5): 12 ** 2}
+
+    def test_inner_product_leaf_is_asked_at_one_precision(self):
+        e, asked = e_cr(), set()
+
+        def fn(digits):
+            asked.add(digits)
+            return e.enclosure(digits)
+
+        poly = TrigPoly.from_json(POLY60.read_text())
+        a = make_direction([1, CertifiedReal.from_fn(fn)])
+        poincare_ratio(poly, a, 1, 1).to_json(80)
+        assert len(asked) == 1
+
+    @pytest.mark.parametrize("alpha2", ["0.4999", "0.5", "0.5001"])
+    def test_undecided_inner_product_still_encloses_sd(self, alpha2):
+        # <(1, -2), (1, 0.5000)> straddles 0 across the literal's one-ulp interval
+        p = TrigPoly(2, {(1, -2): (Fraction(1, 2), 1), (1, 0): (0, Fraction(3, 4))})
+        sd = parseval_sums(p, parse_direction("dir:[1, dec:0.5000]"))[2]
+        exact = Fraction(5, 4) * (1 - 2 * Fraction(alpha2)) ** 2 + Fraction(9, 16)
+        lo, hi = sd.enclosure(80)
+        assert lo <= exact <= hi
+
+    def test_true_zero_inner_products_enclose_zero(self):
+        p = TrigPoly(2, {(1, -1): 1, (2, -2): (0, Fraction(1, 2))})
+        sd = parseval_sums(p, parse_direction("dir:[const:pi, const:pi]"))[2]
+        lo, hi = sd.enclosure(80)
+        assert lo <= 0 <= hi and hi - lo <= Fraction(1, 10 ** 78)
