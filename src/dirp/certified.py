@@ -151,19 +151,19 @@ class CertifiedReal:
 
     def _refine(self, decide, stuck: str, goal: str, ctx: PrecisionContext):
         """decide(lo, hi) on enclosures at ctx.working_digits, doubling up to
-        ctx.max_digits, until it returns something other than None."""
+        ctx.max_digits, until it returns something other than None.  Only a
+        value that is not refinable or the cap stops it: an enclosure that
+        holds still for one doubling (a Liouville series between two terms)
+        may still shrink at the next."""
         digits = ctx.working_digits
-        prev_width = None
         while True:
             lo, hi = self.enclosure(digits)
             result = decide(lo, hi)
             if result is not None:
                 return result
-            width = hi - lo
-            if (prev_width is not None and width >= prev_width) or not self.refinable:
+            if not self.refinable:
                 raise PrecisionExhausted(
                     f"{stuck} and cannot be refined further", offending=self)
-            prev_width = width
             digits *= 2
             if digits > ctx.max_digits:
                 raise PrecisionExhausted(

@@ -10,6 +10,7 @@ give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .directions import parse_direction
 from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
-from .precision import PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .report import DEFAULT_REPORT_SEED, build_report
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
@@ -62,8 +63,10 @@ def _build_settings(args) -> dict:
             return cast(cfg[key])
         return default
     return {
-        "digits": pick(args.digits, "DIRP_DIGITS", "digits", 80, int),
-        "max_digits": pick(args.max_digits, None, "max_digits", 100_000, int),
+        "digits": pick(args.digits, "DIRP_DIGITS", "digits",
+                       DEFAULT_CONTEXT.working_digits, int),
+        "max_digits": pick(args.max_digits, None, "max_digits",
+                           DEFAULT_CONTEXT.max_digits, int),
         "radius": pick(args.radius, None, "radius", 100, int),
         "grid": pick(args.grid, None, "grid", 4096, int),
         "seed": pick(args.seed, None, "seed", DEFAULT_REPORT_SEED, int),
@@ -79,7 +82,16 @@ def _emit(payload, settings, csv_text: str | None = None) -> None:
                    ("digits", "max_digits", "radius", "grid", "seed", "format")},
         "result": payload,
     }
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    # exact integers (continued-fraction quotients and convergents) print
+    # whole; input parsing keeps the interpreter's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     fmt = settings["format"]
     if fmt == "csv" and csv_text is None:
         fmt = "json"  # no CSV form: the JSON stands in, on stdout and in files
@@ -129,9 +141,11 @@ def _cmd_norms(args, settings, ctx) -> int:
 
 def _cmd_ratio(args, settings, ctx) -> int:
     dirs = [parse_direction(d) for d in args.direction]
+    preset = args.preset
+    if len(dirs) > 1 and (preset == "thm1" or preset.startswith("delta:")):
+        raise ParseError(f"preset {preset} takes one --direction, got {len(dirs)}")
     f = _load_poly(args.poly, dirs[0], ctx)
     d, ell = f.dim, len(dirs)
-    preset = args.preset
     if preset == "thm1":
         value = poincare_ratio(f, dirs[0], d - 1, 1)
         exps = (d - 1, 1)
@@ -175,15 +189,7 @@ def _cmd_lattice(args, settings, ctx) -> int:
 def _cmd_cf(args, settings, ctx) -> int:
     value = parse_direction(args.spec).entries[0]
     cf = cf_expand(value, args.depth, ctx)
-    result = {
-        "quotients": cf.quotients,
-        "convergents": [[p, q] for p, q in cf.convergents],
-        "certified_depth": cf.certified_depth,
-        "exact": cf.exact,
-        "finite": cf.finite,
-        "period": ([cf.period[0], cf.period[1]] if cf.period else None),
-        "note": cf.note,
-    }
+    result = {**dataclasses.asdict(cf), "convergents": cf.convergents}
     if args.bound is not None:
         rep = bounded_quotient_report(cf, args.bound)
         result["bound_report"] = {

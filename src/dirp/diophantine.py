@@ -31,8 +31,6 @@ from .errors import (
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import QuadExact
 
-_CF_STATE_CAP = 100_000  # safety cap on period detection
-
 
 # ---------------------------------------------------------------------------
 # continued fractions
@@ -41,12 +39,28 @@ _CF_STATE_CAP = 100_000  # safety cap on period detection
 @dataclass
 class CFExpansion:
     quotients: list[int]
-    convergents: list[tuple[int, int]]  # (p_n, q_n)
     certified_depth: int
     exact: bool = False          # quotients certified to unlimited depth
     finite: bool = False         # the value is rational; expansion terminates
     period: Optional[tuple[int, list[int]]] = None  # (preperiod_len, period)
     note: str = ""
+
+    @property
+    def convergents(self) -> list[tuple[int, int]]:
+        """(p_n, q_n) for each quotient, built on each access: the last of n
+        has about n digits, so expansions read only for their quotients and
+        period never pay for them."""
+        out = []
+        p_prev, p = 1, None
+        q_prev, q = 0, None
+        for a in self.quotients:
+            if p is None:
+                p, q = a, 1
+            else:
+                p, p_prev = a * p + p_prev, p
+                q, q_prev = a * q + q_prev, q
+            out.append((p, q))
+        return out
 
     def max_quotient(self) -> tuple[int, int]:
         """(max certified quotient after a0, its index)."""
@@ -57,34 +71,9 @@ class CFExpansion:
         return m, 1 + tail.index(m)
 
 
-def _convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    p_prev, p = 1, None
-    q_prev, q = 0, None
-    for a in quotients:
-        if p is None:
-            p, q = a, 1
-        else:
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-        out.append((p, q))
-    return out
-
-
-def _cf_rational(x: Fraction, depth: int) -> CFExpansion:
-    quotients = []
-    num, den = x.numerator, x.denominator
-    while den and len(quotients) < max(depth, 1) + 64:
-        a, rem = divmod(num, den)
-        quotients.append(a)
-        num, den = den, rem
-    finite = den == 0
-    return CFExpansion(quotients, _convergents(quotients),
-                       certified_depth=len(quotients), exact=True, finite=finite,
-                       note="rational termination" if finite else "")
-
-
-def _cf_quadratic(x: QuadExact, depth: int) -> CFExpansion:
+def _cf_exact(x: QuadExact, depth: int) -> CFExpansion:
+    """Rational or quadratic x: stops at a rational termination, a repeated
+    complete quotient (the period) or depth, whichever comes first."""
     seen: dict[QuadExact, int] = {}
     quotients: list[int] = []
     cur = x
@@ -94,30 +83,25 @@ def _cf_quadratic(x: QuadExact, depth: int) -> CFExpansion:
             start = seen[cur]
             period = (start, quotients[start:])
             break
-        if len(seen) > _CF_STATE_CAP:
-            raise RuntimeError("period detection cap exceeded")
         seen[cur] = len(quotients)
         a = cur.floor()
         quotients.append(a)
         frac = cur - a
-        if frac.sign() == 0:  # rational after all
-            return CFExpansion(quotients, _convergents(quotients),
-                               certified_depth=len(quotients), exact=True, finite=True,
-                               note="rational termination")
+        if frac.sign() == 0:  # rational
+            return CFExpansion(quotients, certified_depth=len(quotients), exact=True,
+                               finite=True, note="rational termination")
         cur = 1 / frac
     if period is not None:
         start, cycle = period
         while len(quotients) < depth:
             quotients.append(cycle[(len(quotients) - start) % len(cycle)])
-    return CFExpansion(quotients[:depth], _convergents(quotients[:depth]),
-                       certified_depth=depth, exact=True, period=period)
+    return CFExpansion(quotients, certified_depth=depth, exact=True, period=period)
 
 
 def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpansion:
     digits = ctx.working_digits
     best: list[int] = []
     note = ""
-    prev_len = -1
     while True:
         lo, hi = x.enclosure(digits)
         quotients: list[int] = []
@@ -129,45 +113,43 @@ def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpan
             lo, hi = lo - flo, hi - flo
             if lo <= 0:  # cannot certify the next inversion
                 if lo == 0 and hi == 0:
-                    return CFExpansion(quotients, _convergents(quotients),
-                                       certified_depth=len(quotients), exact=True,
-                                       finite=True, note="rational termination")
+                    return CFExpansion(quotients, certified_depth=len(quotients),
+                                       exact=True, finite=True,
+                                       note="rational termination")
                 break
             lo, hi = 1 / hi, 1 / lo
         if len(quotients) > len(best):
             best = quotients
         if len(best) >= depth:
             break
-        if not x.refinable or digits >= ctx.max_digits or len(best) == prev_len:
+        if not x.refinable or digits >= ctx.max_digits:
             note = (f"certified only {len(best)} of {depth} quotients from a "
                     f"{digits}-digit enclosure")
             break
-        prev_len = len(best)
         digits = min(digits * 2, ctx.max_digits)
-    return CFExpansion(best, _convergents(best), certified_depth=len(best),
-                       exact=False, note=note)
+    return CFExpansion(best, certified_depth=len(best), exact=False, note=note)
 
 
 def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpansion:
     """Continued fraction of x to the requested depth.
 
-    Exact specs (rational, quadratic irrational) certify unlimited depth,
-    with period detection for quadratics.  Anything else runs the interval
+    Exact inputs (int, Fraction, rational or quadratic QuadExact) give
+    exactly `depth` quotients, fewer only when a rational terminates, with
+    period detection for quadratics.  Anything else runs the interval
     algorithm: a quotient is emitted only while the floor is constant
-    across the whole enclosure; falling short is reported softly through
-    certified_depth and note.
+    across the whole enclosure, doubling the digits up to ctx.max_digits
+    (only a non-refinable value stops sooner); falling short is reported
+    softly through certified_depth and note.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(x, (int, Fraction)):
-        return _cf_rational(Fraction(x), depth)
+        x = QuadExact(Fraction(x))
+    if isinstance(x, CertifiedReal) and x.exact is not None:
+        x = x.exact
     if isinstance(x, QuadExact):
-        if x.is_rational:
-            return _cf_rational(x.as_fraction(), depth)
-        return _cf_quadratic(x, depth)
+        return _cf_exact(x, depth)
     if isinstance(x, CertifiedReal):
-        if x.exact is not None:
-            return cf_expand(x.exact, depth, ctx)
         return _cf_interval(x, depth, ctx)
     raise TypeError(f"cannot expand {type(x).__name__}")
 
@@ -502,9 +484,9 @@ class SystemLatticeResult:
     exact_zero_witness: Optional[tuple[int, ...]]
     enumerated: int
     dirichlet_envelope_ok: bool
-    improved_exponent: Fraction = Fraction(0)
-    improved_minimum: Optional[CertifiedReal] = None
-    improved_argmin: Optional[tuple[int, ...]] = None
+    improved_exponent: Fraction
+    improved_minimum: CertifiedReal
+    improved_argmin: tuple[int, ...]
 
     def to_json(self, digits: int = DEFAULT_CONTEXT.working_digits) -> dict:
         return {
@@ -536,8 +518,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     flag that the observed minimum does not exceed the Dirichlet
     pigeonhole envelope (weighted value 1) beyond the certified radius.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    _check_search(R, "max")
     nvars, ell = S.nvars, S.ell
     d = S.ambient_dim
     expo = Fraction(d - 1, ell)
@@ -641,10 +622,18 @@ class HurwitzWitness:
 
 def hurwitz_witnesses(a: Direction, count: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[HurwitzWitness]:
-    """Frequency pairs certifying |a1/a2 - p/q| <= 1/(sqrt5 q^2), taken from
-    the continued-fraction convergents of a1/a2; each witness reports
-    |k| * |<k, alpha>| so the upper bound c_alpha <= |alpha|/sqrt5 is
-    exhibited at that frequency."""
+    """The first `count` convergents p/q of a1/a2 that certify
+    |a1/a2 - p/q| <= 1/(sqrt5 q^2), each with its frequency k = (q, -p) and
+    |k| * |<k, alpha>|, which exhibits the upper bound c_alpha <= |alpha|/sqrt5.
+
+    By Borel's theorem (1903) one of any three consecutive convergents
+    satisfies the strict inequality, so the first 3 * count convergents
+    hold at least `count` witnesses.  They come from one cf_expand call,
+    exact for quadratic ratios and otherwise refined up to ctx.max_digits;
+    a convergent whose test sign stays undecided is skipped, and
+    DepthNotCertified is raised when fewer than `count` witnesses remain."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if a.dim != 2:
         raise ValueError("hurwitz_witnesses needs d = 2")
     if a.entries[0].sign_soft(ctx) == 0 or a.entries[1].sign_soft(ctx) == 0:
@@ -652,30 +641,22 @@ def hurwitz_witnesses(a: Direction, count: int,
     ratio = a.entries[0] / a.entries[1]
     if ratio.exact is not None and ratio.exact.is_rational:
         raise RationalRatio("a1/a2 is rational")
+    cf = cf_expand(ratio, 3 * count, ctx)
+    if cf.finite:
+        raise RationalRatio("a1/a2 terminated as a rational expansion")
     sqrt5 = CertifiedReal.from_quad(QuadExact(0, 1, 5))
     out: list[HurwitzWitness] = []
-    depth = max(2 * count + 10, 12)
-    while True:
-        cf = cf_expand(ratio, depth, ctx)
-        if cf.finite:
-            raise RationalRatio("a1/a2 terminated as a rational expansion")
-        for p, q in cf.convergents[:cf.certified_depth]:
-            if q <= 0:
-                continue
-            test = abs(ratio * q - p) * q * sqrt5 - 1
-            s = test.sign_soft(ctx)
-            if s is None or s > 0:
-                continue
-            k = (q, -p)
-            ip = inner_product(k, a)
-            product = abs(ip) * CertifiedReal.from_rational(p * p + q * q).sqrt()
-            out.append(HurwitzWitness(k, (p, q), product))
-            if len(out) == count:
-                return out
-        if cf.certified_depth < depth:
-            raise DepthNotCertified(
-                f"only {cf.certified_depth} convergents certified; "
-                f"{len(out)} of {count} witnesses found")
-        depth *= 2
-        if depth > 10_000:
-            raise DepthNotCertified("witness search exceeded depth cap")
+    for p, q in cf.convergents:
+        test = abs(ratio * q - p) * q * sqrt5 - 1
+        s = test.sign_soft(ctx)
+        if s is None or s > 0:
+            continue
+        k = (q, -p)
+        ip = inner_product(k, a)
+        product = abs(ip) * CertifiedReal.from_rational(p * p + q * q).sqrt()
+        out.append(HurwitzWitness(k, (p, q), product))
+        if len(out) == count:
+            return out
+    raise DepthNotCertified(
+        f"only {cf.certified_depth} convergents certified; "
+        f"{len(out)} of {count} witnesses found")

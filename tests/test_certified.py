@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirp.certified import _GUARD, CertifiedReal
-from dirp.directions import parse_direction
+from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
 from dirp.precision import PrecisionContext, round_out
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
@@ -345,6 +345,14 @@ class TestSignificant:
         assert _rounded_leaf(tiny).significant(4) == Decimal("3.333E-501")
         with pytest.raises(PrecisionExhausted):
             _rounded_leaf(tiny).significant(4, PrecisionContext(max_digits=400))
+
+    def test_liouville_refines_through_a_still_enclosure(self):
+        # sum 3^-n! adds no term between 80 and 320 digits, yet it refines
+        mpmath.mp.dps = 1200
+        exact = mpmath.fsum(mpmath.mpf(3) ** -math.factorial(n) for n in range(1, 8))
+        value = liouville_constant(3).significant(400)
+        assert len(value.as_tuple().digits) == 400 and value.adjusted() == -1
+        assert abs(mpmath.mpf(str(value)) - exact) <= mpmath.mpf(10) ** -400 / 2
 
     def test_frozen_interval_raises(self):
         with pytest.raises(PrecisionExhausted):

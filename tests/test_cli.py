@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, output shape, config precedence."""
 
 import json
+import sys
 
 import pytest
 
-from dirp.cli import main
+from dirp.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -50,6 +51,14 @@ class TestRatio:
         doc = run_json(capsys, "ratio", "fib:5", "--direction",
                        "dir:[1, quad:(1+sqrt5)/2]", "--preset", "delta:1")
         assert doc["result"]["exponents"] == ["1/2", "1/2"]
+
+    @pytest.mark.parametrize("preset", ["thm1", "delta:2"])
+    def test_one_direction_presets_refuse_two(self, capsys, preset):
+        # the value would be the first direction's ratio alone
+        code, out, err = run(capsys, "ratio", "fib:5", "--direction", "dir:[1, quad:sqrt2]",
+                             "--direction", "dir:[1, const:e]", "--preset", preset)
+        assert code == 2 and out == ""
+        assert err == f"error: preset {preset} takes one --direction, got 2\n"
 
     def test_precision_cap_is_exit_3(self, capsys):
         # liouville:N needs more than (N+1)! digits: 9! > 100000 = max_digits
@@ -113,6 +122,27 @@ class TestCf:
         assert code == 4 and "unresolved" in err
         # the partial expansion is still emitted before the exit code
         assert json.loads(out)["result"]["certified_depth"] < 25
+
+
+    @pytest.mark.parametrize("base, depth", [(3, 40), (2, 60), (10, 60)])
+    def test_liouville_certifies_full_depth(self, capsys, base, depth):
+        doc = run_json(capsys, "cf", f"liouville:{base}", "--depth", str(depth))
+        assert doc["result"]["certified_depth"] == depth
+        assert len(doc["result"]["convergents"]) == depth
+
+
+class TestEmit:
+    def test_integers_past_the_str_digit_limit_print_whole(self, capsys):
+        settings = {"digits": 80, "max_digits": 100_000, "radius": 100, "grid": 4096,
+                    "seed": 1234, "format": "json", "out": None}
+        def limit():  # None on interpreters without the limit
+            return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+        before = limit()
+        _emit({"q": 10 ** 5000}, settings)
+        assert limit() == before  # input parsing keeps its limit
+        out = capsys.readouterr().out
+        assert '"q": 1' + "0" * 5000 + "\n" in out
 
 
 class TestDiffusion:

@@ -19,9 +19,10 @@ from dirp.diophantine import (LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
                               roth_exponents, system_lattice_min)
-from dirp.directions import make_direction, parse_direction
+from dirp.directions import liouville_constant, make_direction, parse_direction
 from dirp.errors import (NonpositiveSigma, PrecisionExhausted, RationalRatio,
                          UnsupportedLevel)
+from dirp.precision import PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
 mpmath.mp.dps = 80
@@ -39,12 +40,66 @@ def known_e_quotients(depth):
     return out[:depth]
 
 
+def mpmath_quotients(x, depth):
+    """Plain floor/invert on an mpmath number at the current precision."""
+    quotients = []
+    for _ in range(depth):
+        a = int(mpmath.floor(x))
+        quotients.append(a)
+        x = 1 / (x - a)
+    return quotients
+
+
+def mpmath_liouville(base):
+    """sum base^-n! for n <= 9; the next term is below 10^-3628800."""
+    return mpmath.fsum(mpmath.mpf(base) ** -math.factorial(n) for n in range(1, 10))
+
+
 class TestContinuedFractions:
     def test_rational_terminates(self):
         cf = cf_expand(Fraction(355, 113), 10)
         assert cf.quotients == [3, 7, 16]
         assert cf.finite and cf.exact
         assert cf.convergents[-1] == (355, 113)
+
+    def test_rational_stops_at_depth(self):
+        cf = cf_expand(Fraction(355, 113), 2)
+        assert cf.quotients == [3, 7] and cf.certified_depth == 2
+        assert cf.exact and not cf.finite
+
+    @pytest.mark.parametrize("x, value", [
+        (7, Fraction(7)), (Fraction(-22, 7), Fraction(-22, 7)),
+        (QuadExact(Fraction(5, 3)), Fraction(5, 3)),
+        (CertifiedReal.from_rational(Fraction(13, 8)), Fraction(13, 8))])
+    def test_exact_rationals_terminate(self, x, value):
+        cf = cf_expand(x, 10)
+        assert cf.finite and cf.note == "rational termination"
+        assert Fraction(*cf.convergents[-1]) == value
+
+    @pytest.mark.parametrize("base, depth", [(2, 60), (3, 40), (10, 60)])
+    def test_liouville_matches_mpmath(self, base, depth):
+        # refinement goes on through enclosures that hold still between two
+        # series terms; q_60 of liouville:2 has ~1300 digits, so 6000 digits
+        # leave the floor/invert oracle more than twice the precision it needs
+        mpmath.mp.dps = 6000
+        cf = cf_expand(liouville_constant(base), depth)
+        assert cf.certified_depth == depth and cf.note == ""
+        assert cf.quotients == mpmath_quotients(mpmath_liouville(base), depth)
+
+    def test_secretly_rational_value_refines_to_max_digits(self):
+        ctx = PrecisionContext(max_digits=1000)
+        cf = cf_expand(pi_cr() / pi_cr(), 5, ctx)
+        assert cf.certified_depth == 0
+        assert cf.note == "certified only 0 of 5 quotients from a 1000-digit enclosure"
+
+    def test_long_period_needs_no_state_cap(self):
+        # period 129678: the expansion is bounded by depth alone
+        cf = cf_expand(QuadExact(0, 1, 100000000004), 129688)
+        start, cycle = cf.period
+        assert (start, len(cycle)) == (1, 129678)
+        assert cf.certified_depth == len(cf.quotients) == 129688
+        assert cycle[-1] == 2 * math.isqrt(100000000004)
+        assert cf.quotients[1 + len(cycle):] == cycle[:9]
 
     def test_golden_ratio_all_ones(self):
         cf = cf_expand(GOLDEN_RATIO, 30)
@@ -540,6 +595,29 @@ class TestHurwitz:
             ratio = make_direction([SQRT2, 1]).entries[0]
             test = abs(ratio * q - p) * q * sqrt5 - 1
             assert test.sign() <= 0
+
+    @pytest.mark.parametrize("spec, count", [("dir:[1, const:e]", 20),
+                                             ("dir:[const:pi, 1]", 60),
+                                             ("dir:[1, const:e]", 60)])
+    def test_witnesses_match_mpmath(self, spec, count):
+        # oracle: the first `count` mpmath convergents p/q of a1/a2 with
+        # |a1/a2 - p/q| q^2 sqrt5 <= 1; 3 * count of them hold enough (Borel)
+        mpmath.mp.dps = 600
+        a1, a2 = {"dir:[1, const:e]": (1, mpmath.e),
+                  "dir:[const:pi, 1]": (mpmath.pi, 1)}[spec]
+        x = mpmath.mpf(a1) / a2
+        expected, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
+        for a in mpmath_quotients(x, 3 * count):
+            (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+            if abs(x - mpmath.mpf(p1) / q1) * q1 * q1 * mpmath.sqrt(5) <= 1:
+                expected.append((p1, q1))
+        ws = hurwitz_witnesses(parse_direction(spec), count)
+        assert [w.convergent for w in ws] == expected[:count]
+        assert len({w.k for w in ws}) == count
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count"):
+            hurwitz_witnesses(PHI, 0)
 
     def test_rational_slope_rejected(self):
         with pytest.raises(RationalRatio):

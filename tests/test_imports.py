@@ -1,9 +1,13 @@
-"""Module boundaries in src/dirp: no module imports another's private names."""
+"""Module boundaries in src/dirp: no module imports another's private names,
+and every error a module raises is one that cli.main maps to an exit code."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from dirp.errors import DirpError, ParseError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dirp"
 
@@ -35,3 +39,42 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
                      "from . import __version__\n"
                      "from math import _private\n")
     assert _private_imports(probe) == ["probe.py:1 imports _sd", "probe.py:2 imports _x"]
+
+
+# cli.main maps DirpError, ValueError and ZeroDivisionError to exit codes;
+# TypeError reports library misuse
+ALLOWED_BUILTINS = {"ValueError", "ZeroDivisionError", "TypeError"}
+
+
+def _stray_raises(path: Path, namespace: dict) -> list[str]:
+    """`raise` statements in path whose class, looked up by name in the
+    module's namespace, is neither a DirpError subclass nor one of
+    ALLOWED_BUILTINS; a bare re-raise names no class and is skipped."""
+    stray = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        cls = namespace.get(name)
+        if name not in ALLOWED_BUILTINS and not (isinstance(cls, type)
+                                                 and issubclass(cls, DirpError)):
+            stray.append(f"{path.name}:{node.lineno} raises {name}")
+    return stray
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_raise_names_an_error_cli_main_maps(path):
+    module = importlib.import_module(f"dirp.{path.stem}" if path.stem != "__init__" else "dirp")
+    assert _stray_raises(path, vars(module)) == []
+
+
+def test_raise_checker_flags_other_classes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("raise ParseError('x')\n"
+                     "raise RuntimeError('cap exceeded')\n"
+                     "raise ValueError('v') from None\n"
+                     "raise KeyError\n"
+                     "raise\n")
+    namespace = {"ParseError": ParseError}
+    assert _stray_raises(probe, namespace) == ["probe.py:2 raises RuntimeError",
+                                               "probe.py:4 raises KeyError"]
