@@ -150,13 +150,12 @@ class CertifiedReal:
                             f"{sig} significant digits", ctx)
 
     def _refine(self, decide, stuck: str, goal: str, ctx: PrecisionContext):
-        """decide(lo, hi) on enclosures at ctx.working_digits, doubling up to
-        ctx.max_digits, until it returns something other than None.  Only a
-        value that is not refinable or the cap stops it: an enclosure that
-        holds still for one doubling (a Liouville series between two terms)
-        may still shrink at the next."""
-        digits = ctx.working_digits
-        while True:
+        """decide(lo, hi) on enclosures along ctx.digit_schedule(), up to and
+        including ctx.max_digits, until it returns something other than None.
+        Only a value that is not refinable or the cap stops it: an enclosure
+        that holds still for one doubling (a Liouville series between two
+        terms) may still shrink at the next."""
+        for digits in ctx.digit_schedule():
             lo, hi = self.enclosure(digits)
             result = decide(lo, hi)
             if result is not None:
@@ -164,10 +163,8 @@ class CertifiedReal:
             if not self.refinable:
                 raise PrecisionExhausted(
                     f"{stuck} and cannot be refined further", offending=self)
-            digits *= 2
-            if digits > ctx.max_digits:
-                raise PrecisionExhausted(
-                    f"{goal} not resolved within max_digits={ctx.max_digits}", offending=self)
+        raise PrecisionExhausted(
+            f"{goal} not resolved within max_digits={ctx.max_digits}", offending=self)
 
     def sign_soft(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Optional[int]:
         try:

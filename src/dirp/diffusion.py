@@ -3,9 +3,10 @@
 Everything lives on a grid of M cells over T = R/Z: measures are
 cell-mass vectors, functions are cell samples, and the averaging
 operator is cyclic convolution with the law of tY.  All claims made
-here are grid-level statements; the p = 2 contraction factor is exact
-on the grid (spectral), while p in {1, inf} values are upper bounds
-from witness families and are labeled as such.
+here are grid-level statements about float64 arithmetic, not
+enclosures: the p = 2 contraction factor is read off a float FFT of the
+exact cell masses, while p in {1, inf} values are upper bounds from
+witness families and are labeled as such.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ class RVSpec:
         """E Y, exact."""
         out = sum((w * (lo + hi) / 2 for w, lo, hi in self.uniforms), Fraction(0))
         return out + sum((p * m for p, m in self.atoms), Fraction(0))
-
-    @property
-    def ac_width(self) -> Fraction:
-        """Total length of the absolutely continuous support."""
-        return sum((hi - lo for _, lo, hi in self.uniforms), Fraction(0))
 
 
 def _frac(text: str) -> Fraction:
@@ -239,19 +235,21 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _cyclic_conv_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the M outputs of the full product with [b, b] at M..2M-1, nothing else
-    return np.convolve(a, np.concatenate([b[1:], b]), "valid")
-
-
-def _cyclic_conv_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)))
+def _convolver(b: np.ndarray):
+    """a -> the cyclic convolution a * b, with b prepared once: direct
+    float64 summation up to _DIRECT_CONV_MAX cells, FFT above."""
+    if len(b) <= _DIRECT_CONV_MAX:
+        # the M outputs of the full product with [b, b] at M..2M-1, nothing else
+        doubled = np.concatenate([b[1:], b])
+        return lambda a: np.convolve(a, doubled, "valid")
+    bhat = np.fft.fft(b)
+    # fft(a) * bhat in this order: with FMA a complex product need not be
+    # bitwise commutative
+    return lambda a: np.real(np.fft.ifft(np.fft.fft(a) * bhat))
 
 
 def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) <= _DIRECT_CONV_MAX:
-        return _cyclic_conv_direct(a, b)
-    return _cyclic_conv_fft(a, b)
+    return _convolver(b)(a)
 
 
 def convolve(a: GridMeasure, b: GridMeasure) -> GridMeasure:
@@ -289,10 +287,11 @@ def cesaro_average(mu: GridMeasure, n: int) -> GridMeasure:
     """(1/n) * sum_{k=1..n} mu^k, by a running convolution."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    step = _convolver(mu.weights)
     acc = mu.weights.copy()
     power = mu.weights
     for _ in range(n - 1):
-        power = _cyclic_conv(power, mu.weights)
+        power = step(power)
         acc += power
     return GridMeasure(mu.M, acc / n)
 
@@ -323,32 +322,45 @@ def _witness_functions(M: int, rng: np.random.Generator):
         yield GridFunction.random_mean_zero(M, rng)
 
 
+def _contraction_factors(Y: RVSpec, ts: Sequence, p, M: int,
+                         seed: int) -> list[ContractionValue]:
+    """contraction_factor at every t in ts.  Every t is discretized before
+    any witness work; each witness is transformed and normed once, and only
+    the multiplier changes with t."""
+    # f * mu is a correlation, so f - f * mu has multiplier 1 - conj(mhat),
+    # and |1 - conj(mhat)| = |1 - mhat| bit for bit
+    multipliers = [1 - np.conj(np.fft.fft(measure_from_rv(Y, t, M).weights))
+                   for t in ts]
+    if p == 2:
+        return [ContractionValue(2, float(t), float(np.abs(m[1:]).min()),
+                                 "spectral-exact", M, False)
+                for t, m in zip(ts, multipliers)]
+    if p not in (1, math.inf, "inf"):
+        raise ValueError("p must be 1, 2 or inf")
+    best = [math.inf] * len(ts)
+    for f in _witness_functions(M, np.random.default_rng(seed)):
+        denom = f.lp_norm(p)
+        if denom > 0:
+            fhat = np.fft.fft(f.values)
+            for i, multiplier in enumerate(multipliers):
+                diff = GridFunction(M, np.real(np.fft.ifft(fhat * multiplier)))
+                best[i] = min(best[i], diff.lp_norm(p) / denom)
+    return [ContractionValue(p, float(t), h, f"witness-family (seed={seed})", M, True)
+            for t, h in zip(ts, best)]
+
+
 def contraction_factor(Y: RVSpec, t, p, M: int,
                        seed: int = DEFAULT_SEED) -> ContractionValue:
     """h_p(t) on the grid: inf over mean-zero f of ||f - f*mu_t||_p/||f||_p.
 
-    p = 2 is exact via the spectral characterization min_{n != 0}
-    |1 - mu_hat(n)| over grid frequencies.  p in {1, inf} report the
-    minimum over a witness family (harmonics plus 16 seeded random
-    functions), which is an upper bound on the true infimum.
+    p = 2 uses the spectral characterization min_{n != 0} |1 - mu_hat(n)|
+    over grid frequencies, evaluated by a float64 FFT of the exact cell
+    masses: a float value, not an enclosure (the "spectral-exact" label
+    names the characterization).  p in {1, inf} report the minimum over a
+    witness family (harmonics plus 16 seeded random functions), which is
+    an upper bound on the true infimum.
     """
-    mhat = np.fft.fft(measure_from_rv(Y, t, M).weights)
-    if p == 2:
-        h = float(np.abs(1 - mhat[1:]).min())
-        return ContractionValue(2, float(t), h, "spectral-exact", M, False)
-    if p not in (1, math.inf, "inf"):
-        raise ValueError("p must be 1, 2 or inf")
-    # f * mu is a correlation, so f - f * mu has multiplier 1 - conj(mhat)
-    multiplier = 1 - np.conj(mhat)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for f in _witness_functions(M, rng):
-        diff = GridFunction(M, np.real(np.fft.ifft(np.fft.fft(f.values) * multiplier)))
-        denom = f.lp_norm(p)
-        if denom > 0:
-            best = min(best, diff.lp_norm(p) / denom)
-    return ContractionValue(p, float(t), best,
-                            f"witness-family (seed={seed})", M, True)
+    return _contraction_factors(Y, [t], p, M, seed)[0]
 
 
 @dataclass
@@ -385,16 +397,16 @@ def scaling_fit(Y: RVSpec, p, t_grid: Sequence, M: int,
     Verdicts: "quadratic regime" for slope in [1.9, 2.1] (symmetric Y,
     h ~ t^2), "linear regime" for slope in [0.9, 1.1]
     (drifted Y, h ~ t), "no contraction: periodic orbit"
-    when some h vanishes on the grid, else "indeterminate".
+    when some h vanishes on the grid, else "indeterminate".  Every t is
+    discretized with measure_from_rv, and so checked, before any witness
+    work starts.
     """
     ts = [Fraction(t) for t in t_grid]
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly decreasing")
-    values, methods = [], []
-    for t in ts:
-        cv = contraction_factor(Y, t, p, M, seed=seed)
-        values.append(cv.value)
-        methods.append(cv.method)
+    factors = _contraction_factors(Y, ts, p, M, seed)
+    values = [cv.value for cv in factors]
+    methods = [cv.method for cv in factors]
     tf = [float(t) for t in ts]
     if min(values) <= 1e-14:
         return ContractionEstimate(p, tf, values, 0.0, 0.0, 0.0,

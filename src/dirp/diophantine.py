@@ -99,10 +99,8 @@ def _cf_exact(x: QuadExact, depth: int) -> CFExpansion:
 
 
 def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpansion:
-    digits = ctx.working_digits
     best: list[int] = []
-    note = ""
-    while True:
+    for digits in ctx.digit_schedule():
         lo, hi = x.enclosure(digits)
         quotients: list[int] = []
         while len(quotients) < depth:
@@ -121,13 +119,12 @@ def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpan
         if len(quotients) > len(best):
             best = quotients
         if len(best) >= depth:
+            return CFExpansion(best, certified_depth=len(best), exact=False)
+        if not x.refinable:
             break
-        if not x.refinable or digits >= ctx.max_digits:
-            note = (f"certified only {len(best)} of {depth} quotients from a "
-                    f"{digits}-digit enclosure")
-            break
-        digits = min(digits * 2, ctx.max_digits)
-    return CFExpansion(best, certified_depth=len(best), exact=False, note=note)
+    return CFExpansion(best, certified_depth=len(best), exact=False,
+                       note=f"certified only {len(best)} of {depth} quotients "
+                            f"from a {digits}-digit enclosure")
 
 
 def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpansion:

@@ -153,26 +153,6 @@ class Direction:
         # padded so the float is itself inside the reported radius
         return [float(e.width(30)) + 1e-300 for e in self.entries]
 
-    def normalize_first(self) -> tuple["Direction", bool]:
-        """Scale so the leading entry is 1, permuting a nonzero entry to the
-        front when the first entry is exactly zero.  Returns (direction,
-        permuted_flag); inexact leading entries keep the original scale."""
-        entries = list(self.entries)
-        specs = list(self.specs)
-        permuted = False
-        lead = 0
-        while lead < len(entries) and entries[lead].sign_soft() == 0:
-            lead += 1
-        if lead == len(entries):
-            raise ParseError("cannot normalize the zero direction")
-        if lead != 0:
-            entries.insert(0, entries.pop(lead))
-            specs.insert(0, specs.pop(lead))
-            permuted = True
-        scaled = [CertifiedReal.from_rational(1)]
-        scaled += [e / entries[0] for e in entries[1:]]
-        return Direction(tuple(scaled), tuple(specs) ), permuted
-
 
 def make_direction(values: Sequence) -> Direction:
     """Programmatic constructor: ints, Fractions, QuadExact, CertifiedReal

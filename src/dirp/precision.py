@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN, ROUND_CEILING
 from fractions import Fraction
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,15 @@ class PrecisionContext:
             raise ValueError("working_digits and max_digits must be >= 30")
         if self.working_digits > self.max_digits:
             raise ValueError("working_digits must not exceed max_digits")
+
+    def digit_schedule(self) -> Iterator[int]:
+        """The precisions a refinement asks for: working_digits, doubling
+        while below max_digits, then max_digits itself."""
+        digits = self.working_digits
+        while digits < self.max_digits:
+            yield digits
+            digits *= 2
+        yield self.max_digits
 
 
 DEFAULT_CONTEXT = PrecisionContext()

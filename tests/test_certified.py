@@ -217,6 +217,24 @@ class TestCertifiedReal:
         with pytest.raises(PrecisionExhausted):
             x.sign(PrecisionContext(working_digits=30, max_digits=100))
 
+    def test_sign_refines_to_max_digits_itself(self):
+        # decided at 1000 digits but not at 640: doubling from 80 must end on
+        # max_digits, not stop at the last doubling below it
+        asked = []
+        x = _rounded_leaf(Fraction(1, 10 ** 900), asked)
+        assert x.sign(PrecisionContext(working_digits=80, max_digits=1000)) == 1
+        assert asked == [80, 160, 320, 640, 1000]
+
+    @pytest.mark.parametrize("working,cap,schedule", [
+        (80, 1000, [80, 160, 320, 640, 1000]),
+        (80, 640, [80, 160, 320, 640]),
+        (80, 80, [80]),
+        (30, 100_000, [30 * 2 ** k for k in range(12)] + [100_000]),
+    ])
+    def test_digit_schedule_ends_on_max_digits(self, working, cap, schedule):
+        ctx = PrecisionContext(working_digits=working, max_digits=cap)
+        assert list(ctx.digit_schedule()) == schedule
+
     def test_decimal_literal_interval_is_one_ulp(self):
         x = CertifiedReal.from_decimal_literal("1.414")
         lo, hi = x.enclosure(80)

@@ -1,6 +1,7 @@
 """Grid diffusion model: discretization, convolution, contraction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.diffusion import (GridFunction, GridMeasure, RVSpec, _witness_functions,
+from dirp import diffusion
+from dirp.diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec,
+                            _convolver, _cyclic_conv, _witness_functions,
                             apply_markov, cesaro_average, contraction_factor,
                             contraction_lemma_check, convolution_power,
                             convolve, density_floor_check, measure_from_rv,
@@ -17,6 +20,42 @@ from dirp.errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 DRIFT = RVSpec.uniform(0, Fraction(1, 2))
 SYM = RVSpec.uniform(Fraction(-1, 2), Fraction(1, 2))
+MIX = parse_rv("mix:[(1/2,uniform;-1/4;1/4),(1/2,atoms;[(1/3,1)])]")
+FIT_T_GRID = [Fraction(1, n) for n in (10, 20, 50, 100, 200)]
+
+
+def _cyclic_conv_direct(a, b):
+    """_convolver's direct branch, which it takes up to _DIRECT_CONV_MAX cells."""
+    assert len(b) <= diffusion._DIRECT_CONV_MAX
+    return _convolver(b)(a)
+
+
+def _cyclic_conv_fft(a, b):
+    """_convolver's FFT branch, taken at any size once the switch is 0 cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffusion, "_DIRECT_CONV_MAX", 0)
+        return _convolver(b)(a)
+
+
+def _per_t_contraction(Y: RVSpec, t_grid, p, M: int, seed: int = DEFAULT_SEED) -> list:
+    """Oracle: the earlier contraction_factor, run once per t, which
+    discretizes t, then rebuilds, transforms and norms every witness."""
+    out = []
+    for t in t_grid:
+        mhat = np.fft.fft(measure_from_rv(Y, t, M).weights)
+        if p == 2:
+            out.append(float(np.abs(1 - mhat[1:]).min()))
+            continue
+        multiplier = 1 - np.conj(mhat)
+        rng = np.random.default_rng(seed)
+        best = math.inf
+        for f in _witness_functions(M, rng):
+            diff = GridFunction(M, np.real(np.fft.ifft(np.fft.fft(f.values) * multiplier)))
+            denom = f.lp_norm(p)
+            if denom > 0:
+                best = min(best, diff.lp_norm(p) / denom)
+        out.append(best)
+    return out
 
 
 def _turn_unit_masses(Y: RVSpec, t, M: int) -> np.ndarray:
@@ -63,7 +102,7 @@ class TestRVSpec:
     def test_parse_uniform(self):
         Y = parse_rv("uniform:0:0.5")
         assert Y.uniforms == ((Fraction(1), Fraction(0), Fraction(1, 2)),)
-        assert Y.mean == Fraction(1, 4) and Y.ac_width == Fraction(1, 2)
+        assert Y.mean == Fraction(1, 4)
 
     def test_parse_atoms(self):
         Y = parse_rv("atoms:[(0.25,0.5),(0.75,0.5)]")
@@ -163,7 +202,6 @@ class TestConvolution:
         assert np.abs(out.weights - 1 / 128).max() < 1e-15
 
     def test_direct_matches_fft(self):
-        from dirp.diffusion import _cyclic_conv_direct, _cyclic_conv_fft
         rng = np.random.default_rng(7)
         a = rng.random(512); a /= a.sum()
         b = rng.random(512); b /= b.sum()
@@ -171,8 +209,6 @@ class TestConvolution:
                       - _cyclic_conv_fft(a, b)).max() < 1e-12
 
     def test_direct_equals_full_mode_slice_bit_for_bit(self):
-        from dirp.diffusion import _cyclic_conv_direct
-
         def full_mode_slice(a, b):  # the earlier implementation, as the oracle
             M = len(a)
             return np.convolve(a, np.concatenate([b, b]))[M:2 * M]
@@ -183,7 +219,6 @@ class TestConvolution:
             assert np.array_equal(_cyclic_conv_direct(a, b), full_mode_slice(a, b))
 
     def test_direct_matches_exact_cyclic_convolution(self):
-        from dirp.diffusion import _cyclic_conv_direct
         M = 64
         rng = np.random.default_rng(5)
         a = rng.integers(1, 1000, M) / 1024
@@ -213,6 +248,19 @@ class TestConvolution:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
             convolve(GridMeasure.uniform(64), GridMeasure.uniform(128))
+
+    @pytest.mark.parametrize("M", [2048, 4096, 8192])
+    def test_cesaro_equals_running_cyclic_conv_bytes(self, M):
+        # one prepared kernel per loop, on both sides of the direct/FFT switch
+        mu = measure_from_rv(DRIFT, Fraction(1, 20), M)
+        n = 48
+        acc = mu.weights.copy()
+        power = mu.weights
+        for _ in range(n - 1):
+            power = _cyclic_conv(power, mu.weights)
+            acc += power
+        expected = GridMeasure(M, acc / n).weights
+        assert cesaro_average(mu, n).weights.tobytes() == expected.tobytes()
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 16))
     @settings(max_examples=25, deadline=None)
@@ -319,6 +367,33 @@ class TestContractionFactor:
 
 
 class TestScalingFit:
+    @pytest.mark.parametrize("M", [2048, 8192])
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("Y", [SYM, DRIFT, MIX], ids=["sym", "drift", "mix"])
+    def test_h_values_equal_per_t_loop(self, Y, p, M):
+        assert scaling_fit(Y, p, FIT_T_GRID, M).h_values == _per_t_contraction(
+            Y, FIT_T_GRID, p, M)
+
+    def test_witness_memory_stays_one_dimensional(self):
+        # one multiplier per t plus one witness at a time; a (t x M) complex
+        # batch of the five-t grid at M = 8192 would pass 2 MiB
+        scaling_fit(DRIFT, 1, FIT_T_GRID, 8192)
+        tracemalloc.start()
+        try:
+            scaling_fit(DRIFT, 1, FIT_T_GRID, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+    def test_every_t_checked_before_witness_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(diffusion, "_witness_functions",
+                            lambda *args: calls.append(args) or iter(()))
+        with pytest.raises(UnderResolved):
+            scaling_fit(DRIFT, 1, [Fraction(1, 2), Fraction(1, 1000)], 256)
+        assert calls == []
+
     def test_periodic_orbit_verdict(self):
         est = scaling_fit(RVSpec.from_atoms([(Fraction(1, 2), 1)]), 2,
                           [Fraction(1)], 128)

@@ -136,22 +136,3 @@ class TestInnerProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             inner_product((1, 2, 3), make_direction([1, 2]))
-
-
-class TestNormalize:
-    def test_scales_leading_entry(self):
-        a = make_direction([2, GOLDEN_RATIO])
-        b, permuted = a.normalize_first()
-        assert not permuted
-        assert b.entries[0].exact.as_fraction() == 1
-        assert b.entries[1].exact == GOLDEN_RATIO / 2
-
-    def test_permutes_past_zero(self):
-        a = make_direction([0, 3, 1])
-        b, permuted = a.normalize_first()
-        assert permuted
-        assert b.entries[0].exact.as_fraction() == 1
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ParseError):
-            make_direction([0, 0]).normalize_first()
