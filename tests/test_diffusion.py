@@ -37,6 +37,65 @@ def _cyclic_conv_fft(a, b):
         return _convolver(b)(a)
 
 
+def _squaring_power(a: GridMeasure, n: int) -> GridMeasure:
+    """Oracle: the earlier convolution_power loop, written out."""
+    result = None
+    sq = a
+    while n:
+        if n & 1:
+            result = sq if result is None else convolve(result, sq)
+        n >>= 1
+        if n:
+            sq = convolve(sq, sq)
+    return result
+
+
+def _running_fft_cesaro(mu: GridMeasure, n: int) -> np.ndarray:
+    """Oracle: the earlier Cesaro average above the switch, a running loop
+    of n - 1 FFT convolutions with fft(mu) prepared once."""
+    bhat = np.fft.fft(mu.weights)
+    acc = mu.weights.copy()
+    power = mu.weights
+    for _ in range(n - 1):
+        power = np.real(np.fft.ifft(np.fft.fft(power) * bhat))
+        acc += power
+    return GridMeasure(mu.M, acc / n).weights
+
+
+def _exact_cesaro(w: np.ndarray, ns) -> dict:
+    """Oracle: {n: (1/n) sum_{k=1..n} mu^k} in exact rationals.  Every float
+    mass is an integer over 2^e, so mu^k is an integer vector over 2^(ke)
+    and the running sum T_k = 2^e T_(k-1) + mu^k * 2^(ke) stays integral."""
+    fr = [Fraction(float(x)) for x in w]
+    e = max(f.denominator for f in fr).bit_length() - 1
+    ints = [int(f * 2 ** e) for f in fr]
+    M = len(ints)
+    support = [(j, m) for j, m in enumerate(ints) if m]
+    power, total, out = ints, list(ints), {}
+    for k in range(1, max(ns) + 1):
+        if k > 1:
+            nxt = [0] * M
+            for i, p in enumerate(power):
+                if p:
+                    for j, m in support:
+                        nxt[(i + j) % M] += p * m
+            power = nxt
+            total = [(t << e) + p for t, p in zip(total, power)]
+        if k in ns:
+            out[k] = [Fraction(t, k << (k * e)) for t in total]
+    return out
+
+
+def _fft_cesaro_bound(M: int, n: int) -> float:
+    """Elementwise error allowed for the FFT pair powering of a probability
+    vector.  It runs at most 4 bit_length(n) convolutions, each of two
+    vectors of mass <= 1 once S_m is scaled by 1/m.  Each is off by at most
+    3 log2(M) eta in the 2-norm, eta = 7u (Higham 2002, section 24.1, with
+    twiddle factors good to u), and convolving with a probability vector
+    does not grow an earlier error."""
+    return 4 * n.bit_length() * 3 * math.log2(M) * 7 * 2.0 ** -53
+
+
 def _per_t_contraction(Y: RVSpec, t_grid, p, M: int, seed: int = DEFAULT_SEED) -> list:
     """Oracle: the earlier contraction_factor, run once per t, which
     discretizes t, then rebuilds, transforms and norms every witness."""
@@ -218,6 +277,28 @@ class TestConvolution:
             a, b = rng.random(M), rng.random(M)
             assert np.array_equal(_cyclic_conv_direct(a, b), full_mode_slice(a, b))
 
+    @pytest.mark.parametrize("M", [64, 2048, 4096])
+    def test_direct_kernel_bytes_at_every_input_offset(self, M):
+        # the aligned buffer changes speed only: a at each 8-byte offset
+        # mod 64 gives numpy's own valid-mode bytes
+        rng = np.random.default_rng(M)
+        b = rng.random(M)
+        doubled = np.concatenate([b[1:], b])
+        step = _convolver(b)
+        big = rng.random(M + 8)
+        for offset in range(8):
+            a = big[offset:offset + M]
+            assert step(a).tobytes() == np.convolve(a, doubled, "valid").tobytes()
+
+    def test_direct_kernel_outputs_do_not_alias(self):
+        rng = np.random.default_rng(3)
+        step = _convolver(rng.random(256))
+        first = step(rng.random(256))
+        kept = first.copy()
+        second = step(rng.random(256))
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
     def test_direct_matches_exact_cyclic_convolution(self):
         M = 64
         rng = np.random.default_rng(5)
@@ -249,9 +330,10 @@ class TestConvolution:
         with pytest.raises(GridMismatch):
             convolve(GridMeasure.uniform(64), GridMeasure.uniform(128))
 
-    @pytest.mark.parametrize("M", [2048, 4096, 8192])
+    @pytest.mark.parametrize("M", [2048, 4096])
     def test_cesaro_equals_running_cyclic_conv_bytes(self, M):
-        # one prepared kernel per loop, on both sides of the direct/FFT switch
+        # one prepared kernel per loop on the direct side of the switch,
+        # whose bytes the report pins
         mu = measure_from_rv(DRIFT, Fraction(1, 20), M)
         n = 48
         acc = mu.weights.copy()
@@ -262,12 +344,38 @@ class TestConvolution:
         expected = GridMeasure(M, acc / n).weights
         assert cesaro_average(mu, n).weights.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("M", [256, 8192])
+    def test_convolution_power_equals_squaring_loop_bytes(self, M):
+        mu = measure_from_rv(DRIFT, Fraction(1, 20), M)
+        for n in (1, 2, 3, 64, 1280):
+            assert (convolution_power(mu, n).weights.tobytes()
+                    == _squaring_power(mu, n).weights.tobytes())
+
+    def test_fft_cesaro_matches_exact_sum(self, monkeypatch):
+        monkeypatch.setattr(diffusion, "_DIRECT_CONV_MAX", 0)
+        M, ns = 64, (1, 2, 3, 5, 8, 48, 64)
+        mu = measure_from_rv(MIX, Fraction(1, 2), M)
+        exact = _exact_cesaro(mu.weights, ns)
+        for n in ns:
+            got = cesaro_average(mu, n).weights
+            bound = Fraction(_fft_cesaro_bound(M, n))
+            assert all(abs(Fraction(float(g)) - x) <= bound
+                       for g, x in zip(got, exact[n])), n
+
+    @pytest.mark.parametrize("Y", [DRIFT, MIX, RVSpec.from_atoms([(Fraction(1, 3), 1)])],
+                             ids=["drift", "mix", "atom"])
+    def test_fft_cesaro_matches_running_fft_loop(self, Y):
+        mu = measure_from_rv(Y, Fraction(1, 20), 8192)
+        got = cesaro_average(mu, 1280).weights
+        assert np.abs(got - _running_fft_cesaro(mu, 1280)).max() <= 1e-15
+
+    @pytest.mark.parametrize("M", [64, 2 * diffusion._DIRECT_CONV_MAX])
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 16))
     @settings(max_examples=25, deadline=None)
-    def test_mass_conserved(self, seed, n):
+    def test_mass_conserved(self, M, seed, n):
         rng = np.random.default_rng(seed)
-        w = rng.random(64)
-        mu = GridMeasure(64, w / w.sum())
+        w = rng.random(M)
+        mu = GridMeasure(M, w / w.sum())
         assert abs(convolution_power(mu, n).weights.sum() - 1) < 1e-12
         assert abs(cesaro_average(mu, n).weights.sum() - 1) < 1e-12
 
