@@ -71,26 +71,43 @@ class CFExpansion:
         return m, 1 + tail.index(m)
 
 
-def _cf_exact(x: QuadExact, depth: int) -> CFExpansion:
-    """Rational or quadratic x: stops at a rational termination, a repeated
-    complete quotient (the period) or depth, whichever comes first."""
-    seen: dict[QuadExact, int] = {}
+def _cf_exact(x: int | Fraction | QuadExact, depth: int) -> CFExpansion:
+    """Rational or quadratic x, in integers only.
+
+    x = (A + B sqrt d)/n with integers A, B and n > 0 is written as
+    (P + sqrt D)/Q with P = A n, Q = n^2 and D = B^2 d n^2, P and Q
+    negated when B < 0, so Q divides D - P^2; a rational is D = 0.  Each
+    step emits a = floor((P + sqrt D)/Q) = (P + r) // Q with r = isqrt(D),
+    or (P + r + 1) // Q when Q < 0 and D > 0 (sqrt D is irrational, so it
+    lies strictly between r and r + 1); then P <- aQ - P, and
+    Q <- (D - P^2)/Q keeps Q | D - P^2.  P^2 = D is a rational
+    termination.  D never changes and sqrt D is irrational, so the value
+    (P + sqrt D)/Q fixes the pair (P, Q): the pair repeats exactly when the
+    complete quotient does, which gives the preperiod and the period.
+    Stops there or at depth, whichever comes first.
+    """
+    u, v, d = (x.a, x.b, x.d) if isinstance(x, QuadExact) else (Fraction(x), Fraction(0), 0)
+    n = math.lcm(u.denominator, v.denominator)  # A = u n, B = v n
+    P, Q, D = int(u * n) * n, n * n, int(v * n) ** 2 * d * n * n
+    if v < 0:
+        P, Q = -P, -Q
+    r = math.isqrt(D)
+    seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
-    cur = x
     period = None
     while len(quotients) < depth:
-        if cur in seen:
-            start = seen[cur]
+        if (P, Q) in seen:
+            start = seen[P, Q]
             period = (start, quotients[start:])
             break
-        seen[cur] = len(quotients)
-        a = cur.floor()
+        seen[P, Q] = len(quotients)
+        a = (P + r + 1 if Q < 0 and D else P + r) // Q
         quotients.append(a)
-        frac = cur - a
-        if frac.sign() == 0:  # rational
+        P = a * Q - P
+        if P * P == D:
             return CFExpansion(quotients, certified_depth=len(quotients), exact=True,
                                finite=True, note="rational termination")
-        cur = 1 / frac
+        Q = (D - P * P) // Q
     if period is not None:
         start, cycle = period
         while len(quotients) < depth:
@@ -130,9 +147,10 @@ def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpan
 def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpansion:
     """Continued fraction of x to the requested depth.
 
-    Exact inputs (int, Fraction, rational or quadratic QuadExact) give
-    exactly `depth` quotients, fewer only when a rational terminates, with
-    period detection for quadratics.  Anything else runs the interval
+    Exact inputs (int, Fraction, rational or quadratic QuadExact) run the
+    integer (P, Q) recurrence of _cf_exact and give exactly `depth`
+    quotients, fewer only when a rational terminates, with period
+    detection for quadratics.  Anything else runs the interval
     algorithm: a quotient is emitted only while the floor is constant
     across the whole enclosure, doubling the digits up to ctx.max_digits
     (only a non-refinable value stops sooner); falling short is reported
@@ -140,11 +158,9 @@ def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpan
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, (int, Fraction)):
-        x = QuadExact(Fraction(x))
     if isinstance(x, CertifiedReal) and x.exact is not None:
         x = x.exact
-    if isinstance(x, QuadExact):
+    if isinstance(x, (int, Fraction, QuadExact)):
         return _cf_exact(x, depth)
     if isinstance(x, CertifiedReal):
         return _cf_interval(x, depth, ctx)

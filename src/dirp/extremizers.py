@@ -7,8 +7,6 @@ and ratio downstream is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -191,21 +189,6 @@ class SharpnessTable:
     rows: list[SharpnessRow]
     verdict: str
     annulus_note: str = ""
-    ctx: PrecisionContext = DEFAULT_CONTEXT
-
-    def to_csv(self, digits: int = 20) -> str:
-        """Every value to `digits` significant digits that its enclosure
-        fixes; PrecisionExhausted when ctx cannot refine that far."""
-        def text(x):
-            return "" if x is None else str(x.significant(digits, self.ctx))
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["family", "index", "k", "abs_k", "inner", "ratio", "limit"])
-        for r in self.rows:
-            w.writerow([self.family, r.index, " ".join(str(c) for c in r.k),
-                        text(r.abs_k), text(r.abs_inner), text(r.ratio), text(r.limit)])
-        return buf.getvalue()
 
 
 def _member_for(family: str, a: Direction, n: int,
@@ -267,4 +250,4 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         ok = worst < 2
         annulus_note = (f"consecutive frequency-norm ratios max {worst:.6f} "
                         f"{'< 2: every dyadic annulus is hit' if ok else '>= 2'}")
-    return SharpnessTable(family, a.key(), rows, verdict, annulus_note, ctx)
+    return SharpnessTable(family, a.key(), rows, verdict, annulus_note)

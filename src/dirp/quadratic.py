@@ -5,8 +5,8 @@ integer d >= 0 (d = 0 exactly when b = 0; a perfect-square radicand
 collapses to a rational).  d is kept as written: square factors are
 not factored out, because the field test needs none.  Two values are
 comparable iff one is rational or d1*d2 is a perfect square, and then
-the larger radicand is rebased onto the smaller.  Signs, floors and
-equalities are decided exactly; this is what lets inner products
+the larger radicand is rebased onto the smaller.  Signs and equalities
+are decided exactly; this is what lets inner products
 <k, alpha> be certified as exactly zero or nonzero for rational and
 quadratic-irrational direction entries.
 """
@@ -160,13 +160,6 @@ class QuadExact:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def floor(self) -> int:
-        # self = (P + B sqrt d) / n with n > 0, and sqrt(B^2 d) is irrational
-        n = math.lcm(self.a.denominator, self.b.denominator)
-        P, B = int(self.a * n), int(self.b * n)
-        r = math.isqrt(B * B * self.d)
-        return (P + (r if B >= 0 else -r - 1)) // n
 
     # -- enclosure -------------------------------------------------------
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirp.certified import _GUARD, CertifiedReal
+from dirp.diophantine import cf_expand
 from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
 from dirp.precision import PrecisionContext, round_out
@@ -63,24 +64,24 @@ class TestQuadExact:
         assert (SQRT2 - QuadExact(Fraction(141421357, 10 ** 8))).sign() == -1
 
     def test_floor(self):
-        assert SQRT2.floor() == 1
-        assert (SQRT2 * 100).floor() == 141
-        assert GOLDEN_RATIO.floor() == 1
-        assert (-SQRT2).floor() == -2
+        assert cf_expand(SQRT2, 1).quotients[0] == 1
+        assert cf_expand(SQRT2 * 100, 1).quotients[0] == 141
+        assert cf_expand(GOLDEN_RATIO, 1).quotients[0] == 1
+        assert cf_expand(-SQRT2, 1).quotients[0] == -2
 
     def test_floor_brackets_exactly(self):
-        # f <= x < f + 1, decided through sign() rather than floor()
+        # f <= x < f + 1, decided through sign() rather than the floor itself
         rng = random.Random(29)
         for _ in range(500):
             x = QuadExact(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 4)),
                           Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
                           rng.choice([2, 3, 5, 8, 12, 10007 ** 2 * 2, rng.randrange(2, 10 ** 30)]))
-            f = x.floor()
+            f = cf_expand(x, 1).quotients[0]
             assert (x - f).sign() >= 0 and (x - (f + 1)).sign() < 0, x
         # 99 sqrt2 - 140 = 0.00714..., 70 sqrt2 = 98.9949...
-        assert (SQRT2 * 99 - 140).floor() == 0
-        assert (140 - SQRT2 * 99).floor() == -1
-        assert (SQRT2 * 70).floor() == 98
+        assert cf_expand(SQRT2 * 99 - 140, 1).quotients[0] == 0
+        assert cf_expand(140 - SQRT2 * 99, 1).quotients[0] == -1
+        assert cf_expand(SQRT2 * 70, 1).quotients[0] == 98
 
     def test_division(self):
         x = (QuadExact(1) + SQRT2) / (QuadExact(3) - SQRT2)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from dirp import diophantine
 from dirp.certified import CertifiedReal
 from dirp.cli import main
 from dirp.constants import e_cr, pi_cr
-from dirp.diophantine import (LinearFormSystem, bounded_quotient_report,
+from dirp.diophantine import (CFExpansion, LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
                               roth_exponents, system_lattice_min)
@@ -48,6 +49,59 @@ def mpmath_quotients(x, depth):
         quotients.append(a)
         x = 1 / (x - a)
     return quotients
+
+
+def _quad_floor(x):
+    # x = (P + B sqrt d) / n with n > 0, and sqrt(B^2 d) is irrational
+    n = math.lcm(x.a.denominator, x.b.denominator)
+    P, B = int(x.a * n), int(x.b * n)
+    r = math.isqrt(B * B * x.d)
+    return (P + (r if B >= 0 else -r - 1)) // n
+
+
+def quad_exact_cf(x, depth):
+    """Floor, subtract and invert in QuadExact arithmetic, keying the period
+    on the complete quotient itself: the reference for the integer loop."""
+    seen = {}
+    quotients = []
+    cur = QuadExact(x) if isinstance(x, (int, Fraction)) else x
+    period = None
+    while len(quotients) < depth:
+        if cur in seen:
+            start = seen[cur]
+            period = (start, quotients[start:])
+            break
+        seen[cur] = len(quotients)
+        a = _quad_floor(cur)
+        quotients.append(a)
+        frac = cur - a
+        if frac.sign() == 0:  # rational
+            return CFExpansion(quotients, certified_depth=len(quotients), exact=True,
+                               finite=True, note="rational termination")
+        cur = 1 / frac
+    if period is not None:
+        start, cycle = period
+        while len(quotients) < depth:
+            quotients.append(cycle[(len(quotients) - start) % len(cycle)])
+    return CFExpansion(quotients, certified_depth=depth, exact=True, period=period)
+
+
+def _exact_cf_inputs(seed, count):
+    """Rationals of both signs (0 included) and a + b sqrt d with negative
+    and fractional b over square-free and non-reduced radicands."""
+    rng = random.Random(seed)
+    out = [0, 5, -7, Fraction(355, 113), Fraction(-7, 3), Fraction(1, 7),
+           Fraction(-355, 113), SQRT2, -SQRT2, GOLDEN_RATIO,
+           QuadExact(Fraction(1, 2), Fraction(-1, 2), 5), QuadExact(0, 1, 100000000004)]
+    for _ in range(count):
+        a = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+        if rng.random() < 0.2:
+            out.append(a)
+            continue
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 999), rng.randint(1, 99))
+        d = rng.choice([2, 3, 5, 8, 12, 10007 ** 2 * 2, rng.randrange(2, 10 ** 12)])
+        out.append(QuadExact(a, b, d))
+    return out
 
 
 def mpmath_liouville(base):
@@ -100,6 +154,24 @@ class TestContinuedFractions:
         assert cf.certified_depth == len(cf.quotients) == 129688
         assert cycle[-1] == 2 * math.isqrt(100000000004)
         assert cf.quotients[1 + len(cycle):] == cycle[:9]
+
+    def test_exact_path_matches_quad_exact_oracle(self):
+        for x in _exact_cf_inputs(13, 150):
+            assert cf_expand(x, 300) == quad_exact_cf(x, 300), x
+
+    def test_exact_path_builds_no_quad_exact(self, monkeypatch):
+        x = QuadExact(0, 1, 100000000004)
+        built = []
+        init = QuadExact.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuadExact, "__init__", counted)
+        cf = cf_expand(x, 129688)
+        assert len(cf.period[1]) == 129678
+        assert len(built) == 0
 
     def test_golden_ratio_all_ones(self):
         cf = cf_expand(GOLDEN_RATIO, 30)

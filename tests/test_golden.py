@@ -4,8 +4,10 @@ fresh processes under different hash seeds.
 The `dirp lattice` digests were recorded before the lattice search moved
 to column windows, the others (and the d = 1 lattice command) before the
 lattice searches shared one certification loop, and the four 60-term
-polynomial commands before certified sums became one n-ary node; a change
-to one needs a CHANGES.md line that says why.
+polynomial commands before certified sums became one n-ary node, and the
+three exact `cf` commands (a negative rational, a quadratic with negative
+b, a finite `cf:` literal) before the exact expansion became an integer
+(P, Q) recurrence; a change to one needs a CHANGES.md line that says why.
 """
 
 import hashlib
@@ -46,6 +48,15 @@ SUBCOMMANDS = {
     "cf golden ratio": (
         ["cf", "quad:(1+sqrt5)/2", "--depth", "30"],
         "9c4acf58a8f2af8909a148387279df8124955bcc998f9a906e306796b92682ea"),
+    "cf rat:-355/113": (
+        ["cf", "rat:-355/113", "--depth", "10"],
+        "657e548dec9eff55d7aa5d47f6102c9f16936a3a58a53ba26ec8f64e62fbb1d1"),
+    "cf (1-sqrt5)/2 (negative b, preperiod 2)": (
+        ["cf", "quad:(1-sqrt5)/2", "--depth", "30"],
+        "e8f173e9f098e1b6867b5537f33a0673b242eeeed0a37ca388209b560b79aacd"),
+    "cf cf:[1,2,2,2]": (
+        ["cf", "cf:[1,2,2,2]"],
+        "27861df874e86817f91be83f46d8f5b4011c7a5cf51e13e9149b5e3c941eea9c"),
     "cf pi bound 50": (
         ["cf", "const:pi", "--depth", "100", "--bound", "50"],
         "8340546a2f1c15b06217fe105e4aa9e9ae980542c2bb605d2c6ba62d76a7cc0f"),
