@@ -30,6 +30,7 @@ from .errors import (
 )
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import QuadExact
+from .spectral import freq_norm_cr
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,30 @@ def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpan
     if isinstance(x, CertifiedReal):
         return _cf_interval(x, depth, ctx)
     raise TypeError(f"cannot expand {type(x).__name__}")
+
+
+def convergent_frequencies(a: Direction, j: int, depth: int,
+                           ctx: PrecisionContext = DEFAULT_CONTEXT
+                           ) -> Iterator[tuple[tuple[int, int], tuple[int, int], CertifiedReal]]:
+    """The certified convergents p/q of x = a_{1-j} / a_j for a d = 2
+    direction a, from one cf_expand(x, depth, ctx) call, as an iterator of
+    ((p, q), k, <k, alpha>) with c_j = p, c_{1-j} = q and k = (c_0, -c_1).
+    Then <k, alpha> = a_1 c_0 - a_2 c_1 = +/- a_j (q x - p) is the small
+    quantity.  Raises at the call, not at the first step: ValueError unless
+    d = 2 and a_j is nonzero, RationalRatio when x is rational or its
+    expansion terminates."""
+    if a.dim != 2:
+        raise ValueError("convergent frequencies need d = 2")
+    if a.entries[j].sign_soft(ctx) == 0:
+        raise ValueError(f"a{j + 1} must be nonzero")
+    x = a.entries[1 - j] / a.entries[j]
+    if x.exact is not None and x.exact.is_rational:
+        raise RationalRatio(f"a{2 - j}/a{j + 1} is rational")
+    cf = cf_expand(x, depth, ctx)
+    if cf.finite:
+        raise RationalRatio(f"a{2 - j}/a{j + 1} terminated as a rational expansion")
+    return (((p, q), k, inner_product(k, a)) for p, q in cf.convergents
+            for k in [(p, -q) if j == 0 else (q, -p)])
 
 
 @dataclass
@@ -641,35 +666,27 @@ def hurwitz_witnesses(a: Direction, count: int,
 
     By Borel's theorem (1903) one of any three consecutive convergents
     satisfies the strict inequality, so the first 3 * count convergents
-    hold at least `count` witnesses.  They come from one cf_expand call,
-    exact for quadratic ratios and otherwise refined up to ctx.max_digits;
-    a convergent whose test sign stays undecided is skipped, and
-    DepthNotCertified is raised when fewer than `count` witnesses remain."""
+    hold at least `count` witnesses.  They come from one
+    convergent_frequencies walk at j = 1, exact for quadratic ratios and
+    otherwise refined up to ctx.max_digits; a convergent whose test sign
+    stays undecided is skipped, and DepthNotCertified is raised when fewer
+    than `count` witnesses remain."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if a.dim != 2:
-        raise ValueError("hurwitz_witnesses needs d = 2")
-    if a.entries[0].sign_soft(ctx) == 0 or a.entries[1].sign_soft(ctx) == 0:
-        raise ValueError("both entries must be nonzero")
-    ratio = a.entries[0] / a.entries[1]
-    if ratio.exact is not None and ratio.exact.is_rational:
-        raise RationalRatio("a1/a2 is rational")
-    cf = cf_expand(ratio, 3 * count, ctx)
-    if cf.finite:
-        raise RationalRatio("a1/a2 terminated as a rational expansion")
+    if a.entries[0].sign_soft(ctx) == 0:
+        raise ValueError("a1 must be nonzero")
+    walk = convergent_frequencies(a, 1, 3 * count, ctx)
+    ratio = a.entries[0] / a.entries[1]  # the walk's x
     sqrt5 = CertifiedReal.from_quad(QuadExact(0, 1, 5))
     out: list[HurwitzWitness] = []
-    for p, q in cf.convergents:
-        test = abs(ratio * q - p) * q * sqrt5 - 1
-        s = test.sign_soft(ctx)
+    walked = 0
+    for walked, ((p, q), k, ip) in enumerate(walk, 1):
+        s = (abs(ratio * q - p) * q * sqrt5 - 1).sign_soft(ctx)
         if s is None or s > 0:
             continue
-        k = (q, -p)
-        ip = inner_product(k, a)
-        product = abs(ip) * CertifiedReal.from_rational(p * p + q * q).sqrt()
-        out.append(HurwitzWitness(k, (p, q), product))
+        out.append(HurwitzWitness(k, (p, q), abs(ip) * freq_norm_cr(k)))
         if len(out) == count:
             return out
     raise DepthNotCertified(
-        f"only {cf.certified_depth} convergents certified; "
+        f"only {walked} convergents certified; "
         f"{len(out)} of {count} witnesses found")

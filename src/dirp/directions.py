@@ -4,6 +4,7 @@ Grammar (CLI and JSON):
 
     rat:3/2                     exact rational
     quad:(1+sqrt5)/2            quadratic irrational (a+b*sqrtD)/c
+    quad:-3*sqrt2/2             the same with a = 0 and a signed b
     dec:1.41421356              decimal literal (interval = +/- 1 ulp)
     cf:[1,2,2,2]                value of a finite continued fraction
     liouville:10                sum over n of base^(-n!)
@@ -24,7 +25,7 @@ from .errors import DimensionMismatch, ParseError
 from .quadratic import QuadExact
 
 _QUAD_RE = re.compile(
-    r"^(?:\(\s*(?P<a>-?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*)?"
+    r"^(?:\(\s*(?P<a>-?\d+(?:/\d+)?)\s*)?(?P<sign>(?(a)[+-]|-?))\s*"
     r"(?P<b>\d+(?:/\d+)?)?\s*\*?\s*sqrt\(?(?P<d>\d+)\)?\s*\)?"
     r"(?:\s*/\s*(?P<c>-?\d+))?$"
 )

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .certified import CertifiedReal
-from .diophantine import cf_expand
+from .diophantine import convergent_frequencies
 from .directions import Direction, inner_product
-from .errors import DepthNotCertified, ParseError, PrecisionCapExceeded, RationalRatio
+from .errors import DepthNotCertified, ParseError, PrecisionCapExceeded
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import GOLDEN_RATIO, QuadExact
 from .spectral import TrigPoly, freq_norm_cr, poincare_ratio
@@ -120,35 +120,36 @@ def liouville_family(N: int, base: int = 10,
     })
 
 
+def convergent_waves(a: Direction, ns: range,
+                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[FamilyMember]:
+    """The real waves at k_n = (p_n, -q_n) for n in ns (a range from 1 up),
+    where p_n/q_n is the n-th continued-fraction convergent of the slope
+    beta = a2/a1, oriented so <k_n, alpha> = a1 (p_n - beta q_n) is the small
+    quantity.  They come from one convergent_frequencies walk at j = 0, to
+    depth max(ns) + 1."""
+    if ns.start < 1:
+        raise ValueError("n must be >= 1")
+    walk = list(itertools.islice(convergent_frequencies(a, 0, ns.stop, ctx), ns.stop - 1))
+    if len(walk) < ns.stop - 1:
+        raise DepthNotCertified(f"only {len(walk)} convergents certified, need {ns.stop - 1}")
+    return [FamilyMember(_sine_wave(k), n, "convergent_wave", {
+        "k": k, "convergent": pq, "abs_k": freq_norm_cr(k), "abs_inner": abs(ip)})
+        for n, (pq, k, ip) in zip(ns, walk[ns.start - 1:])]
+
+
 def convergent_wave(a: Direction, n: int,
                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilyMember:
-    """The real wave at k_n = (p_n, -q_n) where p_n/q_n is the n-th
-    continued-fraction convergent of the slope beta = a2/a1, oriented so
-    <k_n, alpha> = a1 (p_n - beta q_n) is the small quantity."""
-    if a.dim != 2:
-        raise ValueError("convergent_wave needs d = 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a.entries[0].sign_soft(ctx) == 0:
-        raise ValueError("a1 must be nonzero")
-    beta = a.entries[1] / a.entries[0]
-    if beta.exact is not None and beta.exact.is_rational:
-        raise RationalRatio("slope a2/a1 is rational")
-    cf = cf_expand(beta, n + 1, ctx)
-    if cf.finite:
-        raise RationalRatio("slope expansion terminated as rational")
-    if cf.certified_depth < n:
-        raise DepthNotCertified(
-            f"only {cf.certified_depth} convergents certified, need {n}")
-    p, q = cf.convergents[n - 1]
-    k = (p, -q)
-    ip = inner_product(k, a)
-    return FamilyMember(_sine_wave(k), n, "convergent_wave", {
-        "k": k,
-        "convergent": (p, q),
-        "abs_k": freq_norm_cr(k),
-        "abs_inner": abs(ip),
-    })
+    """The wave at the n-th convergent of a2/a1; see convergent_waves."""
+    return convergent_waves(a, range(n, n + 1), ctx)[0]
+
+
+# family -> (token tag, its members n in a range against a direction)
+_FAMILIES = {
+    "fibonacci": ("fib", lambda a, ns, ctx: [fibonacci_family(n) for n in ns]),
+    "liouville": ("liouville",
+                  lambda a, ns, ctx, base=10: [liouville_family(N, base, ctx) for N in ns]),
+    "convergent_wave": ("cwave", convergent_waves),
+}
 
 
 def parse_family_token(token: str, a: Optional[Direction] = None,
@@ -156,20 +157,16 @@ def parse_family_token(token: str, a: Optional[Direction] = None,
     """CLI addressing: fib:n | liouville:N[:base] | cwave:n."""
     tag, _, body = token.partition(":")
     tag = tag.strip().lower()
+    family = next((f for f, (t, _) in _FAMILIES.items() if t == tag), None)
+    if family is None:
+        raise ParseError(f"unknown family token {token!r}")
+    if family == "convergent_wave" and a is None:
+        raise ParseError("cwave:n needs a direction")
     try:
-        if tag == "fib":
-            return fibonacci_family(int(body))
-        if tag == "liouville":
-            parts = body.split(":")
-            return liouville_family(int(parts[0]),
-                                    int(parts[1]) if len(parts) > 1 else 10, ctx)
-        if tag == "cwave":
-            if a is None:
-                raise ParseError("cwave:n needs a direction")
-            return convergent_wave(a, int(body), ctx)
+        n, *base = map(int, body.split(":", 1) if family == "liouville" else [body])
+        return _FAMILIES[family][1](a, range(n, n + 1), ctx, *base)[0]
     except ValueError as exc:
         raise ParseError(f"bad family token {token!r}: {exc}") from exc
-    raise ParseError(f"unknown family token {token!r}")
 
 
 @dataclass
@@ -191,17 +188,6 @@ class SharpnessTable:
     annulus_note: str = ""
 
 
-def _member_for(family: str, a: Direction, n: int,
-                ctx: PrecisionContext) -> FamilyMember:
-    if family == "fibonacci":
-        return fibonacci_family(n)
-    if family == "liouville":
-        return liouville_family(n, ctx=ctx)
-    if family == "convergent_wave":
-        return convergent_wave(a, n, ctx)
-    raise ParseError(f"unknown family {family!r}")
-
-
 def sharpness_table(a: Direction, family: str, n_max: int,
                     ctx: PrecisionContext = DEFAULT_CONTEXT) -> SharpnessTable:
     """Weighted-ratio table for one family against one direction, with the
@@ -216,19 +202,13 @@ def sharpness_table(a: Direction, family: str, n_max: int,
     have ratio below 2, so every dyadic scale beyond the first few
     contains a row.
     """
-    if family == "liouville" and n_max > (cap := liouville_cap(ctx=ctx)):
-        raise PrecisionCapExceeded(
-            f"liouville rows run to N={cap} at max_digits={ctx.max_digits}, not {n_max}")
-    rows: list[SharpnessRow] = []
-    for n in range(1, n_max + 1):
-        m = _member_for(family, a, n, ctx)
-        k = m.metadata["k"]
-        abs_k = freq_norm_cr(k)
-        abs_inner = abs(inner_product(k, a))
-        ratio = poincare_ratio(m.poly, a, Fraction(1), Fraction(1))
-        limit = m.metadata.get("expected_limit")
-        rows.append(SharpnessRow(n, k, abs_k, abs_inner, ratio, limit))
-
+    if family not in _FAMILIES:
+        raise ParseError(f"unknown family {family!r}")
+    rows = [SharpnessRow(m.index, m.frequency, freq_norm_cr(m.frequency),
+                         abs(inner_product(m.frequency, a)),
+                         poincare_ratio(m.poly, a, Fraction(1), Fraction(1)),
+                         m.metadata.get("expected_limit"))
+            for m in _FAMILIES[family][1](a, range(1, n_max + 1), ctx)]
     ratios = [Fraction(r.ratio.significant(20, ctx)) for r in rows]
     running = list(itertools.accumulate(ratios, min))
     base = running[max(1, len(running) // 4)]

@@ -250,9 +250,10 @@ def directional_symbol(a: Direction, s_power: int = 0) -> Callable[[FreqVector],
 def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir) -> CertifiedReal:
     """grad^eg * dir^ed / l2^(eg+ed); dimensionless and scale invariant.
     Computed from the raw coefficient sums so the (2*pi)^d factors cancel
-    identically.  The single-exponential infimum of this ratio over the
-    ball |k| <= R is an upper bound for the best constant, not the
-    constant itself; see diophantine.lattice_min."""
+    identically.  By weighted Hoelder it is at least the minimum of
+    |k|^eg |<k,alpha>|^ed over the support, with equality for one frequency,
+    so the best constant is inf_{k != 0} |k|^eg |<k,alpha>|^ed; its minimum
+    over the ball |k| <= R (diophantine.lattice_min) is an upper bound."""
     exp_grad, exp_dir = Fraction(exp_grad), Fraction(exp_dir)
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")

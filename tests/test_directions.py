@@ -9,7 +9,7 @@ from dirp.constants import e_cr, log2_cr, pi_cr
 from dirp.directions import (inner_product, liouville_constant, make_direction,
                              parse_direction, parse_entry)
 from dirp.errors import DimensionMismatch, ParseError
-from dirp.quadratic import GOLDEN_RATIO, SQRT2
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
 
 def mpf_to_frac(v) -> Fraction:
@@ -35,6 +35,16 @@ class TestGrammar:
         assert parse_entry("quad:(1+sqrt5)/2").exact == GOLDEN_RATIO
         assert parse_entry("quad:sqrt2").exact == SQRT2
         assert parse_entry("quad:(3-2*sqrt2)/1").exact.sign() == 1
+
+    @pytest.mark.parametrize("token, value", [
+        ("quad:-sqrt2", -SQRT2),
+        ("quad:-3*sqrt2/2", QuadExact(0, Fraction(-3, 2), 2)),
+        ("quad:(0-sqrt2)", -SQRT2),
+        ("quad:sqrt2/-1", -SQRT2),
+    ])
+    def test_quadratic_negative_b(self, token, value):
+        # a leading minus needs no (a- prefix
+        assert parse_entry(token).exact == value
 
     def test_decimal(self):
         x = parse_entry("dec:1.41421356")
@@ -63,7 +73,7 @@ class TestGrammar:
     @pytest.mark.parametrize("bad", [
         "dir:[1,", "quad:sqrt(-2)", "unknown:3", "dec:abc", "cf:[1,x]",
         "const:gamma", "dir:(1,2)", "3.5x", "rat:abc", "rat:1/0", "liouville:x",
-        "dec:1/2", "dec:1/0",
+        "dec:1/2", "dec:1/0", "quad:--sqrt2", "quad:+sqrt2", "quad:(1 sqrt5)",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):

@@ -134,6 +134,13 @@ class TestConvergentWave:
                           * float(m.metadata["abs_inner"]))
         assert running < 0.2  # strictly below the golden floor 0.85
 
+    def test_is_the_fibonacci_wave_on_golden_direction(self):
+        # k_n = (p_n, -q_n) with p_n/q_n = F_{n+1}/F_n, the n-th convergent of phi
+        for n in range(1, 41):
+            cwave = parse_family_token(f"cwave:{n}", PHI)
+            assert cwave.frequency == parse_family_token(f"fib:{n}").frequency
+            assert dict(cwave.poly.terms) == dict(fibonacci_family(n).poly.terms)
+
     def test_rational_slope_rejected(self):
         with pytest.raises(RationalRatio):
             convergent_wave(make_direction([1, 2]), 3)
@@ -157,6 +164,11 @@ class TestParseToken:
             parse_family_token("cwave:3")  # no direction
         with pytest.raises(ParseError):
             parse_family_token("nope:1")
+        for token in ("fib:7:2", "cwave:3:1", "liouville:2:3:4"):  # no stray fields
+            with pytest.raises(ParseError):
+                parse_family_token(token, PHI)
+        with pytest.raises(ParseError):
+            sharpness_table(PHI, "nope", 3)
 
 
 class TestSharpnessTable:

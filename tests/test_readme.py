@@ -3,11 +3,15 @@ examples run as written."""
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
+from dirp.certified import CertifiedReal
 from dirp.cli import main
+from dirp.constants import e_cr, log2_cr, pi_cr
 from dirp.diffusion import parse_rv
-from dirp.quadratic import QuadExact
+from dirp.directions import liouville_constant, parse_entry
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +47,32 @@ def test_readme_random_variable_examples_parse():
     assert [s.split(":", 1)[0] for s in specs] == ["uniform", "atoms", "mix"]
     for spec in specs:
         parse_rv(spec)  # raises ParseError or ValueError on a spec it rejects
+
+
+def test_readme_direction_grammar_tokens_parse_to_their_values():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| token | meaning |"):].split("\n\n", 1)[0]
+    tokens = [t for row in table.splitlines()[2:]
+              for t in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    expected = {
+        "3": 3,
+        "rat:355/113": Fraction(355, 113),
+        "quad:sqrt2": SQRT2,
+        "quad:(1+sqrt5)/2": GOLDEN_RATIO,
+        "quad:-sqrt2": -SQRT2,
+        "dec:2.71828": (Fraction("2.71827"), Fraction("2.71829")),
+        "cf:[1,2,2,2]": Fraction(17, 12),
+        "liouville:10": liouville_constant(10),
+        "const:e": e_cr(),
+        "const:pi": pi_cr(),
+        "const:log2": log2_cr(),
+    }
+    assert tokens == list(expected)
+    for token, value in expected.items():
+        x = parse_entry(token)
+        if isinstance(value, CertifiedReal):
+            assert x.enclosure(60) == value.enclosure(60), token
+        elif isinstance(value, tuple):
+            assert x.enclosure(60) == value, token
+        else:
+            assert x.exact == value, token

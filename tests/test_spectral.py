@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dirp.certified import CertifiedReal
 from dirp.constants import e_cr
+from dirp.diophantine import delta_from_sigma
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
@@ -440,3 +441,78 @@ class TestLazySums:
         sd = parseval_sums(p, parse_direction("dir:[const:pi, const:pi]"))[2]
         lo, hi = sd.enclosure(80)
         assert lo <= 0 <= hi and hi - lo <= Fraction(1, 10 ** 78)
+
+
+# -- the best constant: the infimum over single frequencies ------------------
+#
+# With w_k = |a_k|^2 / sum |a|^2, weighted Hoelder gives
+# (sum w |k|^2)^(eg/2) (sum w <k,alpha>^2)^(ed/2) >= min_k |k|^eg |<k,alpha>|^ed,
+# with equality for a single frequency (up to its conjugate).  Both sides are
+# raised to an even power t that makes every exponent an integer, so they
+# compare exactly in Q(sqrt D).
+
+EXACT_DIRECTIONS = [PHI, make_direction([SQRT2, 1]), make_direction([1, -SQRT2])]
+EXPONENT_PAIRS = [(Fraction(1), Fraction(1))] + [
+    delta_from_sigma(s) for s in (1, 2, 3, Fraction(3, 2), Fraction(1, 2))]
+dyadics = st.builds(lambda n, e: Fraction(n, 2 ** e), st.integers(-8, 8), st.integers(0, 3))
+dyadic_polys = st.dictionaries(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any),
+    st.tuples(dyadics, dyadics).filter(any), min_size=1, max_size=10,
+).map(lambda terms: TrigPoly(2, terms))
+
+
+def _power(x, n: int) -> QuadExact:
+    out = QuadExact(1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _integer_exponents(eg: Fraction, ed: Fraction) -> tuple[int, int, int]:
+    """(t, eg t/2, ed t/2) for the least even t making both integers."""
+    t = 2 * math.lcm(eg.denominator, ed.denominator)
+    return t, int(eg * t / 2), int(ed * t / 2)
+
+
+def _ratio_to_the_t(p: TrigPoly, a, g: int, e: int) -> QuadExact:
+    """poincare_ratio(p, a, eg, ed)^t from the coefficients, exactly."""
+    s0 = sg = sd = QuadExact(0)
+    for k, (re, im) in p.terms.items():
+        w = re * re + im * im
+        ip = inner_product(k, a).exact
+        s0, sg, sd = s0 + w, sg + w * freq_norm_sq(k), sd + w * ip * ip
+    return _power(sg, g) * _power(sd, e) / _power(s0, g + e)
+
+
+def _single_to_the_t(k, a, g: int, e: int) -> QuadExact:
+    """(|k|^eg |<k,alpha>|^ed)^t = (|k|^2)^g (<k,alpha>^2)^e."""
+    ip = inner_product(k, a).exact
+    return _power(QuadExact(freq_norm_sq(k)), g) * _power(ip * ip, e)
+
+
+def _assert_ratio_encloses(p, a, eg, ed, value_t):
+    t = _integer_exponents(eg, ed)[0]
+    lo, hi = poincare_ratio(p, a, eg, ed).enclosure(60)
+    assert 0 <= lo and QuadExact(lo ** t) <= value_t <= QuadExact(hi ** t)
+
+
+class TestBestConstant:
+    @given(p=dyadic_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_ratio_is_at_least_the_best_frequency_of_its_support(self, p):
+        for a in EXACT_DIRECTIONS:
+            for eg, ed in EXPONENT_PAIRS:
+                _, g, e = _integer_exponents(eg, ed)
+                ratio_t = _ratio_to_the_t(p, a, g, e)
+                assert min(_single_to_the_t(k, a, g, e) for k in p.terms) <= ratio_t
+                _assert_ratio_encloses(p, a, eg, ed, ratio_t)
+
+    @pytest.mark.parametrize("a", EXACT_DIRECTIONS, ids=["(1,phi)", "(sqrt2,1)", "(1,-sqrt2)"])
+    @pytest.mark.parametrize("k", [(1, 0), (3, -5), (-7, 12), (89, -55)])
+    def test_a_single_sine_wave_attains_it(self, a, k):
+        p = TrigPoly(2, {k: (0, Fraction(-1, 2)), tuple(-c for c in k): (0, Fraction(1, 2))})
+        for eg, ed in EXPONENT_PAIRS:
+            _, g, e = _integer_exponents(eg, ed)
+            single_t = _single_to_the_t(k, a, g, e)
+            assert _ratio_to_the_t(p, a, g, e) == single_t
+            _assert_ratio_encloses(p, a, eg, ed, single_t)
