@@ -173,6 +173,8 @@ def _cmd_ratio(args, settings, ctx) -> int:
 
 def _cmd_lattice(args, settings, ctx) -> int:
     digits = settings["digits"]
+    if args.system and args.direction is not None:
+        raise ParseError("lattice takes --direction or --system, not both")
     if args.system:
         forms = tuple(parse_direction(s.strip())
                       for s in args.system.split(";") if s.strip())
@@ -187,8 +189,10 @@ def _cmd_lattice(args, settings, ctx) -> int:
 
 
 def _cmd_cf(args, settings, ctx) -> int:
-    value = parse_direction(args.spec).entries[0]
-    cf = cf_expand(value, args.depth, ctx)
+    spec = parse_direction(args.spec)
+    if spec.dim != 1:
+        raise ParseError(f"cf takes one number, got {spec.dim} entries")
+    cf = cf_expand(spec.entries[0], args.depth, ctx)
     result = {**dataclasses.asdict(cf), "convergents": cf.convergents}
     if args.bound is not None:
         rep = bounded_quotient_report(cf, args.bound)

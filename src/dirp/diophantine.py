@@ -30,7 +30,7 @@ from .errors import (
 )
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import QuadExact
-from .spectral import freq_norm_cr
+from .spectral import freq_norm_cr, freq_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,19 @@ def bounded_quotient_report(cf: CFExpansion, bound_window: int) -> BoundedQuotie
 # lattice minima
 # ---------------------------------------------------------------------------
 
+def _search_json(res, digits: int) -> dict:
+    """The fields LatticeSearchResult and SystemLatticeResult share."""
+    return {
+        "radius": res.radius,
+        "weight_exponent": str(res.weight_exponent),
+        "minimum": res.minimum.to_json(digits),
+        "argmin": list(res.argmin),
+        "digits_used": res.digits_used,
+        "exact_zero_witness": list(res.exact_zero_witness) if res.exact_zero_witness else None,
+        "enumerated": res.enumerated,
+    }
+
+
 @dataclass
 class LatticeSearchResult:
     direction: str
@@ -233,18 +246,8 @@ class LatticeSearchResult:
     enumerated: int
 
     def to_json(self, digits: int = DEFAULT_CONTEXT.working_digits) -> dict:
-        return {
-            "direction": self.direction,
-            "radius": self.radius,
-            "weight_exponent": str(self.weight_exponent),
-            "norm": self.norm_used,
-            "minimum": self.minimum.to_json(digits),
-            "argmin": list(self.argmin),
-            "digits_used": self.digits_used,
-            "exact_zero_witness": (list(self.exact_zero_witness)
-                                   if self.exact_zero_witness else None),
-            "enumerated": self.enumerated,
-        }
+        return {"direction": self.direction, "norm": self.norm_used,
+                **_search_json(self, digits)}
 
 
 _BLOCK = 1 << 20  # frequencies per numpy block
@@ -361,17 +364,6 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
     return K, normsq, lo, hi, enumerated
 
 
-def _weight_cr(k: Sequence[int], sigma: Fraction, norm: str) -> CertifiedReal:
-    """|k|^sigma; a negative sigma raises 1/|k| to the power -sigma."""
-    if norm == "euclidean":
-        base, expo = sum(c * c for c in k), sigma / 2
-    else:
-        base, expo = max(abs(c) for c in k), sigma
-    if expo < 0:
-        base, expo = Fraction(1, base), -expo
-    return CertifiedReal.from_rational(base).pow_frac(expo)
-
-
 def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
                      norm: str, ctx: PrecisionContext) -> Optional[CertifiedReal]:
     """|k|^sigma * |<k,alpha>|, or None when the inner product is certified
@@ -379,7 +371,7 @@ def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
     ip = inner_product(k, a)
     if ip.sign(ctx) == 0:
         return None
-    return abs(ip) * _weight_cr(k, sigma, norm)
+    return abs(ip) * freq_norm_cr(k, sigma, norm)
 
 
 def _running_min(rows: Iterable[np.ndarray],
@@ -463,7 +455,7 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
     records = _running_min(K[order[lo[order] <= prev_hi]],
                            lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)
-    return [(sum(c * c for c in k), k, value) for k, value in records]
+    return [(freq_norm_sq(k), k, value) for k, value in records]
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +521,7 @@ class SystemLatticeResult:
     def to_json(self, digits: int = DEFAULT_CONTEXT.working_digits) -> dict:
         return {
             "system": self.system,
-            "radius": self.radius,
-            "weight_exponent": str(self.weight_exponent),
-            "minimum": self.minimum.to_json(digits),
-            "argmin": list(self.argmin),
-            "digits_used": self.digits_used,
-            "exact_zero_witness": (list(self.exact_zero_witness)
-                                   if self.exact_zero_witness else None),
-            "enumerated": self.enumerated,
+            **_search_json(self, digits),
             "dirichlet_envelope_ok": self.dirichlet_envelope_ok,
             "improved_variant": {
                 "exponent": str(self.improved_exponent),
@@ -595,7 +580,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
             for v in parts[1:]:
                 if (v.compare(m, ctx) or 0) > 0:
                     m = v
-            return None if zero_all else m * _weight_cr(x, exponent, "max")
+            return None if zero_all else m * freq_norm_cr(x, exponent, "max")
 
         return _running_min(X[order[lo[order] <= cuts[variant]]], certify, ctx)[-1]
 

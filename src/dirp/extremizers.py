@@ -109,15 +109,7 @@ def liouville_family(N: int, base: int = 10,
         factorials.append(f)
     top = factorials[-1]
     k = (sum(base ** (top - fi) for fi in factorials), -base ** top)
-    # two certified-tail digits of the expected directional collapse
-    tail_exp = math.factorial(N + 1) - top
-    return FamilyMember(_sine_wave(k), N, "liouville", {
-        "k": k,
-        "base": base,
-        "l2_norm_sq_over_pi_sq": Fraction(2),   # ||f_N||^2 = 2*pi^2 exactly
-        "grad_bound": 6 * base ** top,           # ||grad f_N|| <= 6 b^{N!}
-        "directional_ratio_leading": Fraction(1, base ** tail_exp),
-    })
+    return FamilyMember(_sine_wave(k), N, "liouville", {"k": k})
 
 
 def convergent_waves(a: Direction, ns: range,

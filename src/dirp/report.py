@@ -22,7 +22,7 @@ from .diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
                         scaling_fit, taylor_limit_check)
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
                           lattice_min_profile, markov_bounds)
-from .directions import make_direction
+from .directions import inner_product, make_direction
 from .extremizers import fibonacci_family, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
@@ -177,7 +177,7 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
     records = lattice_min_profile(_PHI, 363, 1, ctx=ctx)
     rec = []
     for ns, k, _ in records:
-        ip = QuadExact(k[0]) + GOLDEN_RATIO * k[1]
+        ip = inner_product(k, _PHI).exact
         rec.append((ns, ip * ip * ns))    # (shell, lattice-min value squared)
     half_fail = 0
     chain_fail = 0

@@ -31,9 +31,18 @@ def freq_norm_sq(k: Sequence[int]) -> int:
     return sum(int(c) * int(c) for c in k)
 
 
-def freq_norm_cr(k: Sequence[int]) -> CertifiedReal:
-    """Euclidean |k| as an exact quadratic value sqrt(k.k)."""
-    return CertifiedReal.from_rational(freq_norm_sq(k)).sqrt()
+def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> CertifiedReal:
+    """|k|^sigma in the euclidean or max norm (a negative sigma raises 1/|k|
+    to -sigma); the default, euclidean |k|, is the exact value sqrt(k.k)."""
+    if norm == "euclidean":
+        base, expo = freq_norm_sq(k), Fraction(sigma, 2)
+    elif norm == "max":
+        base, expo = max(abs(c) for c in k), Fraction(sigma)
+    else:
+        raise ValueError("norm must be euclidean or max")
+    if expo < 0:
+        base, expo = Fraction(1, base), -expo
+    return CertifiedReal.from_rational(base).pow_frac(expo)
 
 
 def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
@@ -62,7 +71,8 @@ class TrigPoly:
     """Finite map from integer frequency vectors to exact Gaussian-rational
     coefficients (re, im), both Fractions; zero terms are not stored.
     `terms` is read-only, and `masses` holds its IntegerMasses: A_k =
-    (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators.
+    (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators;
+    `mass_totals` holds the integers sum A_k and sum A_k |k|^2.
 
     The zero frequency is rejected unless drop_mean=True, in which case
     it is stripped (the polynomial is mean zero by construction).
@@ -93,6 +103,8 @@ class TrigPoly:
             (k, (re.numerator * (L // re.denominator)) ** 2
                 + (im.numerator * (L // im.denominator)) ** 2)
             for k, (re, im) in store.items()))
+        self.mass_totals = (sum(A for _, A in self.masses[1]),
+                            sum(A * freq_norm_sq(k) for k, A in self.masses[1]))
 
     def __len__(self):
         return len(self.terms)
@@ -188,10 +200,9 @@ def parseval_sums(f: TrigPoly, a: Direction | None = None
     """(s0, sg, sd): sum |a_k|^2, sum |a_k|^2 |k|^2 and, when a direction is
     given, sum |a_k|^2 <k,alpha>^2 (else None).  s0 and sg are exact, and
     so is sd wherever the direction allows it."""
-    scale, terms = f.masses
-    return (CertifiedReal.from_rational(Fraction(sum(A for _, A in terms), scale)),
-            CertifiedReal.from_rational(
-                Fraction(sum(A * freq_norm_sq(k) for k, A in terms), scale)),
+    (S0, SG), scale = f.mass_totals, f.masses[0]
+    return (CertifiedReal.from_rational(Fraction(S0, scale)),
+            CertifiedReal.from_rational(Fraction(SG, scale)),
             None if a is None else _sd(f, a))
 
 
@@ -237,11 +248,11 @@ def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object]) -> Cert
 def directional_symbol(a: Direction, s_power: int = 0) -> Callable[[FreqVector], CertifiedReal]:
     """Symbol k -> <k,alpha> * |k|^s_power (s_power = d-1 gives the
     substantial-fluctuation variant of the directional derivative)."""
+    if s_power < 0:
+        raise ValueError("s_power must be >= 0")
     def symbol(k):
         ip = inner_product(k, a)
-        if s_power == 0:
-            return ip
-        return ip * CertifiedReal.from_rational(freq_norm_sq(k)).pow_frac(Fraction(s_power, 2))
+        return ip if s_power == 0 else ip * freq_norm_cr(k, s_power)
     return symbol
 
 
@@ -289,10 +300,8 @@ def half_mass_cutoff(f: TrigPoly) -> tuple[CertifiedReal, CertifiedReal]:
     """radius = 2*grad/l2 and the coefficient-mass fraction at |k| >= radius.
     The tail fraction is <= 1/2 for every nonzero polynomial."""
     _require_nonzero(f)
-    weighted = [(freq_norm_sq(k), A) for k, A in f.masses[1]]
-    S0 = sum(A for _, A in weighted)
-    SG = sum(n2 * A for n2, A in weighted)
+    S0, SG = f.mass_totals
     radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2
     # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
-    tail = sum(A for n2, A in weighted if n2 * S0 >= 4 * SG)
+    tail = sum(A for k, A in f.masses[1] if freq_norm_sq(k) * S0 >= 4 * SG)
     return radius, CertifiedReal.from_rational(Fraction(tail, S0))

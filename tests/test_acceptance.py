@@ -23,7 +23,24 @@ REPORT_SHA256 = "46638ff74c1bdaaba2b1a7bbf48a0c1dd37d225f97197f48d922de23d7101b8
 
 
 @pytest.fixture(scope="module")
-def report():
+def fresh_process():
+    """The report built in a new interpreter under another hash seed.  It is
+    started before the in-process build of `report`, so the two overlap."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import hashlib; from dirp.report import build_report, report_to_bytes; "
+            f"print(hashlib.sha256(report_to_bytes(build_report({DEFAULT_REPORT_SEED})))"
+            ".hexdigest())")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    yield proc
+    proc.kill()
+    proc.communicate()
+
+
+@pytest.fixture(scope="module")
+def report(fresh_process):
     return build_report(seed=DEFAULT_REPORT_SEED)
 
 
@@ -140,14 +157,8 @@ def test_criterion_14_byte_identical_reports(report):
     assert r["pass"]
 
 
-def test_report_bytes_are_golden_in_a_fresh_process():
+def test_report_bytes_are_golden_in_a_fresh_process(fresh_process):
     # a different hash seed in a new interpreter must give the same artifact
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONHASHSEED="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import hashlib; from dirp.report import build_report, report_to_bytes; "
-            f"print(hashlib.sha256(report_to_bytes(build_report({DEFAULT_REPORT_SEED})))"
-            ".hexdigest())")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=600)
-    assert out.stdout.strip() == REPORT_SHA256
+    stdout, stderr = fresh_process.communicate(timeout=600)
+    assert fresh_process.returncode == 0, stderr
+    assert stdout.strip() == REPORT_SHA256

@@ -105,12 +105,25 @@ class TestLattice:
         assert code == 2 and out == ""
         assert err == "error: lattice needs --direction or --system\n"
 
+    def test_direction_and_system_together_are_refused(self, capsys):
+        # otherwise one of the two would be dropped without a word
+        code, out, err = run(capsys, "lattice", "--direction", "dir:[1, quad:sqrt2]",
+                             "--system", "dir:[quad:sqrt2]", "--radius", "10")
+        assert code == 2 and out == ""
+        assert err == "error: lattice takes --direction or --system, not both\n"
+
 
 class TestCf:
     def test_rational(self, capsys):
         doc = run_json(capsys, "cf", "rat:355/113", "--depth", "10")
         assert doc["result"]["quotients"] == [3, 7, 16]
         assert doc["result"]["finite"] is True
+
+    def test_more_than_one_entry_is_refused(self, capsys):
+        # otherwise every entry after the first would be dropped without a word
+        code, out, err = run(capsys, "cf", "dir:[2, quad:sqrt2]")
+        assert code == 2 and out == ""
+        assert err == "error: cf takes one number, got 2 entries\n"
 
     def test_bound_report(self, capsys):
         doc = run_json(capsys, "cf", "const:e", "--depth", "25", "--bound", "10")

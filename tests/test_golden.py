@@ -14,6 +14,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -95,13 +96,19 @@ def _run(argv, hashseed):
     return hashlib.sha256(out.stdout).hexdigest()
 
 
+def _run_both(argv):
+    """_run under hash seeds 0 and 1, the two processes side by side."""
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(lambda seed: _run(argv, seed), (0, 1)))
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_lattice_output_is_golden_across_processes(name):
     args, digest = GOLDEN[name]
-    assert [_run(["lattice", *args], seed) for seed in (0, 1)] == [digest, digest]
+    assert _run_both(["lattice", *args]) == [digest, digest]
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_subcommand_output_is_golden_across_processes(name):
     argv, digest = SUBCOMMANDS[name]
-    assert [_run(argv, seed) for seed in (0, 1)] == [digest, digest]
+    assert _run_both(argv) == [digest, digest]

@@ -19,7 +19,7 @@ from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 from dirp.spectral import (TrigPoly, _quadratic_field, _raw_sum, directional_norm, directional_symbol,
-                           freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
+                           freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
 
@@ -155,7 +155,6 @@ class TestMultiplier:
         assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
 
     def test_freq_norm_symbol_is_gradient(self):
-        from dirp.spectral import freq_norm_cr
         p = TrigPoly(2, {(2, 1): (1, 2), (5, -3): 1})
         diff = multiplier_norm(p, freq_norm_cr) - grad_norm(p)
         lo, hi = diff.enclosure(60)
@@ -516,3 +515,92 @@ class TestBestConstant:
             single_t = _single_to_the_t(k, a, g, e)
             assert _ratio_to_the_t(p, a, g, e) == single_t
             _assert_ratio_encloses(p, a, eg, ed, single_t)
+
+
+# -- one |k|^sigma and stored Parseval totals ----------------------------------
+
+SIGMAS = [Fraction(s) for s in ("-3/2", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2", "7/3")]
+
+
+def _weight_oracle(k, sigma: Fraction, norm: str) -> CertifiedReal:
+    """The lattice search's former private |k|^sigma, kept as written."""
+    if norm == "euclidean":
+        base, expo = sum(c * c for c in k), sigma / 2
+    else:
+        base, expo = max(abs(c) for c in k), sigma
+    if expo < 0:
+        base, expo = Fraction(1, base), -expo
+    return CertifiedReal.from_rational(base).pow_frac(expo)
+
+
+def _seeded_frequencies(dim: int, count: int = 6) -> list[tuple[int, ...]]:
+    rng = random.Random(100 + dim)
+    out = [(1,) * dim]
+    while len(out) < count:
+        k = tuple(rng.randint(-30, 30) for _ in range(dim))
+        if any(k):
+            out.append(k)
+    return out
+
+
+def _same_value(x: CertifiedReal, y: CertifiedReal) -> bool:
+    if (x.exact is None) != (y.exact is None):
+        return False
+    if x.exact is not None and _state(x) != _state(y):
+        return False
+    return x.enclosure(80) == y.enclosure(80)
+
+
+class TestFreqNorm:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    def test_matches_the_former_weight(self, dim, norm):
+        for k in _seeded_frequencies(dim):
+            for sigma in SIGMAS:
+                assert _same_value(freq_norm_cr(k, sigma, norm), _weight_oracle(k, sigma, norm)), \
+                    (k, sigma, norm)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_default_is_the_exact_euclidean_norm(self, dim):
+        for k in _seeded_frequencies(dim):
+            assert _same_value(freq_norm_cr(k),
+                               CertifiedReal.from_rational(freq_norm_sq(k)).sqrt())
+
+    def test_other_norms_are_rejected(self):
+        with pytest.raises(ValueError):
+            freq_norm_cr((1, 2), 1, "taxicab")
+
+    @pytest.mark.parametrize("spec", ["dir:[1, quad:(1+sqrt5)/2]", "dir:[1, const:e]"])
+    @pytest.mark.parametrize("s_power", [0, 1, 2, 3])
+    def test_directional_symbol_matches_the_inline_weight(self, spec, s_power):
+        a = parse_direction(spec)
+        sym = directional_symbol(a, s_power)
+        for k in _seeded_frequencies(2):
+            ip = inner_product(k, a)
+            want = ip if s_power == 0 else ip * CertifiedReal.from_rational(
+                freq_norm_sq(k)).pow_frac(Fraction(s_power, 2))
+            assert _same_value(sym(k), want), (k, s_power)
+
+    def test_directional_symbol_rejects_a_negative_power(self):
+        with pytest.raises(ValueError):
+            directional_symbol(PHI, -1)((3, -5))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stored_totals_match_the_oracles(self, dim):
+        rng = random.Random(40 + dim)
+        a = make_direction([1, SQRT2, QuadExact(0, 3, 8)][:dim])
+        for _ in range(10):
+            terms = _dyadic_terms(rng, dim=dim, radius=20)
+            p = TrigPoly(dim, terms)
+            mass = {k: re * re + im * im for k, (re, im) in terms.items()}
+            s0 = sum(mass.values())
+            sg = sum(m * freq_norm_sq(k) for k, m in mass.items())
+            assert Fraction(p.mass_totals[0], p.masses[0]) == s0
+            assert Fraction(p.mass_totals[1], p.masses[0]) == sg
+            for x, y in zip(parseval_sums(p, a), _general_sums(p, a)):
+                assert _state(x) == _state(y)
+            radius, tail = half_mass_cutoff(p)
+            oracle = sum((m for k, m in mass.items() if freq_norm_sq(k) >= 4 * sg / s0),
+                         Fraction(0)) / s0
+            assert tail.exact.as_fraction() == oracle
+            assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
