@@ -15,9 +15,9 @@ __version__ = "1.0.0"
 from .certified import CertifiedReal
 from .diffusion import (ContractionEstimate, GridFunction, GridMeasure, RVSpec,
                         apply_markov, cesaro_average, contraction_factor,
-                        contraction_lemma_check, convolution_power, convolve,
-                        density_floor_check, measure_from_rv, parse_rv,
-                        scaling_fit, taylor_limit_check)
+                        convolution_power, convolve, density_floor_check,
+                        measure_from_rv, parse_rv, scaling_fit,
+                        taylor_limit_check)
 from .diophantine import (CFExpansion, LatticeSearchResult, LinearFormSystem,
                           bounded_quotient_report, cf_expand, delta_from_sigma,
                           hurwitz_witnesses, lattice_min, lattice_min_profile,

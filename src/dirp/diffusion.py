@@ -12,6 +12,7 @@ witness families and are labeled as such.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .directions import split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 _DIRECT_CONV_MAX = 4096   # direct sums, running Cesaro loops up to here; FFT, powering above
+_ONE_THREAD_CONV_MAX = 2048  # direct steps on one thread up to here, two above
 _MASS_TOL = 1e-12
 DEFAULT_SEED = 1234
 
@@ -137,9 +139,12 @@ class GridMeasure:
             raise GridMismatch("weight vector length != M")
         if self.weights.min() < -1e-13:
             raise ValueError("negative cell mass")
+        # absorbs FFT rounding: an FFT convolution of nonnegative masses
+        # comes out as low as -7e-18 where the exact mass is 0
         self.weights = np.maximum(self.weights, 0.0)
-        if abs(float(self.weights.sum()) - 1.0) > _MASS_TOL:
-            self.weights = self.weights / self.weights.sum()
+        total = float(self.weights.sum())
+        if abs(total - 1.0) > _MASS_TOL:
+            raise ValueError(f"cell masses sum to {total!r}, not 1")
 
     @classmethod
     def delta(cls, M: int, cell: int = 0) -> "GridMeasure":
@@ -243,20 +248,44 @@ def _convolver(b: np.ndarray):
     float64 summation up to _DIRECT_CONV_MAX cells, FFT above.  Direct is
     np.correlate([b[1:], b], a[::-1]), as np.convolve computes it, with a[::-1]
     in one 64-byte-aligned buffer per kernel, where each BLAS dot runs ~25%
-    faster: the same dots of the same values, so speed moves, bytes never."""
-    if len(b) <= _DIRECT_CONV_MAX:
+    faster.  Above _ONE_THREAD_CONV_MAX cells the outputs [M//2, M) go to a worker
+    thread while the caller computes [0, M//2): numpy releases the GIL in
+    np.correlate, and each output is the same dot over the same addresses as
+    in one call.  So speed moves, bytes never."""
+    M = len(b)
+    if M <= _DIRECT_CONV_MAX:
         # the M outputs of the full product with [b, b] at M..2M-1, nothing else
         doubled = np.concatenate([b[1:], b])
-        raw = np.empty(len(b) + 7)
-        rev = raw[-raw.ctypes.data % 64 // 8:][:len(b)]
+        raw = np.empty(M + 7)
+        rev = raw[-raw.ctypes.data % 64 // 8:][:M]
+        h = M // 2
+        lower, upper = doubled[:h + M - 1], doubled[h:]
         def direct(a):
             rev[:] = a[::-1]
-            return np.correlate(doubled, rev, "valid")
+            if M <= _ONE_THREAD_CONV_MAX:
+                return np.correlate(doubled, rev, "valid")
+            top = _worker().submit(np.correlate, upper, rev, "valid")
+            return np.concatenate([np.correlate(lower, rev, "valid"), top.result()])
         return direct
     bhat = np.fft.fft(b)
     # fft(a) * bhat in this order: with FMA a complex product need not be
     # bitwise commutative
     return lambda a: np.real(np.fft.ifft(np.fft.fft(a) * bhat))
+
+
+_pool = None    # (pid, executor): the worker thread of split direct steps
+
+
+def _worker():
+    """This process's one-thread executor, made on first use: importing dirp
+    starts no thread, and a forked child, where the parent's thread does not
+    run, makes its own.  Two threads racing here at most make one executor
+    each, and each gets its result back from its own future."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="dirp-conv"))
+    return _pool[1]
 
 
 def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,7 +330,8 @@ def apply_markov(f: GridFunction, mu: GridMeasure) -> GridFunction:
 
 def cesaro_average(mu: GridMeasure, n: int) -> GridMeasure:
     """(1/n) * sum_{k=1..n} mu^k.  Up to _DIRECT_CONV_MAX cells a running loop
-    of n - 1 direct convolutions, whose bytes the report pins; above it the
+    of n - 1 direct convolutions, whose bytes the report pins (each split over
+    two threads above _ONE_THREAD_CONV_MAX cells, as _convolver does); above it the
     n-th power of (S_1, P_1) = (mu, mu) under (S_a, P_a)(S_b, P_b) =
     (S_a + P_a * S_b, P_a * P_b), at most 4 log2(n) FFT convolutions."""
     if n < 1:
@@ -451,7 +481,7 @@ def scaling_fit(Y: RVSpec, p, t_grid: Sequence, M: int,
 
 
 # ---------------------------------------------------------------------------
-# density floors and lemma checks
+# density floors
 # ---------------------------------------------------------------------------
 
 def density_floor_check(Y: RVSpec, t, C, M: int) -> tuple[int, float]:
@@ -472,34 +502,6 @@ def density_floor_check(Y: RVSpec, t, C, M: int) -> tuple[int, float]:
     mu = measure_from_rv(Y, t, M)
     ces = cesaro_average(mu, n)
     return n, ces.density_floor()
-
-
-@dataclass
-class LemmaReport:
-    c: float
-    trials: int
-    worst_margin: float
-    holds: bool
-    seed: int
-
-
-def contraction_lemma_check(mu: GridMeasure, trials: int,
-                            seed: int = DEFAULT_SEED) -> LemmaReport:
-    """Pointwise-density contraction: with c = M * min cell mass (capped
-    at 1), verify ||f * mu||_p <= (1 - c) ||f||_p + 1e-9 for random
-    mean-zero f and p in {1, 2, inf}."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    c = min(1.0, mu.density_floor())
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(trials):
-        f = GridFunction.random_mean_zero(mu.M, rng)
-        g = apply_markov(f, mu)
-        for p in (1, 2, math.inf):
-            margin = g.lp_norm(p) - (1 - c) * f.lp_norm(p)
-            worst = max(worst, margin)
-    return LemmaReport(c, trials, worst, worst <= 1e-9, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -144,21 +144,58 @@ def criterion_4(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     }
 
 
-def _random_poly(rng: np.random.Generator) -> TrigPoly:
+class _Integers:
+    """draw(lo, hi) is default_rng(seed).integers(lo, hi) of numpy 2.x for
+    1 <= hi - lo < 2**32, the same stream at a fraction of the cost per call.
+    numpy draws from 32-bit words, which PCG64 hands out low half first from
+    each raw 64-bit output, by Lemire's method (ACM TOMACS 29(1), 2019); a
+    range of one value draws nothing.  NEP 19 pins PCG64's raw words, not
+    this algorithm, which tests/test_report_stream.py pins."""
+
+    _BLOCK = 512    # raw words read at a time
+
+    def __init__(self, seed: int):
+        self._words = self._uint32s(np.random.PCG64(seed))
+
+    @classmethod
+    def _uint32s(cls, bits: np.random.PCG64):
+        while True:
+            raw = bits.random_raw(cls._BLOCK)
+            yield from np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
+
+    def __call__(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 1 < n < 1 << 32:
+            if n == 1:
+                return lo
+            raise ValueError(f"range size {n} is outside [1, 2**32)")
+        m = next(self._words) * n
+        if m & 0xFFFFFFFF < n:     # n bounds the rejection threshold
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next(self._words) * n
+        return lo + (m >> 32)
+
+
+# every coefficient _random_poly can draw: num / 2**e, at [e][num + 8]
+_COEFFS = [[Fraction(num, 2 ** e) for num in range(-8, 9)] for e in range(4)]
+
+
+def _random_poly(draw: _Integers) -> TrigPoly:
     """<= 100 terms, d = 2, |k| <= 128 (euclidean), dyadic rational coeffs;
     every term kept is nonzero, so the polynomial is never zero."""
-    n_terms = int(rng.integers(1, 101))
+    n_terms = draw(1, 101)
     terms = {}
     while len(terms) < n_terms:
-        k = tuple(int(c) for c in rng.integers(-128, 129, size=2))
+        k = (draw(-128, 129), draw(-128, 129))
         if k == (0, 0) or k[0] * k[0] + k[1] * k[1] > 128 * 128:
             continue
-        num_re = int(rng.integers(-8, 9))
-        num_im = int(rng.integers(-8, 9))
-        den = 2 ** int(rng.integers(0, 4))
+        num_re = draw(-8, 9)
+        num_im = draw(-8, 9)
+        coeffs = _COEFFS[draw(0, 4)]
         if num_re == 0 and num_im == 0:
             continue
-        terms[k] = (Fraction(num_re, den), Fraction(num_im, den))
+        terms[k] = (coeffs[num_re + 8], coeffs[num_im + 8])
     return TrigPoly(2, terms)
 
 
@@ -172,7 +209,7 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
     rational, and the chain is compared after squaring inside Q(sqrt5).
     """
     samples = 1000
-    rng = np.random.default_rng(seed)
+    draw = _Integers(seed)
     # running-minimum records cover every cutoff radius R_f <= 2*128*sqrt2
     records = lattice_min_profile(_PHI, 363, 1, ctx=ctx)
     rec = []
@@ -182,7 +219,7 @@ def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
     half_fail = 0
     chain_fail = 0
     for _ in range(samples):
-        p = _random_poly(rng)
+        p = _random_poly(draw)
         s0, sg, sd = (x.exact for x in parseval_sums(p, _PHI))
         s0, sg = s0.as_fraction(), sg.as_fraction()
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2

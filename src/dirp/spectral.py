@@ -51,6 +51,8 @@ def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
     else:
         re, im = value, 0
     def conv(x):
+        if type(x) is Fraction:     # immutable: no copy needed
+            return x
         if isinstance(x, (float, CertifiedReal)):
             raise TypeError(f"{type(x).__name__} coefficients are rejected; "
                             "pass int, Fraction or a decimal or p/q str")

@@ -1,6 +1,9 @@
 """Grid diffusion model: discretization, convolution, contraction."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,15 +16,25 @@ from dirp import diffusion
 from dirp.diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec,
                             _convolver, _cyclic_conv, _witness_functions,
                             apply_markov, cesaro_average, contraction_factor,
-                            contraction_lemma_check, convolution_power,
-                            convolve, density_floor_check, measure_from_rv,
-                            parse_rv, scaling_fit, taylor_limit_check)
+                            convolution_power, convolve, density_floor_check,
+                            measure_from_rv, parse_rv, scaling_fit,
+                            taylor_limit_check)
 from dirp.errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 DRIFT = RVSpec.uniform(0, Fraction(1, 2))
 SYM = RVSpec.uniform(Fraction(-1, 2), Fraction(1, 2))
 MIX = parse_rv("mix:[(1/2,uniform;-1/4;1/4),(1/2,atoms;[(1/3,1)])]")
 FIT_T_GRID = [Fraction(1, n) for n in (10, 20, 50, 100, 200)]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python_exit_code(code: str, timeout: float) -> int:
+    """Exit code of `python -c code` in a fresh process that imports this dirp."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout).returncode
 
 
 def _cyclic_conv_direct(a, b):
@@ -155,6 +168,27 @@ def _turn_unit_masses(Y: RVSpec, t, M: int) -> np.ndarray:
         if frac:
             mass[(j + 1) % M] += m * frac
     return GridMeasure(M, np.array([float(v) for v in mass])).weights
+
+
+class TestGridMeasure:
+    def test_mass_off_one_raises(self):
+        # no silent renormalization: a vector off by more than _MASS_TOL is a bug
+        with pytest.raises(ValueError, match="sum to"):
+            GridMeasure(4, [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="sum to"):
+            GridMeasure(4, [0.25, 0.25, 0.25, 0.25 - 1e-9])
+
+    def test_mass_within_tolerance_is_kept_as_given(self):
+        w = np.array([0.25, 0.25, 0.25, 0.25 + 1e-13])
+        assert GridMeasure(4, w).weights.tobytes() == w.tobytes()
+
+    def test_fft_rounding_is_clamped_to_zero(self):
+        w = np.array([0.5, -7e-18, 0.5, 0.0])
+        assert GridMeasure(4, w).weights.tolist() == [0.5, 0.0, 0.5, 0.0]
+
+    def test_negative_mass_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            GridMeasure(4, [0.5, -1e-12, 0.5, 1e-12])
 
 
 class TestRVSpec:
@@ -298,6 +332,60 @@ class TestConvolution:
         second = step(rng.random(256))
         assert first.tobytes() == kept.tobytes()
         assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("M", [2049, 4095, 4096])
+    def test_split_kernel_bytes_equal_one_call(self, M):
+        # above _ONE_THREAD_CONV_MAX the two output halves run on two threads;
+        # each output is the same dot as in one np.correlate call
+        assert diffusion._ONE_THREAD_CONV_MAX < M <= diffusion._DIRECT_CONV_MAX
+        rng = np.random.default_rng(M)
+        b = rng.random(M)
+        doubled = np.concatenate([b[1:], b])
+        step = _convolver(b)
+        for _ in range(3):
+            a = rng.random(M)
+            assert (step(a).tobytes()
+                    == np.correlate(doubled, a[::-1].copy(), "valid").tobytes())
+
+    def test_split_kernels_used_alternately_do_not_alias(self):
+        rng = np.random.default_rng(4)
+        M = 4096
+        bs = [rng.random(M), rng.random(M)]
+        steps = [_convolver(b) for b in bs]
+        outs = []
+        for i in range(4):
+            a = rng.random(M)
+            out = steps[i % 2](a)
+            doubled = np.concatenate([bs[i % 2][1:], bs[i % 2]])
+            assert out.tobytes() == np.correlate(doubled, a[::-1].copy(), "valid").tobytes()
+            outs.append((out, out.copy()))
+        for out, kept in outs:
+            assert out.tobytes() == kept.tobytes()
+        for i, (first, _) in enumerate(outs):
+            assert not any(np.shares_memory(first, later) for later, _ in outs[i + 1:])
+
+    def test_split_kernel_in_a_forked_child(self):
+        # the child cannot use the parent's worker thread; it makes its own,
+        # and both processes exit without waiting on a stale thread
+        script = """if True:
+            import os, numpy as np
+            from dirp.diffusion import _convolver
+            rng = np.random.default_rng(1)
+            b, a = rng.random(4096), rng.random(4096)
+            step = _convolver(b)
+            want = step(a).tobytes()
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if step(a).tobytes() == want else 3)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert step(a).tobytes() == want
+        """
+        assert _python_exit_code(script, timeout=120) == 0
+
+    def test_criterion_13_process_exits(self):
+        code = "from dirp.report import criterion_13; criterion_13()"
+        assert _python_exit_code(code, timeout=300) == 0
 
     def test_direct_matches_exact_cyclic_convolution(self):
         M = 64
@@ -557,20 +645,37 @@ class TestCesaro:
 
 
 class TestLemmaCheck:
+    """Pointwise-density contraction ||f * mu||_p <= (1 - c) ||f||_p + 1e-9,
+    c = min(1, M * min cell mass), on random mean-zero f and p in {1, 2, inf}."""
+
+    @staticmethod
+    def _worst_margin(mu: GridMeasure, c: float, trials: int = 8) -> float:
+        rng = np.random.default_rng(DEFAULT_SEED)
+        worst = -math.inf
+        for _ in range(trials):
+            f = GridFunction.random_mean_zero(mu.M, rng)
+            g = apply_markov(f, mu)
+            for p in (1, 2, math.inf):
+                worst = max(worst, g.lp_norm(p) - (1 - c) * f.lp_norm(p))
+        return worst
+
     def test_uniform_full_averaging(self):
-        rep = contraction_lemma_check(GridMeasure.uniform(128), 8)
-        assert rep.c == 1.0 and rep.holds
+        mu = GridMeasure.uniform(128)
+        c = min(1.0, mu.density_floor())
+        assert c == 1.0 and self._worst_margin(mu, c) <= 1e-9
 
     def test_mixture_with_uniform_floor(self):
         M = 128
         w = 0.5 * np.full(M, 1 / M)
         w[0] += 0.5
-        rep = contraction_lemma_check(GridMeasure(M, w), 8)
-        assert abs(rep.c - 0.5) < 1e-12 and rep.holds
+        mu = GridMeasure(M, w)
+        c = min(1.0, mu.density_floor())
+        assert abs(c - 0.5) < 1e-12 and self._worst_margin(mu, c) <= 1e-9
 
     def test_singular_degenerates_to_young(self):
-        rep = contraction_lemma_check(GridMeasure.delta(128, 64), 8)
-        assert rep.c == 0.0 and rep.holds
+        mu = GridMeasure.delta(128, 64)
+        c = min(1.0, mu.density_floor())
+        assert c == 0.0 and self._worst_margin(mu, c) <= 1e-9
 
 
 class TestTaylorLimit:

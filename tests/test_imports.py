@@ -3,6 +3,9 @@ and every error a module raises is one that cli.main maps to an exit code."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,16 @@ def test_raise_checker_flags_other_classes(tmp_path):
     namespace = {"ParseError": ParseError}
     assert _stray_raises(probe, namespace) == ["probe.py:2 raises RuntimeError",
                                                "probe.py:4 raises KeyError"]
+
+
+def test_import_starts_no_thread():
+    # the split direct convolution makes its worker thread on first use, so
+    # importing dirp costs no thread and no concurrent.futures import
+    code = ("import sys, threading, dirp\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

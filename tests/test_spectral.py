@@ -67,6 +67,13 @@ class TestTrigPoly:
         with pytest.raises(TypeError):
             TrigPoly(2, {(1, 0): 0.5})
 
+    def test_fraction_coefficients_are_stored_as_given(self):
+        re, im = Fraction(3, 8), Fraction(-1, 2)
+        stored = TrigPoly(2, {(1, 0): (re, im)}).terms[(1, 0)]
+        assert stored[0] is re and stored[1] is im
+        with pytest.raises(TypeError):
+            TrigPoly(2, {(1, 0): (re, 0.5)})
+
     def test_json_round_trip(self):
         p = TrigPoly(2, {(3, -4): (Fraction(1, 2), Fraction(-1, 4)), (1, 1): 2})
         q = TrigPoly.from_json(p.to_json())
