@@ -12,7 +12,6 @@ witness families and are labeled as such.
 from __future__ import annotations
 
 import math
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ from .directions import split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
 
 _DIRECT_CONV_MAX = 4096   # direct sums, running Cesaro loops up to here; FFT, powering above
-_ONE_THREAD_CONV_MAX = 2048  # direct steps on one thread up to here, two above
 _MASS_TOL = 1e-12
 DEFAULT_SEED = 1234
 
@@ -243,49 +241,61 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
 # convolution
 # ---------------------------------------------------------------------------
 
+def _windows(b: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Runs (i0, i1, A, E): outputs [i0, i1) of np.correlate([b[1:], b], rev,
+    "valid") hold every nonzero product at j in [A, E): [0, M) if one wraps
+    past M, else the 64-aligned hull over b's shortest support arc, which keeps
+    each product's SIMD lane and the scalar tail.  Equal windows merge.  One
+    full dot (0, M, 0, M) when the windows save less than their calls cost."""
+    M = len(b)
+    if not 0 < np.count_nonzero(b) <= M - 64:    # zero b, or windows would save
+        return [(0, M, 0, M)]                     # under 64 products an output
+    nz = np.flatnonzero(b)
+    gaps = np.concatenate([nz[1:], nz[:1] + M]) - nz    # from each nonzero to the next
+    k = int(gaps.argmax())
+    s, W = int(nz[(k + 1) % len(nz)]), M + 1 - int(gaps[k])    # arc s..s+W-1 mod M
+    cuts = sorted({*range(0, M, 64), s, (s + W - 1) % M, M})
+    runs = []
+    for i0, i1 in zip(cuts, cuts[1:]):
+        j0 = (s - 1 - i0) % M    # output i's nonzero products: j in (s-1-i) mod M + [0, W)
+        A, E = 0, M
+        if j0 + W <= M:
+            A, E = (j0 + i0 + 1 - i1) // 64 * 64, min(M, -(-(j0 + W) // 64) * 64)
+            if E - A < 12:   # np.correlate sums <= 11 cells itself, not by BLAS
+                A = max(0, A - 64)
+        if runs and runs[-1][2:] == (A, E):
+            i0 = runs.pop()[0]
+        runs.append((i0, i1, A, E))
+    # an np.correlate call costs about as much as 2^14 multiply-adds (~1.5 us)
+    if M * M - sum((i1 - i0) * (E - A) for i0, i1, A, E in runs) < (len(runs) - 1) << 14:
+        return [(0, M, 0, M)]
+    return runs
+
+
 def _convolver(b: np.ndarray):
     """a -> the cyclic convolution a * b, with b prepared once: direct
     float64 summation up to _DIRECT_CONV_MAX cells, FFT above.  Direct is
     np.correlate([b[1:], b], a[::-1]), as np.convolve computes it, with a[::-1]
-    in one 64-byte-aligned buffer per kernel, where each BLAS dot runs ~25%
-    faster.  Above _ONE_THREAD_CONV_MAX cells the outputs [M//2, M) go to a worker
-    thread while the caller computes [0, M//2): numpy releases the GIL in
-    np.correlate, and each output is the same dot over the same addresses as
-    in one call.  So speed moves, bytes never."""
+    in one 64-byte-aligned buffer per kernel (each BLAS dot runs ~25% faster),
+    over each output's window from _windows(b) only.  A skipped product is a
+    zero of b times a finite a, so +-0, which leaves a BLAS sum as it was (it
+    starts at +0 and never becomes -0): bytes never move."""
     M = len(b)
     if M <= _DIRECT_CONV_MAX:
         # the M outputs of the full product with [b, b] at M..2M-1, nothing else
         doubled = np.concatenate([b[1:], b])
         raw = np.empty(M + 7)
         rev = raw[-raw.ctypes.data % 64 // 8:][:M]
-        h = M // 2
-        lower, upper = doubled[:h + M - 1], doubled[h:]
+        dots = [(doubled[i0 + A:i1 + E - 1], rev[A:E]) for i0, i1, A, E in _windows(b)]
         def direct(a):
             rev[:] = a[::-1]
-            if M <= _ONE_THREAD_CONV_MAX:
-                return np.correlate(doubled, rev, "valid")
-            top = _worker().submit(np.correlate, upper, rev, "valid")
-            return np.concatenate([np.correlate(lower, rev, "valid"), top.result()])
+            parts = [np.correlate(d, r, "valid") for d, r in dots]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
         return direct
     bhat = np.fft.fft(b)
     # fft(a) * bhat in this order: with FMA a complex product need not be
     # bitwise commutative
     return lambda a: np.real(np.fft.ifft(np.fft.fft(a) * bhat))
-
-
-_pool = None    # (pid, executor): the worker thread of split direct steps
-
-
-def _worker():
-    """This process's one-thread executor, made on first use: importing dirp
-    starts no thread, and a forked child, where the parent's thread does not
-    run, makes its own.  Two threads racing here at most make one executor
-    each, and each gets its result back from its own future."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="dirp-conv"))
-    return _pool[1]
 
 
 def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,8 +340,8 @@ def apply_markov(f: GridFunction, mu: GridMeasure) -> GridFunction:
 
 def cesaro_average(mu: GridMeasure, n: int) -> GridMeasure:
     """(1/n) * sum_{k=1..n} mu^k.  Up to _DIRECT_CONV_MAX cells a running loop
-    of n - 1 direct convolutions, whose bytes the report pins (each split over
-    two threads above _ONE_THREAD_CONV_MAX cells, as _convolver does); above it the
+    of n - 1 direct convolutions, whose bytes the report pins (each over the
+    windows of mu's support only, as _convolver does); above it the
     n-th power of (S_1, P_1) = (mu, mu) under (S_a, P_a)(S_b, P_b) =
     (S_a + P_a * S_b, P_a * P_b), at most 4 log2(n) FFT convolutions."""
     if n < 1:

@@ -50,6 +50,34 @@ def _cyclic_conv_fft(a, b):
         return _convolver(b)(a)
 
 
+def _arc_kernel(M: int, s: int, W: int, seed: int, holes: float = 0.0) -> np.ndarray:
+    """A kernel on the cells s, ..., s + W - 1 (mod M), both ends nonzero, a
+    share `holes` of the cells between them exact zeros."""
+    rng = np.random.default_rng(seed)
+    cells = (s + np.arange(W)) % M
+    b = np.zeros(M)
+    b[cells] = (rng.random(W) + 0.1) * (rng.random(W) >= holes)
+    b[cells[[0, -1]]] = 0.5
+    return b
+
+
+def _assert_window_kernel_bytes(b: np.ndarray, rng: np.random.Generator) -> None:
+    """_convolver(b) gives the bytes of np.correlate's full-length dots for a
+    nonnegative, a signed and a zero-holding a, each at every 8-byte offset
+    mod 64."""
+    M = len(b)
+    doubled = np.concatenate([b[1:], b])
+    step = _convolver(b)
+    zeros = rng.standard_normal(M + 8)
+    zeros[rng.random(M + 8) < 0.4] = 0.0
+    zeros[rng.random(M + 8) < 0.2] = -0.0
+    for big in (rng.random(M + 8), rng.standard_normal(M + 8), zeros):
+        for offset in range(8):
+            a = big[offset:offset + M]
+            assert (step(a).tobytes()
+                    == np.correlate(doubled, a[::-1].copy(), "valid").tobytes()), offset
+
+
 def _squaring_power(a: GridMeasure, n: int) -> GridMeasure:
     """Oracle: the earlier convolution_power loop, written out."""
     result = None
@@ -324,67 +352,70 @@ class TestConvolution:
             a = big[offset:offset + M]
             assert step(a).tobytes() == np.convolve(a, doubled, "valid").tobytes()
 
-    def test_direct_kernel_outputs_do_not_alias(self):
+    @pytest.mark.parametrize("b", [np.random.default_rng(3).random(256),
+                                   measure_from_rv(DRIFT, Fraction(1, 20), 2048).weights],
+                             ids=["one-dot", "windows"])
+    def test_direct_kernel_outputs_do_not_alias(self, b):
         rng = np.random.default_rng(3)
-        step = _convolver(rng.random(256))
-        first = step(rng.random(256))
+        M = len(b)
+        step = _convolver(b)
+        first = step(rng.random(M))
         kept = first.copy()
-        second = step(rng.random(256))
+        second = step(rng.random(M))
         assert first.tobytes() == kept.tobytes()
         assert not np.shares_memory(first, second)
 
-    @pytest.mark.parametrize("M", [2049, 4095, 4096])
-    def test_split_kernel_bytes_equal_one_call(self, M):
-        # above _ONE_THREAD_CONV_MAX the two output halves run on two threads;
-        # each output is the same dot as in one np.correlate call
-        assert diffusion._ONE_THREAD_CONV_MAX < M <= diffusion._DIRECT_CONV_MAX
-        rng = np.random.default_rng(M)
-        b = rng.random(M)
-        doubled = np.concatenate([b[1:], b])
-        step = _convolver(b)
-        for _ in range(3):
-            a = rng.random(M)
-            assert (step(a).tobytes()
-                    == np.correlate(doubled, a[::-1].copy(), "valid").tobytes())
+    @pytest.mark.parametrize("b", [
+        _arc_kernel(1000, 990, 20, seed=1),                  # wraps across cell 0
+        _arc_kernel(257, 256, 1, seed=2),                    # a single cell
+        _arc_kernel(64, 0, 1, seed=3),
+        _arc_kernel(2048, 100, 300, seed=4, holes=0.3),      # interior zeros
+        _arc_kernel(4096, 4000, 500, seed=5, holes=0.5),
+        _arc_kernel(100, 0, 100, seed=6),                    # full support
+        _arc_kernel(1035, 56, 7, seed=7),                    # an 11-cell hull [1024, 1035)
+        measure_from_rv(DRIFT, Fraction(1, 20), 2048).weights,   # criterion 13's mu
+        measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights,
+    ], ids=["wrap", "single-257", "single-64", "holes-2048", "holes-4096", "full",
+            "narrow-hull", "mu-2048", "mu-4096"])
+    def test_window_kernel_bytes_equal_full_dots(self, b):
+        _assert_window_kernel_bytes(b, np.random.default_rng(len(b)))
 
-    def test_split_kernels_used_alternately_do_not_alias(self):
-        rng = np.random.default_rng(4)
-        M = 4096
-        bs = [rng.random(M), rng.random(M)]
-        steps = [_convolver(b) for b in bs]
-        outs = []
-        for i in range(4):
-            a = rng.random(M)
-            out = steps[i % 2](a)
-            doubled = np.concatenate([bs[i % 2][1:], bs[i % 2]])
-            assert out.tobytes() == np.correlate(doubled, a[::-1].copy(), "valid").tobytes()
-            outs.append((out, out.copy()))
-        for out, kept in outs:
-            assert out.tobytes() == kept.tobytes()
-        for i, (first, _) in enumerate(outs):
-            assert not any(np.shares_memory(first, later) for later, _ in outs[i + 1:])
+    @given(M=st.sampled_from([64, 100, 257, 1000, 1035, 2048, 4096]),
+           s=st.integers(0, 4095), W=st.integers(1, 128) | st.integers(1, 4096),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_window_kernel_bytes_property(self, M, s, W, seed):
+        rng = np.random.default_rng(seed)
+        b = _arc_kernel(M, s % M, min(W, M), seed=seed, holes=rng.choice([0, 0.3]))
+        _assert_window_kernel_bytes(b, rng)
 
-    def test_split_kernel_in_a_forked_child(self):
-        # the child cannot use the parent's worker thread; it makes its own,
-        # and both processes exit without waiting on a stale thread
-        script = """if True:
-            import os, numpy as np
-            from dirp.diffusion import _convolver
-            rng = np.random.default_rng(1)
-            b, a = rng.random(4096), rng.random(4096)
-            step = _convolver(b)
-            want = step(a).tobytes()
-            pid = os.fork()
-            if pid == 0:
-                os._exit(0 if step(a).tobytes() == want else 3)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-            assert step(a).tobytes() == want
-        """
-        assert _python_exit_code(script, timeout=120) == 0
+    def test_dense_or_zero_kernel_is_one_full_dot(self):
+        # one np.correlate over every cell, as before windows
+        assert diffusion._windows(np.random.default_rng(8).random(333)) == [(0, 333, 0, 333)]
+        assert diffusion._windows(np.zeros(64)) == [(0, 64, 0, 64)]
+
+    @pytest.mark.parametrize("b, W", [
+        (measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights, 103),   # criterion 13's mu
+        (_arc_kernel(1000, 990, 20, seed=1), 20),                       # an arc across cell 0
+        (_arc_kernel(2048, 100, 300, seed=4, holes=0.3), 300),
+    ], ids=["mu-4096", "wrap", "holes"])
+    def test_window_plan_work(self, b, W):
+        # no timing: full-length dots would plan M^2 multiply-adds per step.
+        # The W - 1 outputs whose products wrap past M keep all M cells, the
+        # others at most W + 189: a 64-aligned hull over 64 outputs.
+        M = len(b)
+        runs = diffusion._windows(b)
+        assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]] and runs[-1][1] == M
+        assert all(A % 64 == 0 for _, _, A, _ in runs)
+        work = sum((i1 - i0) * (E - A) for i0, i1, A, E in runs)
+        assert work <= (W - 1) * M + (M - W + 1) * (W + 189)
+        if M == 4096:   # criterion 13's mu: 1.18M against 16.8M
+            assert work <= M * (W + 192)
 
     def test_criterion_13_process_exits(self):
-        code = "from dirp.report import criterion_13; criterion_13()"
+        # and runs on the calling thread alone
+        code = ("import threading; from dirp.report import criterion_13; criterion_13(); "
+                "assert threading.active_count() == 1, threading.enumerate()")
         assert _python_exit_code(code, timeout=300) == 0
 
     def test_direct_matches_exact_cyclic_convolution(self):

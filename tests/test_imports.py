@@ -84,8 +84,8 @@ def test_raise_checker_flags_other_classes(tmp_path):
 
 
 def test_import_starts_no_thread():
-    # the split direct convolution makes its worker thread on first use, so
-    # importing dirp costs no thread and no concurrent.futures import
+    # dirp runs on the calling thread: importing it starts no thread and
+    # imports no concurrent.futures
     code = ("import sys, threading, dirp\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert threading.active_count() == 1, threading.enumerate()\n")
