@@ -135,6 +135,8 @@ class GridMeasure:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if len(self.weights) != self.M:
             raise GridMismatch("weight vector length != M")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("non-finite cell mass")
         if self.weights.min() < -1e-13:
             raise ValueError("negative cell mass")
         # absorbs FFT rounding: an FFT convolution of nonnegative masses
@@ -169,6 +171,8 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.values) != self.M:
             raise GridMismatch("value vector length != M")
+        if not np.isfinite(self.values).all():   # the direct kernel needs finite a
+            raise ValueError("non-finite function value")
         if self.mean_zero and abs(float(self.values.mean())) > _MASS_TOL:
             raise ValueError("mean_zero flag set but mean is not ~0")
 
@@ -241,15 +245,19 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _windows(b: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Runs (i0, i1, A, E): outputs [i0, i1) of np.correlate([b[1:], b], rev,
-    "valid") hold every nonzero product at j in [A, E): [0, M) if one wraps
-    past M, else the 64-aligned hull over b's shortest support arc, which keeps
-    each product's SIMD lane and the scalar tail.  Equal windows merge.  One
-    full dot (0, M, 0, M) when the windows save less than their calls cost."""
+def _windows(b: np.ndarray) -> list[tuple[int, int, int, int, int, int]]:
+    """Runs (i0, i1, A, G, H, E): outputs [i0, i1) of np.correlate([b[1:], b],
+    rev, "valid") hold every nonzero product at j in [A, G) or [H, E), G = H
+    meaning no gap.  [A, E) is the 64-aligned hull of the products over b's
+    shortest support arc, or [0, M) for a run whose products wrap past M; such
+    a run skips the zero gap [G, H) between their two ends when it holds 64
+    cells or more.  A, and G and H of a gap, are multiples of 64, so each kept
+    product keeps its SIMD lane, and E = M or a multiple of 64 keeps the
+    scalar tail.  Equal windows merge.  One full dot when the windows save
+    less than their calls cost."""
     M = len(b)
     if not 0 < np.count_nonzero(b) <= M - 64:    # zero b, or windows would save
-        return [(0, M, 0, M)]                     # under 64 products an output
+        return [(0, M, 0, M, M, M)]               # under 64 products an output
     nz = np.flatnonzero(b)
     gaps = np.concatenate([nz[1:], nz[:1] + M]) - nz    # from each nonzero to the next
     k = int(gaps.argmax())
@@ -258,18 +266,29 @@ def _windows(b: np.ndarray) -> list[tuple[int, int, int, int]]:
     runs = []
     for i0, i1 in zip(cuts, cuts[1:]):
         j0 = (s - 1 - i0) % M    # output i's nonzero products: j in (s-1-i) mod M + [0, W)
-        A, E = 0, M
         if j0 + W <= M:
             A, E = (j0 + i0 + 1 - i1) // 64 * 64, min(M, -(-(j0 + W) // 64) * 64)
             if E - A < 12:   # np.correlate sums <= 11 cells itself, not by BLAS
                 A = max(0, A - 64)
-        if runs and runs[-1][2:] == (A, E):
+            G = H = E
+        else:    # j in [0, j0 + W - M) or [(s - i1) % M, M) over the run
+            A, G, H, E = 0, -(-(j0 + W - M) // 64) * 64, (s - i1) % M // 64 * 64, M
+            if H - G < 64:
+                G = H = E
+        if runs and runs[-1][2:] == (A, G, H, E):
             i0 = runs.pop()[0]
-        runs.append((i0, i1, A, E))
+        runs.append((i0, i1, A, G, H, E))
     # an np.correlate call costs about as much as 2^14 multiply-adds (~1.5 us)
-    if M * M - sum((i1 - i0) * (E - A) for i0, i1, A, E in runs) < (len(runs) - 1) << 14:
-        return [(0, M, 0, M)]
+    work = sum((i1 - i0) * (E - A - H + G) for i0, i1, A, G, H, E in runs)
+    if M * M - work < (len(runs) - 1) << 14:
+        return [(0, M, 0, M, M, M)]
     return runs
+
+
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 vector of n cells on a 64-byte boundary."""
+    raw = np.empty(n + 7)
+    return raw[-raw.ctypes.data % 64 // 8:][:n]
 
 
 def _convolver(b: np.ndarray):
@@ -279,16 +298,32 @@ def _convolver(b: np.ndarray):
     in one 64-byte-aligned buffer per kernel (each BLAS dot runs ~25% faster),
     over each output's window from _windows(b) only.  A skipped product is a
     zero of b times a finite a, so +-0, which leaves a BLAS sum as it was (it
-    starts at +0 and never becomes -0): bytes never move."""
+    starts at +0 and never becomes -0): bytes never move.
+
+    A gapped run of R outputs dots rev[A:G] ++ rev[H:E], copied each step
+    into its own aligned buffer, against doubled with the H - G cells
+    [i0 + G + R - 1, i0 + H + R - 1) taken out: doubled is zero on
+    [i0 + G, i0 + H + R - 1), so the products that pair across the cut are
+    +-0 as well."""
     M = len(b)
     if M <= _DIRECT_CONV_MAX:
         # the M outputs of the full product with [b, b] at M..2M-1, nothing else
         doubled = np.concatenate([b[1:], b])
-        raw = np.empty(M + 7)
-        rev = raw[-raw.ctypes.data % 64 // 8:][:M]
-        dots = [(doubled[i0 + A:i1 + E - 1], rev[A:E]) for i0, i1, A, E in _windows(b)]
+        rev = _aligned(M)
+        dots, copies = [], []
+        for i0, i1, A, G, H, E in _windows(b):
+            if G == H:
+                dots.append((doubled[i0 + A:i1 + E - 1], rev[A:E]))
+                continue
+            n = i1 - i0 - 1
+            kernel = _aligned(E - A - H + G)
+            copies += [(kernel[:G - A], rev[A:G]), (kernel[G - A:], rev[H:E])]
+            dots.append((np.concatenate([doubled[i0 + A:i0 + G + n],
+                                         doubled[i0 + H + n:i1 + E - 1]]), kernel))
         def direct(a):
             rev[:] = a[::-1]
+            for dst, src in copies:
+                dst[:] = src
             parts = [np.correlate(d, r, "valid") for d, r in dots]
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
         return direct

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -45,19 +46,21 @@ def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> Certifie
     return CertifiedReal.from_rational(base).pow_frac(expo)
 
 
+def _coerce_part(x) -> Fraction:
+    if type(x) is Fraction:     # immutable: no copy needed
+        return x
+    if isinstance(x, (float, CertifiedReal)):
+        raise TypeError(f"{type(x).__name__} coefficients are rejected; "
+                        "pass int, Fraction or a decimal or p/q str")
+    return Fraction(x)
+
+
 def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
     if isinstance(value, tuple) and len(value) == 2:
         re, im = value
     else:
         re, im = value, 0
-    def conv(x):
-        if type(x) is Fraction:     # immutable: no copy needed
-            return x
-        if isinstance(x, (float, CertifiedReal)):
-            raise TypeError(f"{type(x).__name__} coefficients are rejected; "
-                            "pass int, Fraction or a decimal or p/q str")
-        return Fraction(x)
-    return conv(re), conv(im)
+    return _coerce_part(re), _coerce_part(im)
 
 
 def _exact_text(x: Fraction) -> str:
@@ -88,10 +91,10 @@ class TrigPoly:
         self.dim = dim
         store: dict[FreqVector, tuple[Fraction, Fraction]] = {}
         for k, coeff in terms.items():
-            kt = tuple(int(c) for c in k)
+            kt = tuple(map(int, k))
             if len(kt) != dim:
                 raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
-            if all(c == 0 for c in kt):
+            if not any(kt):
                 if drop_mean:
                     continue
                 raise ValueError("zero frequency present (mean != 0); "
@@ -101,12 +104,17 @@ class TrigPoly:
                 store[kt] = (re, im)
         self.terms = MappingProxyType(store)
         L = math.lcm(*(c.denominator for coeff in store.values() for c in coeff))
-        self.masses: IntegerMasses = (L * L, tuple(
-            (k, (re.numerator * (L // re.denominator)) ** 2
-                + (im.numerator * (L // im.denominator)) ** 2)
-            for k, (re, im) in store.items()))
-        self.mass_totals = (sum(A for _, A in self.masses[1]),
-                            sum(A * freq_norm_sq(k) for k, A in self.masses[1]))
+        masses, S0, SG = [], 0, 0
+        for k, (re, im) in store.items():
+            (rn, rd), (jn, jd) = re.as_integer_ratio(), im.as_integer_ratio()
+            rn *= L // rd
+            jn *= L // jd
+            A = rn * rn + jn * jn
+            masses.append((k, A))
+            S0 += A
+            SG += A * sum(map(mul, k, k))
+        self.masses: IntegerMasses = (L * L, tuple(masses))
+        self.mass_totals = (S0, SG)
 
     def __len__(self):
         return len(self.terms)
@@ -189,8 +197,8 @@ def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     scale, terms = f.masses
     rat = irr = 0
     for k, A in terms:
-        P = sum(ki * xi for ki, xi in zip(k, x))
-        R = sum(ki * yi for ki, yi in zip(k, y))
+        P = sum(map(mul, k, x))
+        R = sum(map(mul, k, y))
         rat += A * (P * P + R * R * D)
         irr += A * P * R
     den = scale * Q * Q
@@ -305,5 +313,5 @@ def half_mass_cutoff(f: TrigPoly) -> tuple[CertifiedReal, CertifiedReal]:
     S0, SG = f.mass_totals
     radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2
     # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
-    tail = sum(A for k, A in f.masses[1] if freq_norm_sq(k) * S0 >= 4 * SG)
+    tail = sum(A for k, A in f.masses[1] if sum(map(mul, k, k)) * S0 >= 4 * SG)
     return radius, CertifiedReal.from_rational(Fraction(tail, S0))

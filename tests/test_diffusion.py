@@ -218,6 +218,32 @@ class TestGridMeasure:
         with pytest.raises(ValueError, match="negative"):
             GridMeasure(4, [0.5, -1e-12, 0.5, 1e-12])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_raises(self, bad):
+        # every comparison with NaN is false, so no other check catches it
+        with pytest.raises(ValueError, match="non-finite"):
+            GridMeasure(64, np.full(64, bad))
+        w = np.full(64, 1 / 64)
+        w[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GridMeasure(64, w)
+
+
+class TestGridFunction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mean_zero", [False, True])
+    def test_non_finite_value_raises(self, bad, mean_zero):
+        # the direct kernel skips products with b's zeros, which is exact for
+        # finite values only: 0 * inf is NaN
+        v = np.zeros(64)
+        v[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GridFunction(64, v, mean_zero=mean_zero)
+
+    def test_finite_values_are_kept_as_given(self):
+        v = np.random.default_rng(5).standard_normal(64)
+        assert GridFunction(64, v).values.tobytes() == v.tobytes()
+
 
 class TestRVSpec:
     def test_parse_uniform(self):
@@ -353,46 +379,65 @@ class TestConvolution:
             assert step(a).tobytes() == np.convolve(a, doubled, "valid").tobytes()
 
     @pytest.mark.parametrize("b", [np.random.default_rng(3).random(256),
-                                   measure_from_rv(DRIFT, Fraction(1, 20), 2048).weights],
-                             ids=["one-dot", "windows"])
+                                   _arc_kernel(2048, 100, 1, seed=4),
+                                   measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights],
+                             ids=["one-dot", "windows", "gapped"])
     def test_direct_kernel_outputs_do_not_alias(self, b):
+        # and the kernel's buffers, the gapped ones too, are refreshed each step
         rng = np.random.default_rng(3)
         M = len(b)
         step = _convolver(b)
         first = step(rng.random(M))
         kept = first.copy()
-        second = step(rng.random(M))
+        a = rng.standard_normal(M)
+        second = step(a)
         assert first.tobytes() == kept.tobytes()
         assert not np.shares_memory(first, second)
+        assert second.tobytes() == _convolver(b)(a).tobytes()
 
-    @pytest.mark.parametrize("b", [
-        _arc_kernel(1000, 990, 20, seed=1),                  # wraps across cell 0
-        _arc_kernel(257, 256, 1, seed=2),                    # a single cell
-        _arc_kernel(64, 0, 1, seed=3),
-        _arc_kernel(2048, 100, 300, seed=4, holes=0.3),      # interior zeros
-        _arc_kernel(4096, 4000, 500, seed=5, holes=0.5),
-        _arc_kernel(100, 0, 100, seed=6),                    # full support
-        _arc_kernel(1035, 56, 7, seed=7),                    # an 11-cell hull [1024, 1035)
-        measure_from_rv(DRIFT, Fraction(1, 20), 2048).weights,   # criterion 13's mu
-        measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights,
+    @pytest.mark.parametrize("b, gapped", [
+        (_arc_kernel(1000, 990, 20, seed=1), True),          # wraps across cell 0
+        (_arc_kernel(257, 256, 1, seed=2), False),           # a single cell
+        (_arc_kernel(64, 0, 1, seed=3), False),
+        (_arc_kernel(2048, 100, 300, seed=4, holes=0.3), True),   # interior zeros
+        (_arc_kernel(4096, 4000, 500, seed=5, holes=0.5), True),
+        (_arc_kernel(100, 0, 100, seed=6), False),           # full support
+        (_arc_kernel(1035, 56, 7, seed=7), True),            # an 11-cell hull [1024, 1035)
+        (_arc_kernel(2049, 2020, 64, seed=8), True),         # W = 64 across cell 0
+        (_arc_kernel(1035, 1000, 65, seed=9, holes=0.3), True),
+        (_arc_kernel(4096, 4060, 63, seed=10), True),
+        (_arc_kernel(257, 200, 120, seed=11), False),        # a gap under 64 cells
+        (measure_from_rv(DRIFT, Fraction(1, 20), 2048).weights, True),   # criterion 13's mu
+        (measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights, True),
     ], ids=["wrap", "single-257", "single-64", "holes-2048", "holes-4096", "full",
-            "narrow-hull", "mu-2048", "mu-4096"])
-    def test_window_kernel_bytes_equal_full_dots(self, b):
+            "narrow-hull", "w64-2049", "w65-1035", "w63-4096", "small-gap",
+            "mu-2048", "mu-4096"])
+    def test_window_kernel_bytes_equal_full_dots(self, b, gapped):
+        runs = diffusion._windows(b)
+        assert any(G < H for _, _, _, G, H, _ in runs) == gapped
         _assert_window_kernel_bytes(b, np.random.default_rng(len(b)))
 
-    @given(M=st.sampled_from([64, 100, 257, 1000, 1035, 2048, 4096]),
-           s=st.integers(0, 4095), W=st.integers(1, 128) | st.integers(1, 4096),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_window_kernel_bytes_property(self, M, s, W, seed):
+    @given(M=st.sampled_from([64, 100, 257, 1000, 1035, 2048, 2049, 4096]),
+           s=st.integers(0, 4095),
+           W=st.integers(1, 128) | st.integers(56, 72) | st.integers(1, 4096),
+           across=st.booleans(), signed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_window_kernel_bytes_property(self, M, s, W, across, signed, seed):
+        # most arcs leave gapped runs: every arc longer than one cell has
+        # outputs whose products wrap past M
         rng = np.random.default_rng(seed)
-        b = _arc_kernel(M, s % M, min(W, M), seed=seed, holes=rng.choice([0, 0.3]))
+        W = min(W, M)
+        if across and W > 1:    # the arc crosses cell 0: s + W - 1 >= M
+            s = M - 1 - s % (W - 1)
+        b = _arc_kernel(M, s % M, W, seed=seed, holes=rng.choice([0, 0.3]))
+        if signed:   # negative cells, and -0 among the zeros
+            b *= rng.choice([-1.0, 1.0], M)
         _assert_window_kernel_bytes(b, rng)
 
     def test_dense_or_zero_kernel_is_one_full_dot(self):
         # one np.correlate over every cell, as before windows
-        assert diffusion._windows(np.random.default_rng(8).random(333)) == [(0, 333, 0, 333)]
-        assert diffusion._windows(np.zeros(64)) == [(0, 64, 0, 64)]
+        assert diffusion._windows(np.random.default_rng(8).random(333)) == [(0, 333, 0, 333, 333, 333)]
+        assert diffusion._windows(np.zeros(64)) == [(0, 64, 0, 64, 64, 64)]
 
     @pytest.mark.parametrize("b, W", [
         (measure_from_rv(DRIFT, Fraction(1, 20), 4096).weights, 103),   # criterion 13's mu
@@ -401,16 +446,19 @@ class TestConvolution:
     ], ids=["mu-4096", "wrap", "holes"])
     def test_window_plan_work(self, b, W):
         # no timing: full-length dots would plan M^2 multiply-adds per step.
-        # The W - 1 outputs whose products wrap past M keep all M cells, the
-        # others at most W + 189: a 64-aligned hull over 64 outputs.
+        # Each run of at most 64 outputs dots at most W + 189 cells: the
+        # 64-aligned hull of its products, or for outputs whose products wrap
+        # past M, [0, M) less the gap between the two ends.
         M = len(b)
         runs = diffusion._windows(b)
         assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]] and runs[-1][1] == M
-        assert all(A % 64 == 0 for _, _, A, _ in runs)
-        work = sum((i1 - i0) * (E - A) for i0, i1, A, E in runs)
-        assert work <= (W - 1) * M + (M - W + 1) * (W + 189)
-        if M == 4096:   # criterion 13's mu: 1.18M against 16.8M
-            assert work <= M * (W + 192)
+        assert all(A % 64 == 0 and A <= G <= H <= E and (H - G) % 64 == 0
+                   for _, _, A, G, H, E in runs)
+        assert max(E - A - H + G for _, _, A, G, H, E in runs) <= W + 189
+        work = sum((i1 - i0) * (E - A - H + G) for i0, i1, A, G, H, E in runs)
+        assert work <= M * (W + 189)
+        if M == 4096:   # criterion 13's mu: 0.79M against 1.18M with full
+            assert work <= M * (W + 96)    # wrapped dots, 16.8M for all full
 
     def test_criterion_13_process_exits(self):
         # and runs on the calling thread alone

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -611,3 +612,90 @@ class TestFreqNorm:
                          Fraction(0)) / s0
             assert tail.exact.as_fraction() == oracle
             assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
+
+
+class _Pairs:
+    """A terms argument whose keys need not be hashable: TrigPoly reads only items()."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+scalar_coefficients = (
+    st.integers(-20, 20)
+    | st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=24)
+    | st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=24).map(str)
+    | st.builds(lambda n, e: f"{n}e-{e}", st.integers(-99, 99), st.integers(0, 3)))
+mixed_coefficients = scalar_coefficients | st.tuples(scalar_coefficients, scalar_coefficients)
+
+
+class TestSinglePassMasses:
+    """TrigPoly builds its keys, masses and totals in one pass over the terms."""
+
+    @pytest.mark.parametrize("terms", [
+        {(np.int64(3), np.int64(-2)): 1, (np.int64(0), np.int64(5)): 2},
+        _Pairs([([3, -2], 1), (np.array([0, 5]), 2)]),
+        _Pairs([((3.0, -2), 1), ([0, np.int32(5)], 2)]),
+    ], ids=["np.int64", "lists", "mixed"])
+    def test_keys_are_python_int_tuples(self, terms):
+        p = TrigPoly(2, terms)
+        assert set(p.terms) == {(3, -2), (0, 5)}
+        assert all(type(k) is tuple and all(type(c) is int for c in k) for k in p.terms)
+        assert p.mass_totals == (1 + 4, 13 + 4 * 25)
+
+    @pytest.mark.parametrize("key", [(1,), (1, 2, 3), [np.int64(1)]])
+    def test_dimension_mismatch(self, key):
+        with pytest.raises(DimensionMismatch):
+            TrigPoly(2, _Pairs([((1, 1), 1), (key, 1)]))
+        with pytest.raises(DimensionMismatch):
+            TrigPoly(0, {})
+
+    @pytest.mark.parametrize("zero", [(0, 0), (np.int64(0), np.int64(0)), [0, 0], (-0.0, 0)])
+    def test_zero_frequency(self, zero):
+        with pytest.raises(ValueError, match="zero frequency"):
+            TrigPoly(2, _Pairs([((1, 0), 1), (zero, 1)]))
+        p = TrigPoly(2, _Pairs([((1, 0), 1), (zero, 1)]), drop_mean=True)
+        assert dict(p.terms) == {(1, 0): (1, 0)}
+        assert p.masses == (1, (((1, 0), 1),)) and p.mass_totals == (1, 1)
+
+    @pytest.mark.parametrize("coeff", [0.5, (0.5, 1), (1, 0.25), e_cr(), (1, e_cr()),
+                                       (e_cr(), Fraction(1, 2))])
+    def test_float_and_certified_coefficients_rejected(self, coeff):
+        with pytest.raises(TypeError, match="rejected"):
+            TrigPoly(2, {(1, 2): 1, (3, 4): coeff})
+
+    @given(terms=st.dictionaries(frequencies, mixed_coefficients, min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_masses_and_sums_equal_fraction_oracles(self, terms):
+        exact = {}
+        for k, c in terms.items():
+            re, im = c if isinstance(c, tuple) else (c, 0)
+            re, im = Fraction(re), Fraction(im)
+            if re or im:
+                exact[k] = (re, im)
+        p = TrigPoly(2, terms)
+        assert dict(p.terms) == exact
+        mass = {k: re * re + im * im for k, (re, im) in exact.items()}
+        L = math.lcm(*(c.denominator for coeff in exact.values() for c in coeff))
+        scale, masses = p.masses
+        assert scale == L * L
+        assert [k for k, _ in masses] == list(exact)
+        assert {k: Fraction(A, scale) for k, A in masses} == mass
+        s0 = sum(mass.values(), Fraction(0))
+        sg = sum((m * freq_norm_sq(k) for k, m in mass.items()), Fraction(0))
+        assert (Fraction(p.mass_totals[0], scale), Fraction(p.mass_totals[1], scale)) == (s0, sg)
+        sums = parseval_sums(p, PHI)
+        assert (sums[0].exact.as_fraction(), sums[1].exact.as_fraction()) == (s0, sg)
+        assert [_state(x) for x in sums] == [_state(y) for y in _general_sums(p, PHI)]
+        if not exact:
+            with pytest.raises(ZeroFunction):
+                half_mass_cutoff(p)
+            return
+        radius, tail = half_mass_cutoff(p)
+        oracle = sum((m for k, m in mass.items() if freq_norm_sq(k) >= 4 * sg / s0),
+                     Fraction(0)) / s0
+        assert tail.exact.as_fraction() == oracle
+        assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
