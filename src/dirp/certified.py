@@ -12,7 +12,6 @@ defense against the catastrophic cancellation that inner products
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -306,9 +305,6 @@ class CertifiedReal:
             return round_out(*pow_interval(lo, hi, exponent, digits + _GUARD), digits)
 
         return CertifiedReal(fn=fn, refinable=src.refinable)
-
-    def pow_int(self, n: int) -> "CertifiedReal":
-        return self.pow_frac(Fraction(n))
 
     # -- comparisons (certified) --------------------------------------------
 

@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .diffusion import parse_rv, scaling_fit
+from .diffusion import DEFAULT_SEED, parse_rv, scaling_fit
 from .diophantine import (LinearFormSystem, bounded_quotient_report, cf_expand,
                           delta_from_sigma, lattice_min, system_lattice_min)
 from .directions import parse_direction
@@ -27,7 +27,7 @@ from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
 from .precision import DEFAULT_CONTEXT, PrecisionContext
-from .report import DEFAULT_REPORT_SEED, build_report
+from .report import build_report
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
 
@@ -69,7 +69,7 @@ def _build_settings(args) -> dict:
                            DEFAULT_CONTEXT.max_digits, int),
         "radius": pick(args.radius, None, "radius", 100, int),
         "grid": pick(args.grid, None, "grid", 4096, int),
-        "seed": pick(args.seed, None, "seed", DEFAULT_REPORT_SEED, int),
+        "seed": pick(args.seed, None, "seed", DEFAULT_SEED, int),
         "out": args.out or cfg.get("out"),
         "format": pick(args.format, None, "format", "json", str),
     }
@@ -195,14 +195,9 @@ def _cmd_cf(args, settings, ctx) -> int:
     cf = cf_expand(spec.entries[0], args.depth, ctx)
     result = {**dataclasses.asdict(cf), "convergents": cf.convergents}
     if args.bound is not None:
-        rep = bounded_quotient_report(cf, args.bound)
-        result["bound_report"] = {
-            "max_quotient": rep.max_quotient,
-            "index": rep.index,
-            "bound": rep.bound,
-            "exceeded": rep.exceeded,
-            "verdict": rep.verdict,
-        }
+        rep = dataclasses.asdict(bounded_quotient_report(cf, args.bound))
+        del rep["certified_depth"]      # already in the expansion's own fields
+        result["bound_report"] = rep
     _emit(result, settings)
     if cf.certified_depth < args.depth and not cf.finite:
         raise DepthNotCertified(

@@ -13,7 +13,7 @@ with its certification radius/depth and never as a theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -608,14 +608,6 @@ def delta_from_sigma(sigma) -> tuple[Fraction, Fraction]:
         raise NonpositiveSigma(f"sigma must be > 0, got {sigma}")
     delta = 1 / (sigma + 1)
     return (1 - delta, delta)
-
-
-def roth_exponents(eps) -> tuple[Fraction, Fraction]:
-    """Exponent pair (1/2 + eps, 1/2 - eps) for irrational algebraic slopes."""
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("need 0 < eps < 1/2")
-    return (Fraction(1, 2) + eps, Fraction(1, 2) - eps)
 
 
 def markov_bounds(level: int) -> CertifiedReal:

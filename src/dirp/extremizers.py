@@ -129,12 +129,6 @@ def convergent_waves(a: Direction, ns: range,
         for n, (pq, k, ip) in zip(ns, walk[ns.start - 1:])]
 
 
-def convergent_wave(a: Direction, n: int,
-                    ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilyMember:
-    """The wave at the n-th convergent of a2/a1; see convergent_waves."""
-    return convergent_waves(a, range(n, n + 1), ctx)[0]
-
-
 # family -> (token tag, its members n in a range against a direction)
 _FAMILIES = {
     "fibonacci": ("fib", lambda a, ns, ctx: [fibonacci_family(n) for n in ns]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .certified import CertifiedReal
-from .diffusion import (GridFunction, GridMeasure, RVSpec, apply_markov,
+from .diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec, apply_markov,
                         cesaro_average, convolution_power, density_floor_check,
                         scaling_fit, taylor_limit_check)
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
@@ -29,7 +29,6 @@ from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
                        parseval_sums)
 
-DEFAULT_REPORT_SEED = 1234
 _PHI = make_direction([1, GOLDEN_RATIO])
 
 
@@ -199,7 +198,7 @@ def _random_poly(draw: _Integers) -> TrigPoly:
     return TrigPoly(2, terms)
 
 
-def criteria_5_6(seed: int = DEFAULT_REPORT_SEED,
+def criteria_5_6(seed: int = DEFAULT_SEED,
                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[dict, dict]:
     """Half-mass bound and the frequency-cutoff chain
     ratio >= (1/(2 sqrt2)) * lattice_min(R_f) on one random population
@@ -317,7 +316,7 @@ _T_GRID = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 50),
            Fraction(1, 100), Fraction(1, 200))
 
 
-def criterion_10(seed: int = DEFAULT_REPORT_SEED) -> dict:
+def criterion_10(seed: int = DEFAULT_SEED) -> dict:
     sym = scaling_fit(RVSpec.uniform(Fraction(-1, 2), Fraction(1, 2)),
                       2, _T_GRID, 4096, seed=seed)
     drift = scaling_fit(RVSpec.uniform(0, Fraction(1, 2)),
@@ -364,7 +363,7 @@ def _random_measure(M: int, rng: np.random.Generator) -> GridMeasure:
     return GridMeasure(M, w / w.sum())
 
 
-def criterion_12(seed: int = DEFAULT_REPORT_SEED) -> dict:
+def criterion_12(seed: int = DEFAULT_SEED) -> dict:
     """Young, telescoping, Cesaro and pointwise-density contraction bounds
     on 200 random (f, mu, n) triples, all three p at once, 1e-9 slack."""
     rng = np.random.default_rng(seed)
@@ -435,7 +434,7 @@ def _determinism_probe(seed: int) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-def criterion_14(seed: int = DEFAULT_REPORT_SEED) -> dict:
+def criterion_14(seed: int = DEFAULT_SEED) -> dict:
     ok = _determinism_probe(seed) == _determinism_probe(seed)
     return {
         "criterion": 14,
@@ -445,7 +444,7 @@ def criterion_14(seed: int = DEFAULT_REPORT_SEED) -> dict:
     }
 
 
-def build_report(seed: int = DEFAULT_REPORT_SEED,
+def build_report(seed: int = DEFAULT_SEED,
                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     rows = [
         criterion_1(ctx), criterion_2(ctx), criterion_3(), criterion_4(ctx),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -91,7 +91,7 @@ class TrigPoly:
         self.dim = dim
         store: dict[FreqVector, tuple[Fraction, Fraction]] = {}
         for k, coeff in terms.items():
-            kt = tuple(map(int, k))
+            kt = tuple(map(index, k))    # a non-integer component raises TypeError
             if len(kt) != dim:
                 raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
             if not any(kt):
@@ -116,16 +116,8 @@ class TrigPoly:
         self.masses: IntegerMasses = (L * L, tuple(masses))
         self.mass_totals = (S0, SG)
 
-    def __len__(self):
-        return len(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scale(self, factor) -> "TrigPoly":
-        fr, fi = _coerce_coeff(factor)
-        return TrigPoly(self.dim, {k: (re * fr - im * fi, re * fi + im * fr)
-                                   for k, (re, im) in self.terms.items()})
 
     # -- serialization ---------------------------------------------------
 
@@ -217,7 +209,7 @@ def parseval_sums(f: TrigPoly, a: Direction | None = None
 
 
 def _two_pi_pow(d: int) -> CertifiedReal:
-    return (pi_cr() * 2).pow_int(d)
+    return (pi_cr() * 2).pow_frac(d)
 
 
 def _require_nonzero(f: TrigPoly) -> None:
@@ -253,17 +245,6 @@ def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object]) -> Cert
         return p * p
     s = _raw_sum(f, weight_sq)
     return (_two_pi_pow(f.dim) * s).sqrt()
-
-
-def directional_symbol(a: Direction, s_power: int = 0) -> Callable[[FreqVector], CertifiedReal]:
-    """Symbol k -> <k,alpha> * |k|^s_power (s_power = d-1 gives the
-    substantial-fluctuation variant of the directional derivative)."""
-    if s_power < 0:
-        raise ValueError("s_power must be >= 0")
-    def symbol(k):
-        ip = inner_product(k, a)
-        return ip if s_power == 0 else ip * freq_norm_cr(k, s_power)
-    return symbol
 
 
 # -- functionals -----------------------------------------------------------

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from dirp.report import DEFAULT_REPORT_SEED, build_report, report_to_bytes
+from dirp.diffusion import DEFAULT_SEED
+from dirp.report import build_report, report_to_bytes
 
 # sha256 of report_to_bytes(build_report(seed=1234)) with default precision
 REPORT_SHA256 = "46638ff74c1bdaaba2b1a7bbf48a0c1dd37d225f97197f48d922de23d7101b86"
@@ -30,7 +31,7 @@ def fresh_process():
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import hashlib; from dirp.report import build_report, report_to_bytes; "
-            f"print(hashlib.sha256(report_to_bytes(build_report({DEFAULT_REPORT_SEED})))"
+            f"print(hashlib.sha256(report_to_bytes(build_report({DEFAULT_SEED})))"
             ".hexdigest())")
     proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
@@ -41,7 +42,7 @@ def fresh_process():
 
 @pytest.fixture(scope="module")
 def report(fresh_process):
-    return build_report(seed=DEFAULT_REPORT_SEED)
+    return build_report(seed=DEFAULT_SEED)
 
 
 def row(report, n):
@@ -151,7 +152,7 @@ def test_criterion_14_byte_identical_reports(report):
     assert r["probe_bytes_equal"]
     # the full artifact, rebuilt from scratch with the same config, must be
     # byte-identical to the fixture's serialization
-    again = build_report(seed=DEFAULT_REPORT_SEED)
+    again = build_report(seed=DEFAULT_SEED)
     assert report_to_bytes(again) == report_to_bytes(report)
     assert hashlib.sha256(report_to_bytes(report)).hexdigest() == REPORT_SHA256
     assert r["pass"]

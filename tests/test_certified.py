@@ -188,7 +188,7 @@ class TestCertifiedReal:
         assert v.exact == QuadExact(Fraction(27, 8))
 
     def test_integer_power_exact(self):
-        v = CertifiedReal.from_quad(SQRT2).pow_int(4)
+        v = CertifiedReal.from_quad(SQRT2).pow_frac(4)
         assert v.exact == QuadExact(4)
 
     def test_sign_refinement_resolves_tiny_values(self):

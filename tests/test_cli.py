@@ -39,6 +39,13 @@ class TestNorms:
                          "--direction", "dir:[1, 2]")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["norms", "ratio"])
+    def test_non_integer_frequency_is_input_error(self, tmp_path, capsys, command):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"dim": 2, "terms": [{"k": [1.5, 2], "re": "1", "im": "0"}]}))
+        code, _, err = run(capsys, command, f"@{poly}", "--direction", "dir:[1, 2]")
+        assert code == 2 and "malformed TrigPoly JSON" in err
+
 
 class TestRatio:
     def test_liouville_collapse(self, capsys):

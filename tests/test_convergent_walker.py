@@ -1,8 +1,9 @@
 """The d = 2 convergent walker against the two walks it replaced.
 
-The oracles below are the bodies of `convergent_wave` and
-`hurwitz_witnesses` as they were before both became
-`diophantine.convergent_frequencies` walks (one at j = 0, one at j = 1).
+The oracles below are the bodies of the one-wave builder (now a
+one-element `convergent_waves` call) and `hurwitz_witnesses` as they were
+before both became `diophantine.convergent_frequencies` walks (one at
+j = 0, one at j = 1).
 Each run parses its direction afresh, so the enclosures compared at 80
 digits start from the same refinement state on both sides.
 """
@@ -14,7 +15,7 @@ from dirp.certified import CertifiedReal
 from dirp.diophantine import cf_expand, convergent_frequencies, hurwitz_witnesses
 from dirp.directions import inner_product, parse_direction
 from dirp.errors import DepthNotCertified, PrecisionExhausted, RationalRatio
-from dirp.extremizers import convergent_wave, convergent_waves, sharpness_table
+from dirp.extremizers import convergent_waves, sharpness_table
 from dirp.precision import DEFAULT_CONTEXT
 from dirp.quadratic import QuadExact
 from dirp.spectral import freq_norm_cr
@@ -22,9 +23,9 @@ from dirp.spectral import freq_norm_cr
 DIGITS = 80
 
 
-def oracle_convergent_wave(a, n, ctx=DEFAULT_CONTEXT):
+def oracle_wave(a, n, ctx=DEFAULT_CONTEXT):
     if a.dim != 2:
-        raise ValueError("convergent_wave needs d = 2")
+        raise ValueError("a convergent wave needs d = 2")
     if n < 1:
         raise ValueError("n must be >= 1")
     if a.entries[0].sign_soft(ctx) == 0:
@@ -103,14 +104,15 @@ def enclosure(x):
 
 
 @pytest.mark.parametrize("spec", DIRECTIONS)
-def test_convergent_wave_matches_oracle(spec):
-    assert not isinstance(outcome(oracle_convergent_wave, spec, 1), type)
+def test_convergent_waves_match_oracle(spec):
+    assert not isinstance(outcome(oracle_wave, spec, 1), type)
     for n in range(1, 31):
-        want = outcome(oracle_convergent_wave, spec, n)
-        got = outcome(convergent_wave, spec, n)
+        want = outcome(oracle_wave, spec, n)
+        got = outcome(convergent_waves, spec, range(n, n + 1))
         if isinstance(want, type):
             assert got is want, (spec, n)
             continue
+        got = got[0]
         assert got.frequency == want["k"], (spec, n)
         assert got.metadata["convergent"] == want["convergent"]
         for key in ("abs_k", "abs_inner"):
@@ -139,14 +141,14 @@ def test_hurwitz_witnesses_match_oracle(spec):
     ("dir:[dec:0.0000001, 1]", PrecisionExhausted, DepthNotCertified),
 ])
 def test_edge_cases_raise_as_before(spec, cwave_exc, hurwitz_exc):
-    assert outcome(oracle_convergent_wave, spec, 3) is cwave_exc
-    assert outcome(convergent_wave, spec, 3) is cwave_exc
+    assert outcome(oracle_wave, spec, 3) is cwave_exc
+    assert outcome(convergent_waves, spec, range(3, 4)) is cwave_exc
     assert outcome(oracle_hurwitz_witnesses, spec, 3) is hurwitz_exc
     assert outcome(hurwitz_witnesses, spec, 3) is hurwitz_exc
 
 
 @pytest.mark.parametrize("j, ks", [
-    (0, [(-2, -1), (-1, -1), (-3, -2), (-7, -5)]),   # convergent_wave's k = (p, -q) of a2/a1
+    (0, [(-2, -1), (-1, -1), (-3, -2), (-7, -5)]),   # convergent_waves' k = (p, -q) of a2/a1
     (1, [(1, 1), (3, 2), (7, 5), (17, 12)]),          # hurwitz_witnesses' k = (q, -p) of a1/a2
 ])
 def test_orientation_on_a_negative_slope(j, ks):
@@ -164,7 +166,8 @@ def test_waves_come_from_one_walk():
     a = parse_direction("dir:[1, const:e]")
     many = list(convergent_waves(a, range(1, 13)))
     assert [m.index for m in many] == list(range(1, 13))
-    assert [m.frequency for m in many] == [convergent_wave(a, n).frequency for n in range(1, 13)]
+    assert [m.frequency for m in many] == [convergent_waves(a, range(n, n + 1))[0].frequency
+                                           for n in range(1, 13)]
 
 
 def test_sharpness_table_expands_once(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dirp import diffusion
 from dirp.diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec,
-                            _convolver, _cyclic_conv, _witness_functions,
+                            _convolver, _witness_functions,
                             apply_markov, cesaro_average, contraction_factor,
                             convolution_power, convolve, density_floor_check,
                             measure_from_rv, parse_rv, scaling_fit,
@@ -37,13 +37,13 @@ def _python_exit_code(code: str, timeout: float) -> int:
     return subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout).returncode
 
 
-def _cyclic_conv_direct(a, b):
+def _direct_conv(a, b):
     """_convolver's direct branch, which it takes up to _DIRECT_CONV_MAX cells."""
     assert len(b) <= diffusion._DIRECT_CONV_MAX
     return _convolver(b)(a)
 
 
-def _cyclic_conv_fft(a, b):
+def _fft_conv(a, b):
     """_convolver's FFT branch, taken at any size once the switch is 0 cells."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diffusion, "_DIRECT_CONV_MAX", 0)
@@ -339,11 +339,11 @@ class TestDiscretization:
 class TestConvolution:
     def test_delta_is_identity(self):
         mu = measure_from_rv(DRIFT, Fraction(1, 10), 256)
-        out = convolve(mu, GridMeasure.delta(256))
+        out = convolve(mu, GridMeasure(256, np.eye(256)[0]))
         assert np.abs(out.weights - mu.weights).max() < 1e-15
 
     def test_uniform_is_absorbing(self):
-        u = GridMeasure.uniform(128)
+        u = GridMeasure(128, np.full(128, 1 / 128))
         mu = measure_from_rv(DRIFT, Fraction(1, 10), 128)
         out = convolve(mu, u)
         assert np.abs(out.weights - 1 / 128).max() < 1e-15
@@ -352,8 +352,7 @@ class TestConvolution:
         rng = np.random.default_rng(7)
         a = rng.random(512); a /= a.sum()
         b = rng.random(512); b /= b.sum()
-        assert np.abs(_cyclic_conv_direct(a, b)
-                      - _cyclic_conv_fft(a, b)).max() < 1e-12
+        assert np.abs(_direct_conv(a, b) - _fft_conv(a, b)).max() < 1e-12
 
     def test_direct_equals_full_mode_slice_bit_for_bit(self):
         def full_mode_slice(a, b):  # the earlier implementation, as the oracle
@@ -363,7 +362,7 @@ class TestConvolution:
         rng = np.random.default_rng(11)
         for M in (64, 4096, *rng.integers(65, 4096, 30)):
             a, b = rng.random(M), rng.random(M)
-            assert np.array_equal(_cyclic_conv_direct(a, b), full_mode_slice(a, b))
+            assert np.array_equal(_direct_conv(a, b), full_mode_slice(a, b))
 
     @pytest.mark.parametrize("M", [64, 2048, 4096])
     def test_direct_kernel_bytes_at_every_input_offset(self, M):
@@ -474,7 +473,7 @@ class TestConvolution:
         fa = [Fraction(float(x)) for x in a]
         fb = [Fraction(float(x)) for x in b]
         exact = [sum(fa[i] * fb[(n - i) % M] for i in range(M)) for n in range(M)]
-        got = _cyclic_conv_direct(a, b)
+        got = _direct_conv(a, b)
         for n in range(M):
             assert abs(Fraction(float(got[n])) - exact[n]) <= exact[n] * Fraction(M, 2 ** 52)
 
@@ -495,10 +494,10 @@ class TestConvolution:
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
-            convolve(GridMeasure.uniform(64), GridMeasure.uniform(128))
+            convolve(GridMeasure(64, np.full(64, 1 / 64)), GridMeasure(128, np.full(128, 1 / 128)))
 
     @pytest.mark.parametrize("M", [2048, 4096])
-    def test_cesaro_equals_running_cyclic_conv_bytes(self, M):
+    def test_cesaro_equals_running_direct_conv_bytes(self, M):
         # one prepared kernel per loop on the direct side of the switch,
         # whose bytes the report pins
         mu = measure_from_rv(DRIFT, Fraction(1, 20), M)
@@ -506,7 +505,7 @@ class TestConvolution:
         acc = mu.weights.copy()
         power = mu.weights
         for _ in range(n - 1):
-            power = _cyclic_conv(power, mu.weights)
+            power = _convolver(mu.weights)(power)
             acc += power
         expected = GridMeasure(M, acc / n).weights
         assert cesaro_average(mu, n).weights.tobytes() == expected.tobytes()
@@ -550,12 +549,12 @@ class TestConvolution:
 class TestMarkovOperator:
     def test_delta_leaves_function_unchanged(self):
         f = GridFunction.harmonic(256, 3)
-        g = apply_markov(f, GridMeasure.delta(256))
+        g = apply_markov(f, GridMeasure(256, np.eye(256)[0]))
         assert np.abs(g.values - f.values).max() < 1e-15
 
     def test_uniform_annihilates_mean_zero(self):
         f = GridFunction.harmonic(256, 1)
-        g = apply_markov(f, GridMeasure.uniform(256))
+        g = apply_markov(f, GridMeasure(256, np.full(256, 1 / 256)))
         assert np.abs(g.values).max() <= 1e-10
 
     def test_arc_average_multiplier(self):
@@ -717,7 +716,7 @@ class TestCesaro:
         assert np.abs(out.weights - mu.weights).max() < 1e-15
 
     def test_half_shift_two_step_orbit(self):
-        mu = GridMeasure.delta(128, 64)
+        mu = GridMeasure(128, np.eye(128)[64])
         out = cesaro_average(mu, 2)
         assert abs(out.weights[64] - 0.5) < 1e-15
         assert abs(out.weights[0] - 0.5) < 1e-15
@@ -739,7 +738,7 @@ class TestLemmaCheck:
         return worst
 
     def test_uniform_full_averaging(self):
-        mu = GridMeasure.uniform(128)
+        mu = GridMeasure(128, np.full(128, 1 / 128))
         c = min(1.0, mu.density_floor())
         assert c == 1.0 and self._worst_margin(mu, c) <= 1e-9
 
@@ -752,7 +751,7 @@ class TestLemmaCheck:
         assert abs(c - 0.5) < 1e-12 and self._worst_margin(mu, c) <= 1e-9
 
     def test_singular_degenerates_to_young(self):
-        mu = GridMeasure.delta(128, 64)
+        mu = GridMeasure(128, np.eye(128)[64])
         c = min(1.0, mu.density_floor())
         assert c == 0.0 and self._worst_margin(mu, c) <= 1e-9
 

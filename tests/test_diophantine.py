@@ -19,7 +19,7 @@ from dirp.constants import e_cr, pi_cr
 from dirp.diophantine import (CFExpansion, LinearFormSystem, bounded_quotient_report,
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
-                              roth_exponents, system_lattice_min)
+                              system_lattice_min)
 from dirp.directions import liouville_constant, make_direction, parse_direction
 from dirp.errors import (NonpositiveSigma, PrecisionExhausted, RationalRatio,
                          UnsupportedLevel)
@@ -630,11 +630,6 @@ class TestExponentTables:
     def test_nonpositive_sigma(self):
         with pytest.raises(NonpositiveSigma):
             delta_from_sigma(0)
-
-    def test_roth(self):
-        assert roth_exponents(Fraction(1, 10)) == (Fraction(3, 5), Fraction(2, 5))
-        with pytest.raises(ValueError):
-            roth_exponents(Fraction(1, 2))
 
     def test_markov_constants(self):
         assert markov_bounds(1).exact == QuadExact(0, 1, 5)

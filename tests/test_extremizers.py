@@ -8,7 +8,7 @@ import pytest
 
 from dirp.directions import inner_product, make_direction
 from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
-from dirp.extremizers import (convergent_wave, fibonacci_family,
+from dirp.extremizers import (convergent_waves, fibonacci_family,
                               fibonacci_numbers, liouville_cap, liouville_family,
                               parse_family_token, sharpness_table)
 from dirp.precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
@@ -114,22 +114,21 @@ class TestLiouville:
 
 class TestConvergentWave:
     def test_golden_reproduces_fibonacci(self):
-        m = convergent_wave(PHI, 4)
+        m = convergent_waves(PHI, range(4, 5))[0]
         k = m.frequency
         fibs = {fibonacci_numbers(n) for n in range(1, 8)}
         assert (abs(k[1]), abs(k[0])) in fibs or (abs(k[0]), abs(k[1])) in fibs
 
     def test_sqrt2_sixth_convergent_in_liouville_window(self):
         a = make_direction([1, SQRT2])
-        m = convergent_wave(a, 6)
+        m = convergent_waves(a, range(6, 7))[0]
         product = float(m.metadata["abs_k"]) * float(m.metadata["abs_inner"])
         assert 1 / 3 <= product <= 0.62
 
     def test_e_products_collapse_below_golden_floor(self):
         a = make_direction([1, e_cr()])
         running = math.inf
-        for n in range(1, 21):
-            m = convergent_wave(a, n)
+        for m in convergent_waves(a, range(1, 21)):
             running = min(running, float(m.metadata["abs_k"])
                           * float(m.metadata["abs_inner"]))
         assert running < 0.2  # strictly below the golden floor 0.85
@@ -143,11 +142,11 @@ class TestConvergentWave:
 
     def test_rational_slope_rejected(self):
         with pytest.raises(RationalRatio):
-            convergent_wave(make_direction([1, 2]), 3)
+            convergent_waves(make_direction([1, 2]), range(3, 4))
 
     def test_needs_dim_two(self):
         with pytest.raises(ValueError):
-            convergent_wave(make_direction([1, 2, 3]), 3)
+            convergent_waves(make_direction([1, 2, 3]), range(3, 4))
 
 
 class TestParseToken:

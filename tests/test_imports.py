@@ -3,6 +3,7 @@ and every error a module raises is one that cli.main maps to an exit code."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -85,8 +86,8 @@ def test_raise_checker_flags_other_classes(tmp_path):
 
 def test_import_starts_no_thread():
     # dirp runs on the calling thread: importing it starts no thread and
-    # imports no concurrent.futures
-    code = ("import sys, threading, dirp\n"
+    # imports no concurrent.futures; dirp.cli imports every other module
+    code = ("import sys, threading, dirp.cli\n"
             "assert 'concurrent.futures' not in sys.modules\n"
             "assert threading.active_count() == 1, threading.enumerate()\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -94,3 +95,15 @@ def test_import_starts_no_thread():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracing.py rebinds each SPANNED name by getattr; a name
+    # deleted from dirp would otherwise fail only a traced benchmark run
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, names in tracing.SPANNED.items()
+               for name in names if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
