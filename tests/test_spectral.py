@@ -168,6 +168,16 @@ class TestMultiplier:
         lo, hi = diff.enclosure(60)
         assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
 
+    @pytest.mark.parametrize("spec", ["dir:[1, quad:sqrt2]", "dir:[1, const:e]",
+                                      "dir:[1, quad:(1+sqrt5)/2]"])
+    def test_inner_product_symbol_is_directional_norm(self, spec):
+        # the general symbol path against directional_norm's Parseval sums
+        a = parse_direction(spec)
+        p = TrigPoly(2, {(2, 1): (1, 2), (5, -3): 1, (-4, 7): (0, Fraction(1, 3))})
+        diff = multiplier_norm(p, lambda k: inner_product(k, a)) - directional_norm(p, a)
+        lo, hi = diff.enclosure(60)
+        assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
+
     def test_fibonacci_symbol_products(self):
         # <k,alpha>|k| at Fibonacci frequencies approaches the golden floor
         a = make_direction([1, GOLDEN_RATIO])
