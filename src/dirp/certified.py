@@ -25,6 +25,7 @@ from .precision import (
     mul_interval,
     pow_interval,
     round_out,
+    sum_interval,
 )
 from .quadratic import QuadExact
 
@@ -100,12 +101,7 @@ class CertifiedReal:
         guard = _GUARD + len(str(len(terms)))
 
         def fn(digits):
-            lo = hi = Fraction(0)
-            for t in terms:
-                tlo, thi = t.enclosure(digits + guard)
-                lo += tlo
-                hi += thi
-            return round_out(lo, hi, digits)
+            return sum_interval([t.enclosure(digits + guard) for t in terms], digits)
 
         return cls(fn=fn, refinable=all(t.refinable for t in terms))
 
@@ -185,6 +181,8 @@ class CertifiedReal:
                         "(floats are rejected: pass int, Fraction or str)")
 
     def _combine(self, other, exact_op, interval_op) -> "CertifiedReal":
+        """self op other: exact_op on two exact operands when it stays in a
+        field, else interval_op(ia, ib, digits), which rounds its result."""
         other = self._wrap(other)
         if self.exact is not None and other.exact is not None:
             res = exact_op(self.exact, other.exact)
@@ -196,13 +194,14 @@ class CertifiedReal:
         def fn(digits):
             ia = a.enclosure(digits + _GUARD)
             ib = b.enclosure(digits + _GUARD)
-            return round_out(*interval_op(ia, ib), digits)
+            return interval_op(ia, ib, digits)
 
         return CertifiedReal(fn=fn, refinable=refinable)
 
     def __add__(self, other):
-        return self._combine(other, lambda x, y: x.__add__(y),
-                             lambda ia, ib: (ia[0] + ib[0], ia[1] + ib[1]))
+        return self._combine(
+            other, lambda x, y: x.__add__(y),
+            lambda ia, ib, digits: round_out(ia[0] + ib[0], ia[1] + ib[1], digits))
 
     __radd__ = __add__
 
@@ -210,8 +209,12 @@ class CertifiedReal:
         if self.exact is not None:
             return CertifiedReal(exact=-self.exact)
         src = self
-        return CertifiedReal(fn=lambda d: (-src.enclosure(d)[1], -src.enclosure(d)[0]),
-                             refinable=src.refinable)
+
+        def fn(digits):
+            lo, hi = src.enclosure(digits)
+            return (-hi, -lo)
+
+        return CertifiedReal(fn=fn, refinable=src.refinable)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -243,7 +246,7 @@ class CertifiedReal:
                 d *= 2
                 ib = b.enclosure(d)
             inv = (Fraction(1) / ib[1], Fraction(1) / ib[0])
-            return round_out(*mul_interval(ia, inv), digits)
+            return mul_interval(ia, inv, digits)
 
         return CertifiedReal(fn=fn, refinable=refinable)
 

@@ -29,7 +29,8 @@ IntegerMasses = tuple[int, tuple[tuple[FreqVector, int], ...]]
 
 
 def freq_norm_sq(k: Sequence[int]) -> int:
-    return sum(int(c) * int(c) for c in k)
+    """k.k; a non-integer component raises TypeError."""
+    return sum(c * c for c in map(index, k))
 
 
 def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> CertifiedReal:
@@ -38,7 +39,7 @@ def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> Certifie
     if norm == "euclidean":
         base, expo = freq_norm_sq(k), Fraction(sigma, 2)
     elif norm == "max":
-        base, expo = max(abs(c) for c in k), Fraction(sigma)
+        base, expo = max(abs(c) for c in map(index, k)), Fraction(sigma)
     else:
         raise ValueError("norm must be euclidean or max")
     if expo < 0:

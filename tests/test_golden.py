@@ -7,7 +7,9 @@ lattice searches shared one certification loop, and the four 60-term
 polynomial commands before certified sums became one n-ary node, and the
 three exact `cf` commands (a negative rational, a quadratic with negative
 b, a finite `cf:` literal) before the exact expansion became an integer
-(P, Q) recurrence; a change to one needs a CHANGES.md line that says why.
+(P, Q) recurrence, and the three 60-term commands on (1, e), (1, Liouville)
+and (1, dec:0.5) before the interval kernels rounded from integer
+numerators; a change to one needs a CHANGES.md line that says why.
 """
 
 import hashlib
@@ -85,6 +87,18 @@ SUBCOMMANDS = {
     "norms poly60 (1,dec e)": (
         ["norms", POLY60, "--direction", "dir:[1, dec:2.718281828459045]"],
         "72e67bb789bc96e9ee238dd26a5db7a0005ffcd6488afc05ea4e7d808e4bf613"),
+    # a refinable constant, and pow_frac through nth_root_interval
+    "ratio delta:2 poly60 (1,e)": (
+        ["ratio", POLY60, "--direction", "dir:[1, const:e]", "--preset", "delta:2"],
+        "52b1faa510487e5f3167bf7d9540fc9bef06512155ff330108f41cca93e5c4b2"),
+    "norms poly60 (1,liouville:10)": (
+        ["norms", POLY60, "--direction", "dir:[1, liouville:10]"],
+        "a98687f499f8ec3fcbff4012c5093b7eafb9e5ff570747c51cc4882b32c38c64"),
+    # <k, alpha> straddles 0 at k = (-22, 38) and (20, -39), since dec:0.5 is
+    # only known to +-0.1: its square multiplies two intervals across 0
+    "norms poly60 (1,dec:0.5)": (
+        ["norms", POLY60, "--direction", "dir:[1, dec:0.5]"],
+        "bbadf1a7c207a167d29c28dc62b3f5c4b47526a9b38f3a0c6c8ca5077120be0d"),
 }
 
 

@@ -582,6 +582,22 @@ class TestFreqNorm:
         with pytest.raises(ValueError):
             freq_norm_cr((1, 2), 1, "taxicab")
 
+    @pytest.mark.parametrize("k", [(1.5, 2), (2, -0.5), (np.float64(1), 2),
+                                   (Fraction(3, 2), 2), ("1", 2)])
+    def test_non_integer_component_is_rejected(self, k):
+        # truncating (1.5, 2) to (1, 2) would give |k|^2 = 5, not 6.25
+        with pytest.raises(TypeError):
+            freq_norm_sq(k)
+        for norm in ("euclidean", "max"):
+            with pytest.raises(TypeError):
+                freq_norm_cr(k, 1, norm)
+
+    def test_integer_like_components_are_accepted(self):
+        k = (np.int64(-3), np.uint8(4))
+        assert freq_norm_sq(k) == 25 and type(freq_norm_sq(k)) is int
+        assert freq_norm_cr(k).exact == QuadExact(5)
+        assert freq_norm_cr(k, 2, "max").exact == QuadExact(16)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stored_totals_match_the_oracles(self, dim):
         rng = random.Random(40 + dim)
