@@ -2,18 +2,20 @@
 
 A CertifiedReal either wraps an exact QuadExact (rational or quadratic
 irrational: signs and zeros decidable outright) or an enclosure
-function digits -> (lo, hi).  Arithmetic composes enclosures with
-outward rounding; exactness is preserved whenever the operands live in
-a common quadratic field.  Refinement doubles the digit count until a
-sign is resolved or the context cap is hit, which is the toolkit's
-defense against the catastrophic cancellation that inner products
-<k, alpha> can exhibit.
+function digits -> (lo, hi).  Every composite value is one node
+(CertifiedReal.node): exact when its operands are exact and the exact
+operation stays in one field, else it asks each operand for digits +
+guard digits and applies one interval operation that rounds outward.
+Refinement doubles the digit count until a sign is resolved or the
+context cap is hit, which is the toolkit's defense against the
+catastrophic cancellation that inner products <k, alpha> can exhibit.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 from .errors import PrecisionExhausted
@@ -30,7 +32,7 @@ from .precision import (
 from .quadratic import QuadExact
 
 Interval = tuple[Fraction, Fraction]
-_GUARD = 10  # extra digits requested from operands of a composite
+GUARD = 10  # extra digits requested from operands of a composite
 
 
 def _sign_of(lo: Fraction, hi: Fraction) -> Optional[int]:
@@ -41,6 +43,11 @@ def _sign_of(lo: Fraction, hi: Fraction) -> Optional[int]:
     if lo == 0 and hi == 0:
         return 0
     return None
+
+
+def _exact_sum(*values: QuadExact):
+    """The exact total, or NotImplemented once the values span two fields."""
+    return reduce(lambda t, v: t if t is NotImplemented else t.__add__(v), values, QuadExact(0))
 
 
 class CertifiedReal:
@@ -83,27 +90,33 @@ class CertifiedReal:
         return cls(fn=fn)
 
     @classmethod
+    def node(cls, operands: Iterable, guard: int,
+             interval_op: Callable[[list[Interval], int], Interval],
+             exact_op: Optional[Callable[..., QuadExact]] = None) -> "CertifiedReal":
+        """One composite value: exact_op(*exact operands) when every operand
+        is exact and it does not return NotImplemented, else an enclosure
+        interval_op(operand enclosures at digits + guard, digits), which
+        rounds its own result.  Refinable when every operand is."""
+        operands = [cls._wrap(o) for o in operands]
+        if exact_op is not None and all(o.exact is not None for o in operands):
+            res = exact_op(*(o.exact for o in operands))
+            if res is not NotImplemented:
+                return cls(exact=res)
+
+        def fn(digits):
+            return interval_op([o.enclosure(digits + guard) for o in operands], digits)
+
+        return cls(fn=fn, refinable=all(o.refinable for o in operands))
+
+    @classmethod
     def sum(cls, terms: Iterable) -> "CertifiedReal":
         """One node for the whole sum: exact when every term is exact and
         all fold in one field, else an enclosure that asks each of the n
-        terms for digits + _GUARD + len(str(n)) digits, adds the endpoints
+        terms for digits + GUARD + len(str(n)) digits, adds the endpoints
         exactly and rounds once (a chain of n additions would ask its first
-        term for digits + _GUARD * n)."""
-        terms = [cls._wrap(t) for t in terms]
-        if all(t.exact is not None for t in terms):
-            total = QuadExact(0)
-            for t in terms:
-                total = total.__add__(t.exact)
-                if total is NotImplemented:
-                    break
-            else:
-                return cls(exact=total)
-        guard = _GUARD + len(str(len(terms)))
-
-        def fn(digits):
-            return sum_interval([t.enclosure(digits + guard) for t in terms], digits)
-
-        return cls(fn=fn, refinable=all(t.refinable for t in terms))
+        term for digits + GUARD * n)."""
+        terms = list(terms)
+        return cls.node(terms, GUARD + len(str(len(terms))), sum_interval, _exact_sum)
 
     # -- enclosure ---------------------------------------------------------
 
@@ -180,109 +193,68 @@ class CertifiedReal:
         raise TypeError(f"cannot interpret {type(x).__name__} as CertifiedReal "
                         "(floats are rejected: pass int, Fraction or str)")
 
-    def _combine(self, other, exact_op, interval_op) -> "CertifiedReal":
-        """self op other: exact_op on two exact operands when it stays in a
-        field, else interval_op(ia, ib, digits), which rounds its result."""
-        other = self._wrap(other)
-        if self.exact is not None and other.exact is not None:
-            res = exact_op(self.exact, other.exact)
-            if res is not NotImplemented:
-                return CertifiedReal(exact=res)
-        a, b = self, other
-        refinable = a.refinable and b.refinable
-
-        def fn(digits):
-            ia = a.enclosure(digits + _GUARD)
-            ib = b.enclosure(digits + _GUARD)
-            return interval_op(ia, ib, digits)
-
-        return CertifiedReal(fn=fn, refinable=refinable)
-
     def __add__(self, other):
-        return self._combine(
-            other, lambda x, y: x.__add__(y),
-            lambda ia, ib, digits: round_out(ia[0] + ib[0], ia[1] + ib[1], digits))
+        return CertifiedReal.node((self, other), GUARD, sum_interval, QuadExact.__add__)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.exact is not None:
-            return CertifiedReal(exact=-self.exact)
-        src = self
-
-        def fn(digits):
-            lo, hi = src.enclosure(digits)
-            return (-hi, -lo)
-
-        return CertifiedReal(fn=fn, refinable=src.refinable)
+        return CertifiedReal.node((self,), 0, lambda ivs, digits: (-ivs[0][1], -ivs[0][0]),
+                                  QuadExact.__neg__)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        def op(ivs, digits):
+            (a0, a1), (b0, b1) = ivs
+            return round_out(a0 - b1, a1 - b0, digits)
+        return CertifiedReal.node((self, other), GUARD, op, QuadExact.__sub__)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._wrap(other) - self
 
     def __mul__(self, other):
-        return self._combine(other, lambda x, y: x.__mul__(y), mul_interval)
+        return CertifiedReal.node((self, other), GUARD,
+                                  lambda ivs, digits: mul_interval(*ivs, digits),
+                                  QuadExact.__mul__)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._wrap(other)
-        if self.exact is not None and other.exact is not None:
-            res = self.exact.__truediv__(other.exact)
-            if res is not NotImplemented:
-                return CertifiedReal(exact=res)
-        s = other.sign()  # raises on unresolvable denominator
-        if s == 0:
+        # two exact operands divide in QuadExact, which raises on 0; otherwise
+        # other.sign() decides, and raises on an unresolvable denominator
+        if (self.exact is None or other.exact is None) and other.sign() == 0:
             raise ZeroDivisionError("division by certified zero")
-        a, b = self, other
-        refinable = a.refinable and b.refinable
 
-        def fn(digits):
-            d = digits + _GUARD
-            ia, ib = a.enclosure(d), b.enclosure(d)
+        def op(ivs, digits):
+            ia, ib = ivs
+            d = digits + GUARD
             while ib[0] <= 0 <= ib[1]:
                 d *= 2
-                ib = b.enclosure(d)
-            inv = (Fraction(1) / ib[1], Fraction(1) / ib[0])
-            return mul_interval(ia, inv, digits)
+                ib = other.enclosure(d)
+            return mul_interval(ia, (Fraction(1) / ib[1], Fraction(1) / ib[0]), digits)
 
-        return CertifiedReal(fn=fn, refinable=refinable)
+        return CertifiedReal.node((self, other), GUARD, op, QuadExact.__truediv__)
 
     def __rtruediv__(self, other):
         return self._wrap(other) / self
 
     def __abs__(self):
-        if self.exact is not None:
-            return CertifiedReal(exact=abs(self.exact))
-        src = self
-
-        def fn(digits):
-            lo, hi = src.enclosure(digits)
+        def op(ivs, digits):
+            lo, hi = ivs[0]
             if lo >= 0:
                 return (lo, hi)
             if hi <= 0:
                 return (-hi, -lo)
             return (Fraction(0), max(-lo, hi))
-
-        return CertifiedReal(fn=fn, refinable=src.refinable)
+        return CertifiedReal.node((self,), 0, op, QuadExact.__abs__)
 
     def sqrt(self) -> "CertifiedReal":
-        """Square root of a nonnegative value; exact when the operand is an
-        exact nonnegative rational (the result lives in Q(sqrt(num*den)))."""
-        if self.exact is not None and self.exact.is_rational:
-            v = self.exact.as_fraction()
-            if v < 0:
-                raise ValueError("sqrt of negative exact value")
-            if v == 0:
-                return CertifiedReal.from_rational(0)
-            return CertifiedReal(exact=QuadExact(
-                0, Fraction(1, v.denominator), v.numerator * v.denominator))
         return self.pow_frac(Fraction(1, 2))
 
     def pow_frac(self, exponent) -> "CertifiedReal":
-        """self ** exponent for nonnegative self and exponent >= 0."""
+        """self ** exponent for nonnegative self and exponent >= 0; exact for
+        an integer power of an exact value and for a half-integer power p/2
+        of an exact rational v, which is sqrt(v^p) in Q(sqrt(num*den))."""
         exponent = Fraction(exponent)
         if exponent < 0:
             raise ValueError("pow_frac needs exponent >= 0")
@@ -291,23 +263,22 @@ class CertifiedReal:
         if exponent == 1:
             return self
         if self.exact is not None and exponent.denominator == 1:
-            res = self.exact
             out = QuadExact(1)
             for _ in range(exponent.numerator):
-                out = out * res
+                out = out * self.exact
             return CertifiedReal(exact=out)
         if (self.exact is not None and self.exact.is_rational
                 and exponent.denominator == 2):
-            # half-integer power of a rational stays exact in Q(sqrt(num*den))
             v = self.exact.as_fraction() ** exponent.numerator
-            return CertifiedReal.from_rational(v).sqrt()
-        src = self
+            if v < 0:
+                raise ValueError("sqrt of negative exact value")
+            return CertifiedReal(exact=QuadExact(
+                0, Fraction(1, v.denominator), v.numerator * v.denominator))
 
-        def fn(digits):
-            lo, hi = src.enclosure(digits + _GUARD)
-            return round_out(*pow_interval(lo, hi, exponent, digits + _GUARD), digits)
+        def op(ivs, digits):
+            return round_out(*pow_interval(*ivs[0], exponent, digits + GUARD), digits)
 
-        return CertifiedReal(fn=fn, refinable=src.refinable)
+        return CertifiedReal.node((self,), GUARD, op)
 
     # -- comparisons (certified) --------------------------------------------
 

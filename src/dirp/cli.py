@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -35,10 +36,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 EXIT_UNRESOLVED = 4
+_CONFIG_KEYS = ("digits", "max_digits", "radius", "grid", "seed", "out", "format")
 
 
 def _read_config(path: str) -> dict:
-    """Single key=value per line; # comments; keys mirror the CLI flags."""
+    """Single key=value per line; # comments; a key not in _CONFIG_KEYS raises."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -47,8 +49,11 @@ def _read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _CONFIG_KEYS:
+                raise ParseError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"expected one of {', '.join(_CONFIG_KEYS)}")
+            out[key] = value
     return out
 
 
@@ -255,6 +260,7 @@ def _global_flags(default) -> argparse.ArgumentParser:
     return flags
 
 
+@functools.cache  # built on first use; each parse_args fills a fresh Namespace
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dirp", parents=[_global_flags(None)],
@@ -303,8 +309,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         settings = _build_settings(args)
         ctx = PrecisionContext(working_digits=settings["digits"],

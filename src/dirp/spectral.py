@@ -16,11 +16,11 @@ from operator import index, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .certified import CertifiedReal
+from .certified import GUARD, CertifiedReal
 from .constants import pi_cr
-from .directions import Direction, inner_product
+from .directions import Direction
 from .errors import DimensionMismatch, ParseError, ZeroFunction
-from .precision import fraction_to_decimal_str
+from .precision import fraction_to_decimal_str, round_out
 from .quadratic import QuadExact, common_field
 
 FreqVector = tuple[int, ...]
@@ -148,10 +148,11 @@ class TrigPoly:
 # The three Parseval sums s0 = sum |a_k|^2, sg = sum |a_k|^2 |k|^2 and
 # sd = sum |a_k|^2 <k,alpha>^2 are accumulated as Python integers from
 # TrigPoly.masses (the exact kernel below); sd too, when the entries of alpha
-# share one field Q(sqrt D).  Other directions go through CertifiedReal
-# arithmetic (_raw_sum), which gives the same canonical Fraction / QuadExact
-# wherever both apply.  Nothing here decides a precision: inexact sums are
-# lazy enclosures, refined by whoever prints or compares them.
+# share one field Q(sqrt D).  For other directions sd is one CertifiedReal
+# node over the entries alpha_i that the frequencies use: it bounds each
+# <k,alpha> in integers on one decimal grid and rounds the weighted sum of
+# squares once.  Nothing here decides a precision: inexact sums are lazy
+# enclosures, refined by whoever prints or compares them.
 
 
 def _raw_sum(f: TrigPoly,
@@ -163,10 +164,11 @@ def _raw_sum(f: TrigPoly,
     return CertifiedReal.sum(term(k, re, im) for k, (re, im) in sorted(f.terms.items()))
 
 
-def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | None:
+def _quadratic_field(entries: Sequence[CertifiedReal]
+                     ) -> tuple[int, int, list[int], list[int]] | None:
     """(D, Q, x, y) with integers and alpha_i = (x_i + y_i sqrt D) / Q;
     None unless every entry is exact and all lie in one field."""
-    qs = [e.exact for e in a.entries]
+    qs = [e.exact for e in entries]
     field = None if any(q is None for q in qs) else common_field(qs)
     if field is None:
         return None
@@ -178,24 +180,45 @@ def _quadratic_field(a: Direction) -> tuple[int, int, list[int], list[int]] | No
 def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
-    field = _quadratic_field(a)
-    if field is None:
-        # ip * ip encloses <k,alpha>^2 even when its sign is undecided
-        def weight_sq(k):
-            ip = inner_product(k, a)
-            return ip * ip
-        return _raw_sum(f, weight_sq)
-    # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
-    D, Q, x, y = field
     scale, terms = f.masses
-    rat = irr = 0
-    for k, A in terms:
-        P = sum(map(mul, k, x))
-        R = sum(map(mul, k, y))
-        rat += A * (P * P + R * R * D)
-        irr += A * P * R
-    den = scale * Q * Q
-    return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D))
+    # an entry that no frequency uses counts as an exact 0: it neither keeps
+    # the sum from being exact nor is asked for an enclosure
+    entries = [e if any(k[i] for k, _ in terms) else CertifiedReal.from_rational(0)
+               for i, e in enumerate(a.entries)]
+    field = _quadratic_field(entries)
+    if field is not None:
+        # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
+        D, Q, x, y = field
+        rat = irr = 0
+        for k, A in terms:
+            P = sum(map(mul, k, x))
+            R = sum(map(mul, k, y))
+            rat += A * (P * P + R * R * D)
+            irr += A * P * R
+        den = scale * Q * Q
+        return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D))
+    # One node over the entries: their enclosures on the 10^-(digits+guard) grid
+    # as integers, each <k,alpha> bounded by the signs of k_i and squared as
+    # ip * ip would be, one rounding.  The guard is what a tree of per-term sum
+    # and product nodes would ask the entries for, so their caches match it.
+    guard = 5 * GUARD + len(str(len(terms))) + len(str(len(entries)))
+
+    def op(ivs, digits):
+        s = 10 ** (digits + guard)
+        los = [lo.numerator * s // lo.denominator for lo, _ in ivs]
+        his = [-(-hi.numerator * s // hi.denominator) for _, hi in ivs]
+        total_lo = total_hi = 0
+        for k, A in terms:
+            lo = sum(c * (x if c > 0 else y) for c, x, y in zip(k, los, his))
+            hi = sum(c * (y if c > 0 else x) for c, x, y in zip(k, los, his))
+            if hi <= 0:  # [lo, hi]^2 = [-hi, -lo]^2
+                lo, hi = -hi, -lo
+            total_lo += A * (lo * lo if lo >= 0 else lo * hi)
+            total_hi += A * max(lo * lo, hi * hi)
+        den = scale * s * s
+        return round_out(Fraction(total_lo, den), Fraction(total_hi, den), digits)
+
+    return CertifiedReal.node(entries, guard, op)
 
 
 def parseval_sums(f: TrigPoly, a: Direction | None = None
@@ -244,8 +267,7 @@ def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object]) -> Cert
         if not isinstance(p, CertifiedReal):
             p = CertifiedReal.from_rational(p)
         return p * p
-    s = _raw_sum(f, weight_sq)
-    return (_two_pi_pow(f.dim) * s).sqrt()
+    return (_two_pi_pow(f.dim) * _raw_sum(f, weight_sq)).sqrt()
 
 
 # -- functionals -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Certified reals and exact quadratic arithmetic."""
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.certified import _GUARD, CertifiedReal
+from dirp.certified import GUARD, CertifiedReal
+from dirp.constants import e_cr
 from dirp.diophantine import cf_expand
 from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
@@ -336,7 +338,7 @@ class TestCertifiedSum:
         lo, hi = s.enclosure(80)
         assert lo <= Fraction(n, 3) <= hi
         assert len(asked) == n
-        assert max(asked) <= 80 + _GUARD + 4
+        assert max(asked) <= 80 + GUARD + 4
 
     def test_long_poincare_ratio_stays_near_working_precision(self, monkeypatch):
         # a chain of 60 additions asked e for ~750 digits at 80
@@ -352,6 +354,144 @@ class TestCertifiedSum:
         ratio = poincare_ratio(poly, parse_direction("dir:[1, const:e]"), 1, 1)
         ratio.to_json(80)
         assert 80 <= max(asked) <= 200
+
+
+# -- every composite is one node ------------------------------------------------
+#
+# The oracles are the closures that negation, abs and division built for
+# themselves before CertifiedReal.node, and addition as _combine built it;
+# subtraction was the addition of a negation.  Each operator must give the
+# same enclosure at every precision and the same refinable flag.
+
+def _closure(fn, *operands) -> CertifiedReal:
+    return CertifiedReal(fn=fn, refinable=all(o.refinable for o in operands))
+
+
+def neg_oracle(a):
+    def fn(digits):
+        lo, hi = a.enclosure(digits)
+        return (-hi, -lo)
+    return _closure(fn, a)
+
+
+def add_oracle(a, b):
+    def fn(digits):
+        ia, ib = a.enclosure(digits + GUARD), b.enclosure(digits + GUARD)
+        return round_out(ia[0] + ib[0], ia[1] + ib[1], digits)
+    return _closure(fn, a, b)
+
+
+def abs_oracle(a):
+    def fn(digits):
+        lo, hi = a.enclosure(digits)
+        if lo >= 0:
+            return (lo, hi)
+        if hi <= 0:
+            return (-hi, -lo)
+        return (Fraction(0), max(-lo, hi))
+    return _closure(fn, a)
+
+
+def div_oracle(a, b):
+    def fn(digits):
+        d = digits + GUARD
+        ia, ib = a.enclosure(d), b.enclosure(d)
+        while ib[0] <= 0 <= ib[1]:
+            d *= 2
+            ib = b.enclosure(d)
+        inv = (Fraction(1) / ib[1], Fraction(1) / ib[0])
+        products = [x * y for x in ia for y in inv]
+        return round_out(min(products), max(products), digits)
+    return _closure(fn, a, b)
+
+
+def _padded_leaf(x: Fraction) -> CertifiedReal:
+    """A refinable leaf [x - 10^-digits, x + 10^-digits]."""
+    return CertifiedReal.from_fn(lambda digits: (x - Fraction(1, 10 ** digits),
+                                                 x + Fraction(1, 10 ** digits)))
+
+
+# sqrt2 less its first 50 decimals: in (0, 10^-50), and its enclosure at
+# 30 + GUARD digits straddles 0, so a division refines the divisor
+_P = math.isqrt(2 * 10 ** 100)
+TINY = QuadExact(Fraction(-_P, 10 ** 50), 1, 2)
+
+# fresh operands for each side, so no enclosure cache is shared
+OPERANDS = {
+    "rational": lambda: CertifiedReal.from_rational(Fraction(-7, 3)),
+    "quadratic": lambda: CertifiedReal.from_quad(QuadExact(Fraction(1, 3), -2, 5)),
+    "leaf": lambda: _rounded_leaf(Fraction(22, 7)),
+    "negative leaf": lambda: _rounded_leaf(Fraction(-5, 11)),
+    "e": e_cr,
+    "liouville": lambda: liouville_constant(3),
+    "decimal": lambda: CertifiedReal.from_decimal_literal("-1.25"),
+    "decimal across 0": lambda: CertifiedReal.from_decimal_literal("0.0"),
+    "leaf across 0": lambda: _padded_leaf(Fraction(1, 10 ** 60)),
+}
+EXACT = {"rational", "quadratic"}
+INEXACT = sorted(set(OPERANDS) - EXACT)
+NODE_DIGITS = (30, 80, 150)
+
+
+def _assert_same(node, oracle):
+    assert node.exact is None and node.refinable == oracle.refinable
+    for digits in NODE_DIGITS:
+        assert node.enclosure(digits) == oracle.enclosure(digits), digits
+
+
+class TestNodeOperators:
+    @pytest.mark.parametrize("a, b", [(a, b) for a, b in itertools.product(OPERANDS, repeat=2)
+                                      if not {a, b} <= EXACT])
+    def test_subtraction_adds_the_negation(self, a, b):
+        x, y = OPERANDS[a](), OPERANDS[b]()
+        _assert_same(x - y, add_oracle(OPERANDS[a](), neg_oracle(OPERANDS[b]())))
+
+    @pytest.mark.parametrize("a", INEXACT)
+    def test_reflected_subtraction(self, a):
+        three_sevenths = CertifiedReal.from_rational(Fraction(3, 7))
+        _assert_same(Fraction(3, 7) - OPERANDS[a](),
+                     add_oracle(neg_oracle(OPERANDS[a]()), three_sevenths))
+
+    def test_subtraction_makes_one_node(self, monkeypatch):
+        x, y = e_cr(), _rounded_leaf(Fraction(1, 3))
+        made = []
+        init = CertifiedReal.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CertifiedReal, "__init__", counting)
+        x - y
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("a", INEXACT)
+    def test_negation(self, a):
+        _assert_same(-OPERANDS[a](), neg_oracle(OPERANDS[a]()))
+
+    @pytest.mark.parametrize("a", INEXACT)
+    def test_abs_on_both_signs_and_across_zero(self, a):
+        _assert_same(abs(OPERANDS[a]()), abs_oracle(OPERANDS[a]()))
+
+    def test_abs_operands_cover_every_branch(self):
+        signs = {name: OPERANDS[name]().enclosure(NODE_DIGITS[0]) for name in INEXACT}
+        assert any(lo >= 0 for lo, _ in signs.values())
+        assert any(hi <= 0 for _, hi in signs.values())
+        assert any(lo < 0 < hi for lo, hi in signs.values())
+
+    @pytest.mark.parametrize("a, b", [
+        (a, b) for a in INEXACT + ["rational"]
+        for b in ("tiny", "negative leaf", "e", "decimal", "quadratic")
+        if a in INEXACT or b not in ("tiny", "quadratic")])
+    def test_division(self, a, b):
+        def divisor():
+            return CertifiedReal.from_quad(TINY) if b == "tiny" else OPERANDS[b]()
+        _assert_same(OPERANDS[a]() / divisor(), div_oracle(OPERANDS[a](), divisor()))
+
+    def test_tiny_divisor_straddles_zero_at_the_guard(self):
+        lo, hi = TINY.enclosure(NODE_DIGITS[0] + GUARD)
+        assert lo <= 0 <= hi
+        assert 0 < TINY.sign()
 
 
 class TestSignificant:

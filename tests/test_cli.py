@@ -260,3 +260,43 @@ class TestConfigPrecedence:
         cfg.write_text("digits 40\n")
         code, _, _ = run(capsys, "cf", "rat:22/7", "--config", str(cfg))
         assert code == 2
+
+    def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("digit = 12\nseeds = 5\n")
+        code, out, err = run(capsys, "cf", "rat:22/7", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "typo.cfg:1: unknown key 'digit'" in err
+
+    def test_every_config_key_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        cfg = tmp_path / "dirp.cfg"
+        cfg.write_text("digits = 40\nmax_digits = 5000\nradius = 7\ngrid = 512\n"
+                       f"seed = 3\nformat = json\nout = {out}\n")
+        code, printed, err = run(capsys, "cf", "rat:22/7", "--config", str(cfg))
+        assert code == 0 and printed == "", err
+        assert json.loads(out.read_text())["config"] == {
+            "digits": 40, "max_digits": 5000, "radius": 7, "grid": 512,
+            "seed": 3, "format": "json"}
+
+
+class TestInProcessCalls:
+    def test_nothing_carries_over_between_calls(self, tmp_path, capsys):
+        # the parser is built once per process, so a second main() call must
+        # not see the first call's appended --direction, --digits or --preset
+        poly = tmp_path / "poly3.json"
+        poly.write_text(json.dumps({"dim": 3, "terms": [
+            {"k": [1, 2, -3], "re": "1", "im": "0"},
+            {"k": [0, -1, 4], "re": "1/2", "im": "3/4"}]}))
+        first = ["ratio", f"@{poly}", "--direction", "dir:[1, quad:sqrt2, rat:1/3]",
+                 "--direction", "dir:[rat:2/5, 1, quad:sqrt3]", "--preset", "thm2",
+                 "--digits", "40"]
+        second = ["ratio", f"@{poly}", "--direction", "dir:[1, rat:1/2, rat:1/7]"]
+        before = run_json(capsys, *second)
+        doc = run_json(capsys, *first)
+        assert len(doc["result"]["directions"]) == 2
+        assert doc["config"]["digits"] == 40 and doc["result"]["preset"] == "thm2"
+        after = run_json(capsys, *second)
+        assert after == before
+        assert after["result"]["directions"] == ["dir:[1, rat:1/2, rat:1/7]"]
+        assert after["config"]["digits"] == 80 and after["result"]["preset"] == "thm1"

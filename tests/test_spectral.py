@@ -342,7 +342,7 @@ class TestExactKernel:
     def test_square_factor_above_trial_division_shares_the_field(self):
         # 200280098 = 2 * 10007^2, so the second entry is 10007 sqrt2
         a = parse_direction("dir:[quad:sqrt2, quad:sqrt200280098]")
-        assert _quadratic_field(a) == (2, 1, [0, 0], [1, 10007])
+        assert _quadratic_field(a.entries) == (2, 1, [0, 0], [1, 10007])
         rng = random.Random(10007)
         for _ in range(10):
             p = TrigPoly(2, _dyadic_terms(rng))
@@ -408,6 +408,151 @@ class TestExactKernel:
             half_mass_cutoff(p)
         with pytest.raises(ZeroFunction):
             poincare_ratio(p, PHI, 1, 1)
+
+
+# -- the Parseval node against the CertifiedReal tree it replaced -------------
+#
+# Off one quadratic field, sd is one node over the direction's entries.  Its
+# oracle is the tree of _general_sums: per term a from_rational leaf times the
+# product of two inner_product nodes, and one CertifiedReal.sum.  Both
+# round the same exact bounds outward, the tree at each of its five levels and
+# the node once, so an end can differ only when the exact bound sits on a grid
+# point of the printed precision, and then by one cell: a base-10 Liouville
+# entry is a short decimal that the tree cuts and the node keeps, and an exact
+# term such as (sqrt2)^2 = 2 is exact in the tree but gridded in the node.
+# Where every term folds exactly in one field the tree is exact, and so is the
+# node when the entries it uses share that field.
+
+ENTRY_VALUES = {
+    "1": lambda: mpmath.mpf(1),
+    "rat:-2/3": lambda: mpmath.mpf(-2) / 3,
+    "quad:sqrt2": lambda: mpmath.sqrt(2),
+    "quad:sqrt3": lambda: mpmath.sqrt(3),
+    "quad:(1+sqrt5)/2": lambda: (1 + mpmath.sqrt(5)) / 2,
+    "const:e": lambda: mpmath.e,
+    "const:pi": lambda: mpmath.pi,
+    "liouville:10": lambda: mpmath.fsum(mpmath.mpf(10) ** -math.factorial(n)
+                                        for n in range(1, 7)),
+    "dec:2.718281828459045": lambda: mpmath.mpf("2.718281828459045"),
+    "dec:0.5": lambda: mpmath.mpf("0.5"),
+    "dec:0.0": lambda: mpmath.mpf(0),       # the literal's interval [-0.1, 0.1]
+    "dec:-0.01": lambda: mpmath.mpf("-0.01"),  # [-0.02, 0]
+}
+component = st.one_of(st.just(0), st.integers(-40, 40))
+
+
+@st.composite
+def node_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    specs = draw(st.lists(st.sampled_from(sorted(ENTRY_VALUES)), min_size=d, max_size=d))
+    freqs = st.tuples(*[component] * d).filter(any)
+    return specs, draw(st.dictionaries(freqs, coefficients, min_size=1, max_size=12))
+
+
+def _mp_sd(p: TrigPoly, specs) -> Fraction:
+    with mpmath.workdps(60):
+        alpha = [ENTRY_VALUES[s]() for s in specs]
+        total = mpmath.fsum((mpmath.mpf(m.numerator) / m.denominator)
+                            * mpmath.fsum(c * x for c, x in zip(k, alpha)) ** 2
+                            for k, (re, im) in p.terms.items() for m in [re * re + im * im])
+        return mpf_to_frac(total)
+
+
+def _assert_node_matches_tree(p: TrigPoly, text: str, same_bytes: bool,
+                              digits=(30, 80, 150)) -> CertifiedReal:
+    """sd against the tree at each precision: the same exact state, an
+    enclosure of the tree's exact value, or ends within one grid cell of the
+    tree's (the same bytes where same_bytes)."""
+    sd = parseval_sums(p, parse_direction(text))[2]
+    tree = _general_sums(p, parse_direction(text))[2]
+    assert sd.refinable == tree.refinable
+    for n in digits:
+        lo, hi = sd.enclosure(n)
+        if sd.exact is not None:
+            assert _state(sd) == _state(tree)
+        elif tree.exact is not None:
+            assert (tree.exact - lo).sign() >= 0 and (hi - tree.exact).sign() >= 0
+            assert hi - lo <= Fraction(2, 10 ** n)
+        else:
+            tlo, thi = tree.enclosure(n)
+            cell = Fraction(1, 10 ** n)
+            assert abs(lo - tlo) <= cell and abs(hi - thi) <= cell, n
+            if same_bytes:
+                assert sd.to_json(n) == tree.to_json(n), n
+    return sd
+
+
+class TestParsevalNode:
+    @given(case=node_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_node_is_within_a_cell_of_the_tree_and_encloses_mpmath(self, case):
+        specs, terms = case
+        p = TrigPoly(len(specs), terms)
+        sd = _assert_node_matches_tree(p, "dir:[" + ", ".join(specs) + "]", False)
+        lo, hi = sd.enclosure(40)
+        tol = Fraction(1, 10 ** 45)
+        assert lo - tol <= _mp_sd(p, specs) <= hi + tol
+        used = {i for k in terms for i, c in enumerate(k) if c}
+        assert sd.refinable == (sd.exact is not None
+                                or not any(specs[i].startswith("dec:") for i in used))
+
+    @pytest.mark.parametrize("text, same_bytes", [
+        ("dir:[1, const:e]", True), ("dir:[const:pi, 1]", True),
+        ("dir:[1, dec:0.5]", True), ("dir:[dec:0.0, 1]", True),
+        ("dir:[quad:sqrt2, quad:sqrt3]", True), ("dir:[const:e, quad:sqrt2]", True),
+        # at 80 digits the tree's inner sums cut the 120-digit Liouville
+        # partial sum at 112 digits; the node keeps it and is one cell tighter
+        ("dir:[1, liouville:10]", False)])
+    def test_poly60_along_inexact_directions(self, text, same_bytes):
+        sd = _assert_node_matches_tree(TrigPoly.from_json(POLY60.read_text()), text, same_bytes)
+        assert sd.exact is None
+        assert sd.refinable == ("dec:" not in text)
+
+    def test_where_the_node_and_the_tree_part(self):
+        poly = TrigPoly.from_json(POLY60.read_text())
+        text = "dir:[1, liouville:10]"
+        (lo, hi), (tlo, thi) = (x.enclosure(80) for x in (
+            parseval_sums(poly, parse_direction(text))[2],
+            _general_sums(poly, parse_direction(text))[2]))
+        assert (lo, hi) != (tlo, thi) and tlo <= lo and hi <= thi
+        # (sqrt2)^2 = 2 is an exact term of the tree; dec:-0.01 squares to [0, 4e-4]
+        p = TrigPoly(3, {(0, 0, 1): (0, 1), (0, 1, 0): (0, 1)})
+        text = "dir:[1, dec:-0.01, quad:sqrt2]"
+        (lo, _), (tlo, _) = (x.enclosure(30) for x in (
+            parseval_sums(p, parse_direction(text))[2],
+            _general_sums(p, parse_direction(text))[2]))
+        assert tlo == 2 and lo == 2 - Fraction(1, 10 ** 30)
+        # each term in one field and its square rational: the tree folds to 5
+        p = TrigPoly(2, {(1, 0): 1, (0, 1): 1})
+        text = "dir:[quad:sqrt2, quad:sqrt3]"
+        sd = parseval_sums(p, parse_direction(text))[2]
+        assert _general_sums(p, parse_direction(text))[2].exact == 5 and sd.exact is None
+        lo, hi = sd.enclosure(80)
+        assert lo < 5 < hi and hi - lo <= Fraction(2, 10 ** 80)
+
+    def test_entries_are_asked_where_the_tree_asked_them(self):
+        # the guard keeps the entries' enclosure caches as the tree left them
+        def recording(asked):
+            e = e_cr()
+
+            def fn(digits):
+                asked.append(digits)
+                return e.enclosure(digits)
+            return CertifiedReal.from_fn(fn)
+
+        poly = TrigPoly.from_json(POLY60.read_text())
+        node_asked, tree_asked = [], []
+        parseval_sums(poly, make_direction([1, recording(node_asked)]))[2].to_json(80)
+        _general_sums(poly, make_direction([1, recording(tree_asked)]))[2].to_json(80)
+        assert node_asked == [133] and set(tree_asked) == {133}
+
+    def test_decimal_entry_leaves_the_sum_non_refinable(self):
+        p = TrigPoly(2, {(3, -2): 1, (1, 4): (0, Fraction(1, 2))})
+        assert not parseval_sums(p, parse_direction("dir:[const:e, dec:0.5]"))[2].refinable
+        # an entry no frequency uses is not an operand of the node
+        p = TrigPoly(2, {(3, 0): 1, (-1, 0): (0, Fraction(1, 2))})
+        sd = parseval_sums(p, parse_direction("dir:[const:e, dec:0.5]"))[2]
+        assert sd.refinable and sd.exact is None
 
 
 class TestLazySums:
