@@ -7,7 +7,8 @@ Highlights:
   - sparse trigonometric polynomials and their Parseval-exact norms;
   - continued fractions, lattice minima, Hurwitz witnesses;
   - named extremizer families and sharpness tables;
-  - a grid diffusion model with exact p = 2 contraction factors.
+  - a grid diffusion model whose cell masses are exact; its contraction
+    factors are float64 values (p = 2 from a float FFT), not enclosures.
 
 Each submodule lists its own public names, and users import from it
 (`from dirp.spectral import TrigPoly`); the package binds only

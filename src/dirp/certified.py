@@ -68,7 +68,7 @@ class CertifiedReal:
 
     @classmethod
     def from_rational(cls, x) -> "CertifiedReal":
-        return cls(exact=QuadExact(Fraction(x)))
+        return cls(exact=QuadExact(x))
 
     @classmethod
     def from_quad(cls, q: QuadExact) -> "CertifiedReal":
@@ -191,7 +191,7 @@ class CertifiedReal:
         if isinstance(x, (int, Fraction)):
             return CertifiedReal.from_rational(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as CertifiedReal "
-                        "(floats are rejected: pass int, Fraction or str)")
+                        "(floats are rejected: pass int, Fraction, QuadExact or CertifiedReal)")
 
     def __add__(self, other):
         return CertifiedReal.node((self, other), GUARD, sum_interval, QuadExact.__add__)
@@ -262,23 +262,22 @@ class CertifiedReal:
             return CertifiedReal.from_rational(1)
         if exponent == 1:
             return self
-        if self.exact is not None and exponent.denominator == 1:
-            out = QuadExact(1)
-            for _ in range(exponent.numerator):
-                out = out * self.exact
-            return CertifiedReal(exact=out)
-        if (self.exact is not None and self.exact.is_rational
-                and exponent.denominator == 2):
-            v = self.exact.as_fraction() ** exponent.numerator
+        p, q = exponent.numerator, exponent.denominator
+
+        def exact_op(x):
+            if q == 1:
+                return reduce(QuadExact.__mul__, [x] * p, QuadExact(1))
+            if q != 2 or not x.is_rational:
+                return NotImplemented
+            v = x.as_fraction() ** p
             if v < 0:
                 raise ValueError("sqrt of negative exact value")
-            return CertifiedReal(exact=QuadExact(
-                0, Fraction(1, v.denominator), v.numerator * v.denominator))
+            return QuadExact(0, Fraction(1, v.denominator), v.numerator * v.denominator)
 
         def op(ivs, digits):
             return round_out(*pow_interval(*ivs[0], exponent, digits + GUARD), digits)
 
-        return CertifiedReal.node((self,), GUARD, op)
+        return CertifiedReal.node((self,), GUARD, op, exact_op)
 
     # -- comparisons (certified) --------------------------------------------
 

@@ -290,16 +290,16 @@ def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray
     return val, w * err * 1.01 + val * 1e-12 + 1e-290
 
 
-def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
-                    running: bool = False) -> tuple[np.ndarray, ...]:
+def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[np.ndarray, ...]:
     """(K, |K|^2, lo, hi, enumerated): the frequencies a lattice search must
     look at, the float bracket [lo, hi] of |k|^sigma |<k,alpha>| at each, and
     the number of half-ball frequencies covered.
 
     The window coordinate j holds the largest float |alpha_j|; the others
     form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
-    the least hi at the nearest integers to the centres (over the shells
-    below |k'|^2 when ``running``); pass 2 keeps each column's window
+    the least hi at the nearest integers to the centres over the shells
+    below |k'|^2 (a running envelope, so the windows hold every record of
+    lattice_min_profile); pass 2 keeps each column's window
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
     """
     (alpha,), (err,) = _float_entries([a])
@@ -310,16 +310,15 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
     scale = (1 - 1e-12) * (abs(alpha[j]) - err[j])
     slope = np.delete(alpha, j) / -(alpha[j] or 1.0)  # all-zero floats: centres 0
 
-    def columns():
-        """(k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1."""
-        yield np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R)
-        for C in _half_ball(a.dim - 1, R, norm):
-            cap = np.full(len(C), R)
-            if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
-                rest = R * R - (C * C).sum(axis=1)
-                cap = np.floor(np.sqrt(rest)).astype(np.int64)
-                cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
-            yield C, -cap, cap
+    # (k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1
+    columns = [(np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R))]
+    for C in _half_ball(a.dim - 1, R, norm):
+        cap = np.full(len(C), R)
+        if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
+            rest = R * R - (C * C).sum(axis=1)
+            cap = np.floor(np.sqrt(rest)).astype(np.int64)
+            cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
+        columns.append((C, -cap, cap))
 
     def weight(K):
         if norm == "euclidean":
@@ -333,16 +332,16 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str,
         return K, (K * K).sum(axis=1), val - verr, val + verr
 
     pass1 = [evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
-             for C, lower, upper in columns()]
+             for C, lower, upper in columns]
     _, shells, _, his = (np.concatenate(parts) for parts in zip(*pass1))
     order = np.argsort(shells, kind="stable")
     shells, envelope = shells[order], np.minimum.accumulate(his[order])
 
     pool, enumerated = [], 0
-    for C, lower, upper in columns():
+    for C, lower, upper in columns:
         enumerated += int((upper - lower + 1).sum())
         colsq = (C * C).sum(axis=1)
-        below = np.searchsorted(shells, colsq) if running else len(shells)
+        below = np.searchsorted(shells, colsq)
         B = np.where(below > 0, envelope[below - 1], np.inf)
         rho = weight(C) if sig >= 0 else float(R) ** sig
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -441,8 +440,11 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
                         ctx: PrecisionContext = DEFAULT_CONTEXT
                         ) -> list[tuple[int, tuple[int, ...], CertifiedReal]]:
     """Running-minimum records: (|k|^2, k, value) at every radius where the
-    ball minimum improves.  lattice_min(R') for any R' <= R is the last
-    record with |k|^2 <= R'^2.  Certified exact zeros appear as value 0.
+    ball minimum improves.  Under the euclidean norm, lattice_min(R') for
+    any R' <= R is the last record with |k|^2 <= R'^2; the records run in
+    |k|^2 order under the max norm too, so there only the last one is a
+    max-ball minimum (lattice_min(R)).  Certified exact zeros appear as
+    value 0.
 
     A frequency is a candidate when its float bracket reaches the least
     upper bracket of the frequencies before it; the column windows bound
@@ -450,7 +452,7 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     true record."""
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    K, normsq, lo, hi, _ = _column_windows(a, R, sigma, norm, running=True)
+    K, normsq, lo, hi, _ = _column_windows(a, R, sigma, norm)
     order = _shell_order(K, normsq)
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
     records = _running_min(K[order[lo[order] <= prev_hi]],

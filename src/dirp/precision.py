@@ -3,9 +3,6 @@
 All rigorous enclosures in the toolkit are pairs of Fractions (lo, hi)
 with the true value guaranteed inside.  Endpoints are rounded outward to
 a decimal grid after each operation so denominators stay bounded.
-round_out, mul_interval and sum_interval round from integer numerators
-and denominators: the only Fractions they build are the rounded endpoints,
-each the same rational that rounding the exact Fraction result would give.
 """
 
 from __future__ import annotations
@@ -102,60 +99,25 @@ def pow_interval(lo: Fraction, hi: Fraction, exponent: Fraction, digits: int) ->
     return nth_root_interval(plo, phi, q, digits)
 
 
-def _product_le(x: Fraction, y: Fraction, u: Fraction, v: Fraction) -> bool:
-    """x * y <= u * v, by cross-multiplying positive denominators."""
-    return (x.numerator * y.numerator * u.denominator * v.denominator
-            <= u.numerator * v.numerator * x.denominator * y.denominator)
-
-
 def mul_interval(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction],
                  digits: int) -> tuple[Fraction, Fraction]:
-    """[a] * [b] rounded outward onto the 10^-digits grid.  The signs of the
-    four endpoints pick the endpoint factors of the low and the high product
-    (the case table of interval multiplication); only when both intervals
-    straddle 0 are two candidate products compared for each end."""
-    (a0, a1), (b0, b1) = a, b
-    if a0.numerator >= 0:
-        if b0.numerator >= 0:
-            (x, y), (u, v) = (a0, b0), (a1, b1)
-        elif b1.numerator <= 0:
-            (x, y), (u, v) = (a1, b0), (a0, b1)
-        else:
-            (x, y), (u, v) = (a1, b0), (a1, b1)
-    elif a1.numerator <= 0:
-        if b0.numerator >= 0:
-            (x, y), (u, v) = (a0, b1), (a1, b0)
-        elif b1.numerator <= 0:
-            (x, y), (u, v) = (a1, b1), (a0, b0)
-        else:
-            (x, y), (u, v) = (a0, b1), (a0, b0)
-    elif b0.numerator >= 0:
-        (x, y), (u, v) = (a0, b1), (a1, b1)
-    elif b1.numerator <= 0:
-        (x, y), (u, v) = (a1, b0), (a0, b0)
-    else:
-        x, y = (a0, b1) if _product_le(a0, b1, a1, b0) else (a1, b0)
-        u, v = (a1, b1) if _product_le(a0, b0, a1, b1) else (a0, b0)
+    """[a] * [b] rounded outward onto the 10^-digits grid: the least floor
+    and the greatest ceiling of the four endpoint products."""
     s = 10 ** digits
-    return (Fraction(x.numerator * y.numerator * s // (x.denominator * y.denominator), s),
-            Fraction(-(-u.numerator * v.numerator * s // (u.denominator * v.denominator)), s))
+    grid = [(x.numerator * y.numerator * s, x.denominator * y.denominator)
+            for x in a for y in b]
+    return (Fraction(min(n // d for n, d in grid), s),
+            Fraction(max(-(-n // d) for n, d in grid), s))
 
 
 def sum_interval(intervals: Iterable[tuple[Fraction, Fraction]],
                  digits: int) -> tuple[Fraction, Fraction]:
-    """The exact sum of the intervals rounded outward onto the 10^-digits
-    grid: endpoint numerators add over a running lcm of the denominators,
-    and only the total is rounded."""
-    lo_n, lo_d, hi_n, hi_d = 0, 1, 0, 1
-    for lo, hi in intervals:
-        n, d = lo.numerator, lo.denominator
-        g = math.gcd(lo_d, d)
-        lo_n, lo_d = lo_n * (d // g) + n * (lo_d // g), lo_d * (d // g)
-        n, d = hi.numerator, hi.denominator
-        g = math.gcd(hi_d, d)
-        hi_n, hi_d = hi_n * (d // g) + n * (hi_d // g), hi_d * (d // g)
-    s = 10 ** digits
-    return (Fraction(lo_n * s // lo_d, s), Fraction(-(-hi_n * s // hi_d), s))
+    """The exact sum of the intervals, rounded outward onto the 10^-digits
+    grid once."""
+    lo = hi = Fraction(0)
+    for term_lo, term_hi in intervals:
+        lo, hi = lo + term_lo, hi + term_hi
+    return round_out(lo, hi, digits)
 
 
 def fraction_to_decimal_str(x: Fraction, sig: int, rounding=ROUND_HALF_EVEN) -> str:

@@ -23,6 +23,8 @@ class QuadExact:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=0):
+        if isinstance(a, float) or isinstance(b, float) or isinstance(d, float):
+            raise TypeError("floats are rejected: pass int, Fraction or str")
         a, b = Fraction(a), Fraction(b)
         d = int(d)
         if b == 0:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,9 @@ from dirp.constants import e_cr
 from dirp.diophantine import cf_expand
 from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
-from dirp.precision import PrecisionContext, round_out
+from dirp.precision import PrecisionContext, pow_interval, round_out
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
-from dirp.spectral import TrigPoly, poincare_ratio
+from dirp.spectral import TrigPoly, multiplier_norm, poincare_ratio
 
 POLY60 = Path(__file__).resolve().parent / "data" / "poly60.json"
 
@@ -249,8 +250,28 @@ class TestCertifiedReal:
         assert a.compare(b) == -1
 
     def test_float_rejection(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="int, Fraction, QuadExact or CertifiedReal"):
             CertifiedReal.from_rational(1) + 0.5
+        with pytest.raises(TypeError):
+            CertifiedReal.from_rational(1) + "0.5"
+
+    @pytest.mark.parametrize("build", [
+        lambda: CertifiedReal.from_rational(0.1),
+        lambda: CertifiedReal.from_rational(np.float64(0.5)),
+        lambda: QuadExact(0.1),
+        lambda: QuadExact(0, 0.5, 2),
+        lambda: QuadExact(0, 1, 2.5),
+        lambda: multiplier_norm(TrigPoly(2, {(1, 0): 1}), lambda k: 0.1),
+    ], ids=["from_rational", "from_rational-float64", "quad-a", "quad-b", "quad-d",
+            "multiplier_norm"])
+    def test_binary_floats_never_become_exact_values(self, build):
+        with pytest.raises(TypeError, match="floats are rejected"):
+            build()
+
+    def test_exact_values_still_take_int_fraction_and_str(self):
+        assert CertifiedReal.from_rational("0.1").exact == Fraction(1, 10)
+        assert CertifiedReal.from_rational(Fraction(1, 10)).exact == QuadExact("1/10")
+        assert QuadExact(3, 1, 2) == QuadExact(3, Fraction(1), 2)
 
     def test_division_by_certified_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -358,10 +379,11 @@ class TestCertifiedSum:
 
 # -- every composite is one node ------------------------------------------------
 #
-# The oracles are the closures that negation, abs and division built for
-# themselves before CertifiedReal.node, and addition as _combine built it;
-# subtraction was the addition of a negation.  Each operator must give the
-# same enclosure at every precision and the same refinable flag.
+# The oracles are the closures that negation, abs, division and pow_frac
+# built for themselves before CertifiedReal.node, and addition as _combine
+# built it; subtraction was the addition of a negation.  Each operator must
+# give the same enclosure at every precision and the same refinable flag,
+# and pow_frac the same exact values as its former exact branches.
 
 def _closure(fn, *operands) -> CertifiedReal:
     return CertifiedReal(fn=fn, refinable=all(o.refinable for o in operands))
@@ -405,6 +427,37 @@ def div_oracle(a, b):
     return _closure(fn, a, b)
 
 
+def pow_oracle(a, exponent):
+    def fn(digits):
+        lo, hi = a.enclosure(digits + GUARD)
+        return round_out(*pow_interval(lo, hi, exponent, digits + GUARD), digits)
+    return _closure(fn, a)
+
+
+def exact_pow_oracle(x: QuadExact, exponent: Fraction) -> QuadExact:
+    if exponent.denominator == 1:
+        out = QuadExact(1)
+        for _ in range(exponent.numerator):
+            out = out * x
+        return out
+    v = x.as_fraction() ** exponent.numerator
+    return QuadExact(0, Fraction(1, v.denominator), v.numerator * v.denominator)
+
+
+def _nodes_made(monkeypatch, build) -> int:
+    """How many CertifiedReal objects build() constructs."""
+    made = []
+    init = CertifiedReal.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CertifiedReal, "__init__", counting)
+    build()
+    return len(made)
+
+
 def _padded_leaf(x: Fraction) -> CertifiedReal:
     """A refinable leaf [x - 10^-digits, x + 10^-digits]."""
     return CertifiedReal.from_fn(lambda digits: (x - Fraction(1, 10 ** digits),
@@ -429,6 +482,8 @@ OPERANDS = {
     "leaf across 0": lambda: _padded_leaf(Fraction(1, 10 ** 60)),
 }
 EXACT = {"rational", "quadratic"}
+EXACT_POWER_BASES = (QuadExact(Fraction(-7, 3)), QuadExact(Fraction(1, 3), -2, 5),
+                     GOLDEN_RATIO, SQRT2, QuadExact(0), TINY)
 INEXACT = sorted(set(OPERANDS) - EXACT)
 NODE_DIGITS = (30, 80, 150)
 
@@ -454,16 +509,7 @@ class TestNodeOperators:
 
     def test_subtraction_makes_one_node(self, monkeypatch):
         x, y = e_cr(), _rounded_leaf(Fraction(1, 3))
-        made = []
-        init = CertifiedReal.__init__
-
-        def counting(self, *args, **kwargs):
-            made.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CertifiedReal, "__init__", counting)
-        x - y
-        assert len(made) == 1
+        assert _nodes_made(monkeypatch, lambda: x - y) == 1
 
     @pytest.mark.parametrize("a", INEXACT)
     def test_negation(self, a):
@@ -487,6 +533,41 @@ class TestNodeOperators:
         def divisor():
             return CertifiedReal.from_quad(TINY) if b == "tiny" else OPERANDS[b]()
         _assert_same(OPERANDS[a]() / divisor(), div_oracle(OPERANDS[a](), divisor()))
+
+    @pytest.mark.parametrize("exponent", [Fraction(2), Fraction(3, 2), Fraction(1, 3),
+                                          Fraction(7, 2)])
+    @pytest.mark.parametrize("a", ["leaf", "e", "liouville", "decimal across 0",
+                                   "leaf across 0"])
+    def test_inexact_power(self, a, exponent):
+        _assert_same(OPERANDS[a]().pow_frac(exponent), pow_oracle(OPERANDS[a](), exponent))
+
+    @pytest.mark.parametrize("x, exponent", [
+        *((x, Fraction(p)) for x in EXACT_POWER_BASES for p in (2, 5)),
+        *((QuadExact(v), Fraction(p, 2)) for v in (Fraction(9, 4), 0, 2, Fraction(1, 3))
+          for p in (1, 3))])
+    def test_exact_power(self, x, exponent):
+        got = CertifiedReal.from_quad(x).pow_frac(exponent).exact
+        want = exact_pow_oracle(x, exponent)
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+    @pytest.mark.parametrize("x, exponent", [(GOLDEN_RATIO, Fraction(1, 2)),
+                                             (SQRT2, Fraction(3, 2)),
+                                             (QuadExact(Fraction(9, 4)), Fraction(1, 3))])
+    def test_exact_operand_inexact_power(self, x, exponent):
+        _assert_same(CertifiedReal.from_quad(x).pow_frac(exponent),
+                     pow_oracle(CertifiedReal.from_quad(x), exponent))
+
+    def test_power_shortcuts_and_negative_square_root(self):
+        x = e_cr()
+        assert x.pow_frac(0).exact == 1 and x.pow_frac(1) is x
+        with pytest.raises(ValueError, match="sqrt of negative exact value"):
+            CertifiedReal.from_rational(Fraction(-7, 3)).pow_frac(Fraction(3, 2))
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            x.pow_frac(-1)
+
+    def test_power_makes_one_node(self, monkeypatch):
+        x = e_cr()
+        assert _nodes_made(monkeypatch, lambda: x.pow_frac(Fraction(3, 2))) == 1
 
     def test_tiny_divisor_straddles_zero_at_the_guard(self):
         lo, hi = TINY.enclosure(NODE_DIGITS[0] + GUARD)

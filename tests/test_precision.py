@@ -1,8 +1,10 @@
 """The exact interval kernels of dirp.precision against Fraction oracles.
 
-round_out, mul_interval and sum_interval round from integer numerators and
-denominators.  The oracles below are the Fraction formulas they replaced:
-every endpoint must be the same rational, so every printed digit stays put.
+round_out rounds from integer numerators and denominators, mul_interval
+takes the least floor and the greatest ceiling of the four endpoint products
+on the grid, and sum_interval rounds the exact sum once.  The oracles below
+round the exact Fraction result instead: every endpoint must be the same
+rational, so every printed digit stays put.
 """
 
 import math
@@ -75,8 +77,9 @@ class TestOracles:
 F = Fraction
 POS, NEG, ACROSS = (F(1, 3), F(2)), (F(-5, 7), F(-1, 21)), (F(-3, 7), F(5, 3))
 
-# one case per row of the sign table of [a] * [b]; zero endpoints take the
-# branch of the sign they bound
+# one case per sign pattern of [a] and [b] (the rows of the classical sign
+# table of interval multiplication), with zero endpoints on the boundaries
+# between patterns
 SIGN_CASES = {
     "a >= 0, b >= 0": (POS, POS),
     "a >= 0, b <= 0": (POS, NEG),
