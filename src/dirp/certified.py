@@ -134,10 +134,6 @@ class CertifiedReal:
         self._best_digits = digits
         return self._best
 
-    def width(self, digits: int) -> Fraction:
-        lo, hi = self.enclosure(digits)
-        return hi - lo
-
     # -- sign resolution ---------------------------------------------------
 
     def sign(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:

@@ -277,9 +277,20 @@ def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
 
 def _float_entries(forms: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
     """Float entries of each form (one row per form) and a rigorous bound on
-    their error, padded for the rounding of the float arithmetic on them."""
-    A = np.array([f.floats() for f in forms], dtype=np.float64)
-    err = np.array([f.float_radii() for f in forms], dtype=np.float64)
+    their error, padded for the rounding of the float arithmetic on them.
+    An entry outside the float range raises ValueError."""
+    A, err = [], []
+    for f in forms:
+        for e, spec in zip(f.entries, f.specs):
+            lo, hi = e.enclosure(30)
+            try:  # the 1e-300 keeps the float itself inside the radius
+                A.append(float((lo + hi) / 2))
+                err.append(float(hi - lo) + 1e-300)
+            except OverflowError:
+                raise ValueError(f"entry {spec} of {f.key()} is outside "
+                                 "the float range") from None
+    A = np.array(A, dtype=np.float64).reshape(len(forms), -1)
+    err = np.array(err, dtype=np.float64).reshape(A.shape)
     return A, err + 1e-15 * (np.abs(A) + 1.0)
 
 
@@ -488,10 +499,6 @@ class LinearFormSystem:
     def ell(self) -> int:
         return len(self.forms)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.nvars + 1
-
 
 def _dist_to_int_cr(ip: CertifiedReal, ctx: PrecisionContext) -> CertifiedReal:
     """Distance to the nearest integer as a certified value."""
@@ -545,8 +552,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     """
     _check_search(R, "max")
     nvars, ell = S.nvars, S.ell
-    d = S.ambient_dim
-    expo = Fraction(d - 1, ell)
+    expo = Fraction(nvars, ell)  # nvars = d - 1
     expo_abs = max(expo - 1, Fraction(0))
     A, Aerr = _float_entries(S.forms)
 

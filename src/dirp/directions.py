@@ -147,13 +147,6 @@ class Direction:
     def key(self) -> str:
         return "dir:[" + ", ".join(self.specs) + "]"
 
-    def floats(self) -> list[float]:
-        return [float(e.midpoint(30)) for e in self.entries]
-
-    def float_radii(self) -> list[float]:
-        # padded so the float is itself inside the reported radius
-        return [float(e.width(30)) + 1e-300 for e in self.entries]
-
 
 def make_direction(values: Sequence) -> Direction:
     """Programmatic constructor: ints, Fractions, QuadExact, CertifiedReal

@@ -80,13 +80,10 @@ class TrigPoly:
     (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators;
     `mass_totals` holds the integers sum A_k and sum A_k |k|^2.
 
-    The zero frequency is rejected unless drop_mean=True, in which case
-    it is stripped (the polynomial is mean zero by construction).
+    The zero frequency is always rejected: every polynomial is mean zero.
     """
 
-    def __init__(self, dim: int,
-                 terms: Mapping[Sequence[int], object],
-                 drop_mean: bool = False):
+    def __init__(self, dim: int, terms: Mapping[Sequence[int], object]):
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
         self.dim = dim
@@ -96,10 +93,7 @@ class TrigPoly:
             if len(kt) != dim:
                 raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
             if not any(kt):
-                if drop_mean:
-                    continue
-                raise ValueError("zero frequency present (mean != 0); "
-                                 "pass drop_mean=True to strip it")
+                raise ValueError("zero frequency present (mean != 0)")
             re, im = _coerce_coeff(coeff)
             if re or im:
                 store[kt] = (re, im)
@@ -116,9 +110,6 @@ class TrigPoly:
             SG += A * sum(map(mul, k, k))
         self.masses: IntegerMasses = (L * L, tuple(masses))
         self.mass_totals = (S0, SG)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- serialization ---------------------------------------------------
 
@@ -153,15 +144,6 @@ class TrigPoly:
 # <k,alpha> in integers on one decimal grid and rounds the weighted sum of
 # squares once.  Nothing here decides a precision: inexact sums are lazy
 # enclosures, refined by whoever prints or compares them.
-
-
-def _raw_sum(f: TrigPoly,
-             weight_sq: Callable[[FreqVector], object] | None = None) -> CertifiedReal:
-    """Sum over terms of |a_k|^2 * w(k)^2 (w == 1 when weight_sq is None)."""
-    def term(k, re, im):
-        contrib = CertifiedReal.from_rational(re * re + im * im)
-        return contrib if weight_sq is None else contrib * weight_sq(k)
-    return CertifiedReal.sum(term(k, re, im) for k, (re, im) in sorted(f.terms.items()))
 
 
 def _quadratic_field(entries: Sequence[CertifiedReal]
@@ -238,7 +220,7 @@ def _two_pi_pow(d: int) -> CertifiedReal:
 
 def _require_nonzero(f: TrigPoly) -> None:
     """Every stored term is nonzero, so s0 > 0 unless f is the zero polynomial."""
-    if f.is_zero():
+    if not f.terms:
         raise ZeroFunction("operation needs a nonzero polynomial")
 
 
@@ -261,13 +243,15 @@ def directional_norm(f: TrigPoly, a: Direction) -> CertifiedReal:
 
 
 def multiplier_norm(f: TrigPoly, symbol: Callable[[FreqVector], object]) -> CertifiedReal:
-    """sqrt((2*pi)^d * sum |a_k|^2 |P(k)|^2) for a diagonal symbol P."""
-    def weight_sq(k):
+    """sqrt((2*pi)^d * sum |a_k|^2 |P(k)|^2) for a diagonal symbol P whose
+    values are int, Fraction, QuadExact or CertifiedReal; a float raises
+    TypeError."""
+    scale, terms = f.masses
+
+    def term(k, A):
         p = symbol(k)
-        if not isinstance(p, CertifiedReal):
-            p = CertifiedReal.from_rational(p)
-        return p * p
-    return (_two_pi_pow(f.dim) * _raw_sum(f, weight_sq)).sqrt()
+        return Fraction(A, scale) * (p * p)
+    return (_two_pi_pow(f.dim) * CertifiedReal.sum(term(k, A) for k, A in terms)).sqrt()
 
 
 # -- functionals -----------------------------------------------------------

@@ -107,6 +107,17 @@ class TestLattice:
         assert res["argmin"] == [10007, -1]
         assert res["minimum"] == {"digits": 80, "radius": "0", "value": "0"}
 
+    @pytest.mark.parametrize("form, entry", [
+        (["--direction", "dir:[1, rat:1e400]"], "rat:1e400"),
+        (["--system", "dir:[rat:1e400]"], "rat:1e400"),
+        (["--direction", "dir:[1, dec:1e400]"], "dec:1e400"),
+    ])
+    def test_entry_outside_the_float_range_is_input_error(self, capsys, form, entry):
+        # the lattice searches' float prefilter cannot hold 10^400
+        code, out, err = run(capsys, "lattice", *form, "--radius", "5")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: entry {entry} of ") and "float range" in err
+
     def test_missing_direction_is_input_error(self, capsys):
         code, out, err = run(capsys, "lattice", "--radius", "10")
         assert code == 2 and out == ""

@@ -414,11 +414,18 @@ def _full_enumeration(d, R, norm):
     return K, (K * K).sum(axis=1)
 
 
+def _oracle_floats(form):
+    """Float midpoints of the entries' enclosures at 30 digits, and their
+    widths padded by 1e-300 so each float is inside its own radius."""
+    ivs = [e.enclosure(30) for e in form.entries]
+    return [float((lo + hi) / 2) for lo, hi in ivs], [float(hi - lo) + 1e-300 for lo, hi in ivs]
+
+
 def _oracle_brackets(a, R, sigma, norm):
     """The float prefilter over the whole ball: (K, |K|^2, lo, hi)."""
     K, normsq = _full_enumeration(a.dim, R, norm)
-    alpha = np.array(a.floats(), dtype=np.float64)
-    err = np.array(a.float_radii(), dtype=np.float64) + 1e-15 * (np.abs(alpha) + 1.0)
+    alpha, err = (np.array(v, dtype=np.float64) for v in _oracle_floats(a))
+    err = err + 1e-15 * (np.abs(alpha) + 1.0)
     inner = K @ alpha
     ierr = np.abs(K).astype(np.float64) @ err
     if norm == "euclidean":
@@ -474,9 +481,8 @@ def _oracle_profile(a, R, sigma, norm):
 def _oracle_system(S, R):
     """Both variants of system_lattice_min by the float prefilter over the whole box."""
     X, _ = _full_enumeration(S.nvars, R, "max")
-    A = np.array([f.floats() for f in S.forms], dtype=np.float64)
-    Aerr = np.array([f.float_radii() for f in S.forms], dtype=np.float64) \
-        + 1e-15 * (np.abs(A) + 1.0)
+    A, Aerr = (np.array(v, dtype=np.float64) for v in zip(*map(_oracle_floats, S.forms)))
+    Aerr = Aerr + 1e-15 * (np.abs(A) + 1.0)
     L = X @ A.T
     emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
     maxn = np.abs(X).max(axis=1)

@@ -102,6 +102,16 @@ SUBCOMMANDS = {
 }
 
 
+def _second_seed() -> int:
+    """The outer PYTHONHASHSEED when it is an integer other than 0, else 1:
+    a suite run under PYTHONHASHSEED=777 runs dirp under 0 and 777."""
+    outer = os.environ.get("PYTHONHASHSEED", "")
+    return int(outer) if outer.isdigit() and int(outer) != 0 else 1
+
+
+SEEDS = (0, _second_seed())
+
+
 def _run(argv, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -111,9 +121,9 @@ def _run(argv, hashseed):
 
 
 def _run_both(argv):
-    """_run under hash seeds 0 and 1, the two processes side by side."""
+    """_run under the two SEEDS, the two processes side by side."""
     with ThreadPoolExecutor(2) as pool:
-        return list(pool.map(lambda seed: _run(argv, seed), (0, 1)))
+        return list(pool.map(lambda seed: _run(argv, seed), SEEDS))
 
 
 @pytest.mark.parametrize("name", GOLDEN)

@@ -19,7 +19,7 @@ from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from dirp.spectral import (TrigPoly, _quadratic_field, _raw_sum, directional_norm,
+from dirp.spectral import (TrigPoly, _quadratic_field, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
@@ -55,10 +55,6 @@ class TestTrigPoly:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
             TrigPoly(2, {(0, 0): 1})
-
-    def test_drop_mean(self):
-        p = TrigPoly(2, {(0, 0): 1, (1, 0): 1}, drop_mean=True)
-        assert dict(p.terms) == {(1, 0): (1, 0)}
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -175,6 +171,21 @@ class TestMultiplier:
         a = parse_direction(spec)
         p = TrigPoly(2, {(2, 1): (1, 2), (5, -3): 1, (-4, 7): (0, Fraction(1, 3))})
         diff = multiplier_norm(p, lambda k: inner_product(k, a)) - directional_norm(p, a)
+        lo, hi = diff.enclosure(60)
+        assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
+
+    def test_quadratic_irrational_symbol(self):
+        # a QuadExact value goes through CertifiedReal arithmetic like any other
+        p = TrigPoly(2, {(2, 1): (1, 2), (5, -3): 1})
+        diff = multiplier_norm(p, lambda k: SQRT2) - SQRT2 * l2_norm(p)
+        lo, hi = diff.enclosure(60)
+        assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
+
+    def test_quadratic_symbol_agrees_with_its_certified_form(self):
+        p = TrigPoly(2, {(2, 1): (1, 2), (5, -3): 1, (-4, 7): (0, Fraction(1, 3))})
+        sym = lambda k: QuadExact(k[0], Fraction(k[1], 3), 5)  # k_1 + (k_2/3) sqrt5
+        diff = (multiplier_norm(p, sym)
+                - multiplier_norm(p, lambda k: CertifiedReal.from_quad(sym(k))))
         lo, hi = diff.enclosure(60)
         assert -Fraction(1, 10 ** 50) <= lo and hi <= Fraction(1, 10 ** 50)
 
@@ -300,6 +311,15 @@ def _dyadic_terms(rng: random.Random, dim: int = 2, radius: int = 60) -> dict:
         if any(k) and (re or im):
             terms[k] = (re, im)
     return terms
+
+
+def _raw_sum(p: TrigPoly, weight_sq=None) -> CertifiedReal:
+    """Sum over terms of |a_k|^2 * w(k)^2 (w == 1 when weight_sq is None),
+    one CertifiedReal product per term."""
+    def term(k, re, im):
+        contrib = CertifiedReal.from_rational(re * re + im * im)
+        return contrib if weight_sq is None else contrib * weight_sq(k)
+    return CertifiedReal.sum(term(k, re, im) for k, (re, im) in sorted(p.terms.items()))
 
 
 def _general_sums(p: TrigPoly, a):
@@ -807,9 +827,6 @@ class TestSinglePassMasses:
     def test_zero_frequency(self, zero):
         with pytest.raises(ValueError, match="zero frequency"):
             TrigPoly(2, _Pairs([((1, 0), 1), (zero, 1)]))
-        p = TrigPoly(2, _Pairs([((1, 0), 1), (zero, 1)]), drop_mean=True)
-        assert dict(p.terms) == {(1, 0): (1, 0)}
-        assert p.masses == (1, (((1, 0), 1),)) and p.mass_totals == (1, 1)
 
     @pytest.mark.parametrize("key", [(1.5, 2), (3.0, -2), (-0.0, 1), (np.float64(1), 2),
                                      (Fraction(1, 1), 2), ("1", 2)])
