@@ -117,23 +117,29 @@ def _cf_exact(x: int | Fraction | QuadExact, depth: int) -> CFExpansion:
 
 
 def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpansion:
+    """Quotients whose floor is constant across the enclosure [a/b, c/d].
+    The steps run on the integer pairs, b and d > 0: subtracting the floor
+    and inverting are Euclid's steps, so each pair keeps its gcd and needs
+    no reduction."""
     best: list[int] = []
     for digits in ctx.digit_schedule():
         lo, hi = x.enclosure(digits)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         quotients: list[int] = []
         while len(quotients) < depth:
-            flo, fhi = math.floor(lo), math.floor(hi)
-            if flo != fhi:
+            q = a // b
+            if c // d != q:
                 break
-            quotients.append(flo)
-            lo, hi = lo - flo, hi - flo
-            if lo <= 0:  # cannot certify the next inversion
-                if lo == 0 and hi == 0:
+            quotients.append(q)
+            a -= q * b
+            c -= q * d
+            if a <= 0:  # cannot certify the next inversion
+                if a == 0 and c == 0:
                     return CFExpansion(quotients, certified_depth=len(quotients),
                                        exact=True, finite=True,
                                        note="rational termination")
                 break
-            lo, hi = 1 / hi, 1 / lo
+            a, b, c, d = d, c, b, a  # [a/b, c/d] -> [d/c, b/a]
         if len(quotients) > len(best):
             best = quotients
         if len(best) >= depth:
@@ -294,11 +300,17 @@ def _float_entries(forms: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
     return A, err + 1e-15 * (np.abs(A) + 1.0)
 
 
-def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray
+def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray, name: str
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Float value w * mag and a rigorous radius, given a bound err on mag's error."""
+    """Rigorous float bracket [lo, hi] of w * mag, given a bound err on mag's
+    error.  A bracket that overflowed raises ValueError: with inf or NaN in
+    it the search would certify the wrong survivors."""
     val = w * mag
-    return val, w * err * 1.01 + val * 1e-12 + 1e-290
+    rad = w * err * 1.01 + val * 1e-12 + 1e-290
+    lo, hi = val - rad, val + rad
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"the float prefilter of {name} overflows")
+    return lo, hi
 
 
 def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[np.ndarray, ...]:
@@ -339,8 +351,10 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[n
     def evaluate(C, kj):
         K = np.insert(C, j, kj, axis=1)
         K *= _lead_sign(K)[:, None]
-        val, verr = _bracket(weight(K), np.abs(K @ alpha), np.abs(K).astype(np.float64) @ err)
-        return K, (K * K).sum(axis=1), val - verr, val + verr
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = _bracket(weight(K), np.abs(K @ alpha), np.abs(K).astype(np.float64) @ err,
+                              a.key())
+        return K, (K * K).sum(axis=1), lo, hi
 
     pass1 = [evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
              for C, lower, upper in columns]
@@ -555,21 +569,24 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     expo = Fraction(nvars, ell)  # nvars = d - 1
     expo_abs = max(expo - 1, Fraction(0))
     A, Aerr = _float_entries(S.forms)
+    name = "forms:[" + "; ".join(f.key() for f in S.forms) + "]"
 
     # the columns are the whole search; the nearest integer is each one's window
     pools, cuts = ([], []), [np.inf, np.inf]
     enumerated = 0
     for X in _half_ball(nvars, R, "max"):
         enumerated += len(X)
-        L = X @ A.T
-        emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
-        maxn = np.abs(X).max(axis=1)
-        mags = (np.abs(L - np.rint(L)).max(axis=1), np.abs(L).max(axis=1))
-        for v, (e, mag) in enumerate(zip((expo, expo_abs), mags)):
-            val, verr = _bracket(maxn.astype(np.float64) ** float(e), mag, emax)
-            cuts[v] = min(cuts[v], float((val + verr).min()))
-            keep = (val - verr) <= cuts[v]
-            pools[v].append((X[keep], maxn[keep], (val - verr)[keep]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = X @ A.T
+            emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
+            maxn = np.abs(X).max(axis=1)
+            mags = (np.abs(L - np.rint(L)).max(axis=1), np.abs(L).max(axis=1))
+            brackets = [_bracket(maxn.astype(np.float64) ** float(e), mag, emax, name)
+                        for e, mag in zip((expo, expo_abs), mags)]
+        for v, (lo, hi) in enumerate(brackets):
+            cuts[v] = min(cuts[v], float(hi.min()))
+            keep = lo <= cuts[v]
+            pools[v].append((X[keep], maxn[keep], lo[keep]))
 
     def search(variant, exponent, use_dist):
         """The last running-minimum record over one variant's candidates."""
@@ -597,7 +614,6 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
     lo, hi = minimum.enclosure(ctx.working_digits)
     dirichlet_ok = lo <= 1 + (hi - lo)
-    name = "forms:[" + "; ".join(f.key() for f in S.forms) + "]"
     return SystemLatticeResult(name, R, expo, minimum, argmin,
                                ctx.working_digits, witness, enumerated,
                                dirichlet_ok, expo_abs, imp_min, imp_arg)

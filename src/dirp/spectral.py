@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re as _re  # `re` names real parts here
 from fractions import Fraction
 from operator import index, mul
 from types import MappingProxyType
@@ -64,6 +65,33 @@ def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
     return _coerce_part(re), _coerce_part(im)
 
 
+# the shapes to_json writes: an ASCII decimal without exponent, or p/q
+_PLAIN = _re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+
+
+def _coerce_ratio(x) -> tuple[int, int]:
+    """A coefficient part as (numerator, denominator) in lowest terms, with
+    the value, grammar and errors of _coerce_part: the shapes to_json writes
+    are read in integers, any other text and any non-str through it."""
+    m = _PLAIN.fullmatch(x) if type(x) is str else None
+    if m is None:
+        f = _coerce_part(x)
+        return f.numerator, f.denominator
+    sign, whole, frac, den = m.groups()
+    if den is not None:
+        n, d = int(whole), int(den)
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+    elif frac is not None:
+        d = 10 ** len(frac)
+        n = int(whole) * d + int(frac)
+    else:
+        n = int(whole)
+        return (-n if sign else n), 1
+    g = math.gcd(n, d)
+    return (-n if sign else n) // g, d // g
+
+
 def _exact_text(x: Fraction) -> str:
     """x as a decimal when its expansion terminates, else as p/q.  The
     division is exact at this precision, so no digit is lost or padded."""
@@ -78,7 +106,9 @@ class TrigPoly:
     coefficients (re, im), both Fractions; zero terms are not stored.
     `terms` is read-only, and `masses` holds its IntegerMasses: A_k =
     (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators;
-    `mass_totals` holds the integers sum A_k and sum A_k |k|^2.
+    `mass_totals` holds the integers sum A_k and sum A_k |k|^2.  A
+    polynomial read by from_json keeps its coefficients as integer
+    numerators and denominators and builds `terms` when it is first read.
 
     The zero frequency is always rejected: every polynomial is mean zero.
     """
@@ -97,7 +127,7 @@ class TrigPoly:
             re, im = _coerce_coeff(coeff)
             if re or im:
                 store[kt] = (re, im)
-        self.terms = MappingProxyType(store)
+        self._terms = MappingProxyType(store)
         L = math.lcm(*(c.denominator for coeff in store.values() for c in coeff))
         masses, S0, SG = [], 0, 0
         for k, (re, im) in store.items():
@@ -110,6 +140,14 @@ class TrigPoly:
             SG += A * sum(map(mul, k, k))
         self.masses: IntegerMasses = (L * L, tuple(masses))
         self.mass_totals = (S0, SG)
+
+    @property
+    def terms(self) -> Mapping[FreqVector, tuple[Fraction, Fraction]]:
+        if self._terms is None:  # read by from_json: (k, re num, re den, im num, im den) rows
+            self._terms = MappingProxyType({k: (Fraction(rn, rd), Fraction(jn, jd))
+                                            for k, rn, rd, jn, jd in self._rows})
+            del self._rows
+        return self._terms
 
     # -- serialization ---------------------------------------------------
 
@@ -125,13 +163,47 @@ class TrigPoly:
 
     @classmethod
     def from_json(cls, data) -> "TrigPoly":
+        """The polynomial of a to_json dict or its JSON text, checked as the
+        constructor checks its terms; of two terms with one k the later
+        wins.  The coefficients are read as integer numerators and
+        denominators, validated in the same pass as the keys, and the masses
+        are summed from those integers; a zero denominator is a ParseError."""
         if isinstance(data, str):
             data = json.loads(data)
         try:
-            terms = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
-            return cls(int(data["dim"]), terms)
+            parts = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
+            dim = int(data["dim"])
+            if dim < 1:
+                raise DimensionMismatch("dim must be >= 1")
+            rows, L = [], 1
+            for k, (x, y) in parts.items():
+                kt = tuple(map(index, k))    # a non-integer component raises TypeError
+                if len(kt) != dim:
+                    raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
+                if not any(kt):
+                    raise ValueError("zero frequency present (mean != 0)")
+                try:
+                    (rn, rd), (jn, jd) = _coerce_ratio(x), _coerce_ratio(y)
+                except ZeroDivisionError:
+                    raise ParseError("malformed TrigPoly JSON: zero denominator in the "
+                                     f"coefficient at k={list(kt)}") from None
+                if rn or jn:
+                    rows.append((kt, rn, rd, jn, jd))
+                    L = math.lcm(L, rd, jd)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed TrigPoly JSON: {exc}") from exc
+        masses, S0, SG = [], 0, 0
+        for k, rn, rd, jn, jd in rows:
+            rn *= L // rd
+            jn *= L // jd
+            A = rn * rn + jn * jn
+            masses.append((k, A))
+            S0 += A
+            SG += A * sum(map(mul, k, k))
+        poly = cls.__new__(cls)
+        poly.dim, poly._terms, poly._rows = dim, None, rows
+        poly.masses, poly.mass_totals = (L * L, tuple(masses)), (S0, SG)
+        return poly
 
 
 # -- coefficient sums ------------------------------------------------------
@@ -191,8 +263,14 @@ def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
         his = [-(-hi.numerator * s // hi.denominator) for _, hi in ivs]
         total_lo = total_hi = 0
         for k, A in terms:
-            lo = sum(c * (x if c > 0 else y) for c, x, y in zip(k, los, his))
-            hi = sum(c * (y if c > 0 else x) for c, x, y in zip(k, los, his))
+            lo = hi = 0
+            for c, x, y in zip(k, los, his):
+                if c > 0:
+                    lo += c * x
+                    hi += c * y
+                else:  # c = 0 adds 0 either way
+                    lo += c * y
+                    hi += c * x
             if hi <= 0:  # [lo, hi]^2 = [-hi, -lo]^2
                 lo, hi = -hi, -lo
             total_lo += A * (lo * lo if lo >= 0 else lo * hi)
@@ -220,7 +298,7 @@ def _two_pi_pow(d: int) -> CertifiedReal:
 
 def _require_nonzero(f: TrigPoly) -> None:
     """Every stored term is nonzero, so s0 > 0 unless f is the zero polynomial."""
-    if not f.terms:
+    if not f.masses[1]:
         raise ZeroFunction("operation needs a nonzero polynomial")
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirp import diophantine
@@ -20,10 +20,11 @@ from dirp.diophantine import (CFExpansion, LinearFormSystem, bounded_quotient_re
                               cf_expand, delta_from_sigma, hurwitz_witnesses,
                               lattice_min, lattice_min_profile, markov_bounds,
                               system_lattice_min)
-from dirp.directions import liouville_constant, make_direction, parse_direction
+from dirp.directions import (liouville_constant, make_direction, parse_direction,
+                             parse_entry)
 from dirp.errors import (NonpositiveSigma, PrecisionExhausted, RationalRatio,
                          UnsupportedLevel)
-from dirp.precision import PrecisionContext
+from dirp.precision import DEFAULT_CONTEXT, PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
 mpmath.mp.dps = 80
@@ -102,6 +103,42 @@ def _exact_cf_inputs(seed, count):
         d = rng.choice([2, 3, 5, 8, 12, 10007 ** 2 * 2, rng.randrange(2, 10 ** 12)])
         out.append(QuadExact(a, b, d))
     return out
+
+
+def fraction_cf_interval(x, depth, ctx):
+    """The interval expansion in Fraction arithmetic: the reference for the
+    integer pairs of diophantine._cf_interval."""
+    best = []
+    for digits in ctx.digit_schedule():
+        lo, hi = x.enclosure(digits)
+        quotients = []
+        while len(quotients) < depth:
+            flo, fhi = math.floor(lo), math.floor(hi)
+            if flo != fhi:
+                break
+            quotients.append(flo)
+            lo, hi = lo - flo, hi - flo
+            if lo <= 0:  # cannot certify the next inversion
+                if lo == 0 and hi == 0:
+                    return CFExpansion(quotients, certified_depth=len(quotients),
+                                       exact=True, finite=True,
+                                       note="rational termination")
+                break
+            lo, hi = 1 / hi, 1 / lo
+        if len(quotients) > len(best):
+            best = quotients
+        if len(best) >= depth:
+            return CFExpansion(best, certified_depth=len(best), exact=False)
+        if not x.refinable:
+            break
+    return CFExpansion(best, certified_depth=len(best), exact=False,
+                       note=f"certified only {len(best)} of {depth} quotients "
+                            f"from a {digits}-digit enclosure")
+
+
+def _entry_ratio(spec, j):
+    a = parse_direction(spec)
+    return a.entries[1 - j] / a.entries[j]
 
 
 def mpmath_liouville(base):
@@ -249,6 +286,47 @@ class TestContinuedFractions:
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             cf_expand(SQRT2, 0)
+
+    @pytest.mark.parametrize("make", [
+        e_cr, pi_cr, lambda: parse_entry("const:log2"), lambda: parse_entry("liouville:10"),
+        lambda: parse_entry("liouville:2"), lambda: parse_entry("dec:2.718281828459045"),
+        lambda: parse_entry("dec:-0.000123456789"), lambda: parse_entry("dec:1.5"),
+        lambda: _entry_ratio("dir:[1, const:e]", 0), lambda: _entry_ratio("dir:[1, const:e]", 1),
+        lambda: _entry_ratio("dir:[const:pi, quad:sqrt2]", 0),
+        lambda: _entry_ratio("dir:[1, liouville:10]", 0),
+        lambda: _entry_ratio("dir:[1, dec:2.718281828459045]", 0),
+        lambda: pi_cr() / pi_cr(), lambda: e_cr() - e_cr() + Fraction(7, 3)],
+        ids=["e", "pi", "log2", "liouville10", "liouville2", "dec_e", "dec_negative",
+             "dec_rational", "e_over_1", "1_over_e", "sqrt2_over_pi", "liouville_over_1",
+             "dec_over_1", "pi_over_pi", "secretly_7_3"])
+    @pytest.mark.parametrize("depth", [1, 2, 25, 300])
+    def test_integer_interval_steps_match_the_fraction_oracle(self, make, depth):
+        # fresh values on both sides, so neither reads the other's cached enclosures
+        ctx = PrecisionContext(max_digits=2000)
+        assert diophantine._cf_interval(make(), depth, ctx) == fraction_cf_interval(make(), depth, ctx)
+
+    @given(lo=st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=40),
+           width=st.fractions(min_value=Fraction(0), max_value=Fraction(1, 4), max_denominator=40))
+    @example(lo=Fraction(17, 5), width=Fraction(1, 10))  # [3; 2, ...]: the low end lands on 2
+    @example(lo=Fraction(-7, 3), width=Fraction(0))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_steps_on_rational_enclosures(self, lo, width):
+        # small denominators put endpoints on integers within a few steps,
+        # where only the lower end stops the expansion
+        ctx = PrecisionContext(working_digits=30, max_digits=60)
+
+        def make():
+            return CertifiedReal.from_fn(lambda digits: (lo, lo + width))
+        assert diophantine._cf_interval(make(), 40, ctx) == fraction_cf_interval(make(), 40, ctx)
+
+    def test_interval_steps_on_exact_rational_enclosures(self):
+        # a value whose enclosure is its exact rational terminates like the oracle
+        for x in [Fraction(355, 113), Fraction(-22, 7), Fraction(5), Fraction(0), Fraction(1, 7)]:
+            def make(x=x):
+                return CertifiedReal.from_fn(lambda digits: (x, x))
+            got = diophantine._cf_interval(make(), 30, DEFAULT_CONTEXT)
+            assert got == fraction_cf_interval(make(), 30, DEFAULT_CONTEXT)
+            assert got.finite and Fraction(*got.convergents[-1]) == x
 
 
 class TestBoundedQuotients:
@@ -573,6 +651,27 @@ class TestColumnWindowKernel:
         got = (res.minimum.to_json(40), res.argmin, res.exact_zero_witness,
                res.enumerated, res.improved_minimum.to_json(40), res.improved_argmin)
         assert got == _oracle_system(S, R)
+
+    @pytest.mark.parametrize("spec", ["dir:[rat:1e308, rat:1.5e308]", "dir:[1, rat:1e308]",
+                                      "dir:[rat:-1.7e308, rat:1e-300]"])
+    def test_overflowing_float_brackets_raise(self, spec):
+        # <(3, -2), alpha> = 0 for the first, but its float products with k
+        # overflow: inf - inf brackets once kept (1, -1) and dropped (3, -2)
+        a = parse_direction(spec)
+        with pytest.raises(ValueError, match="overflows"):
+            lattice_min(a, 5, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            lattice_min_profile(a, 5, 1, "max")
+        with pytest.raises(ValueError, match="overflows"):
+            system_lattice_min(LinearFormSystem((a,)), 5)
+
+    def test_overflow_is_an_input_error_on_the_cli(self, capsys):
+        assert main(["lattice", "--direction", "dir:[rat:1e308, rat:1.5e308]", "--radius", "5"]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+    def test_large_finite_brackets_still_certify(self):
+        res = lattice_min(parse_direction("dir:[rat:1e300, rat:1.5e300]"), 5, 1)
+        assert res.exact_zero_witness == (3, -2) == res.argmin
 
     def test_zero_direction_is_searched_whole(self):
         a = make_direction([0, 0])

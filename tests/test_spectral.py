@@ -19,7 +19,7 @@ from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from dirp.spectral import (TrigPoly, _quadratic_field, directional_norm,
+from dirp.spectral import (TrigPoly, _coerce_ratio, _quadratic_field, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
@@ -875,3 +875,159 @@ class TestSinglePassMasses:
                      Fraction(0)) / s0
         assert tail.exact.as_fraction() == oracle
         assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
+
+
+def _fraction_ratio(text):
+    """(numerator, denominator) of Fraction(text), or the type of its error."""
+    try:
+        f = Fraction(text)
+    except Exception as exc:
+        return type(exc)
+    return f.numerator, f.denominator
+
+
+def _ratio_or_error(text):
+    try:
+        return _coerce_ratio(text)
+    except Exception as exc:
+        return type(exc)
+
+
+def _from_json_as_constructor(data):
+    """Reading a file through the constructor, with its duplicate keys and
+    errors: the reference for from_json's integer pass."""
+    try:
+        terms = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
+        return TrigPoly(int(data["dim"]), terms)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _same_poly(p, q):
+    assert p.dim == q.dim
+    assert p.masses == q.masses and p.mass_totals == q.mass_totals
+    assert list(p.terms.items()) == list(q.terms.items())
+    assert json.dumps(p.to_json()) == json.dumps(q.to_json())
+
+
+# pieces of coefficient text, joined at random: digits of several scripts,
+# signs, separators, exponents, whitespace and words
+_TEXT_PIECES = ["0", "1", "2", "4", "7", "10", "007", "-", "+", ".", "/", "_", "e", "E",
+                " ", "\t", "\n", "\u00b2", "\u0663", "\uff11", "nan", "inf", "Infinity"]
+coefficient_texts = (
+    st.sampled_from(["5.", ".5", "+5", "-0", "+0", "-0.0", "0/7", "1_000", "1__0", "2/4",
+                     "3/-4", "-3/4", "+3/4", " 3/4", "3 / 4", "3/4 ", "\u00b2", "\u0663",
+                     "\u0663/\u0664", "1e3", "1E-3", "-1.25E-3", "2.5e+2", "1e", "e1", "nan",
+                     "-inf", "Infinity", "", "-", ".", "/", "1/", "/2", "1.2.3", "1/2/3",
+                     "0.125", "-3.5", "8.470329472543003390683225006796419620513916015625E-22",
+                     "1" * 4300, "1" * 4301, "1" * 3000 + "." + "1" * 3000,
+                     "1" * 3000 + "/" + "7" * 3000, "1/0", "-0/0", "0.0/1", "1/00"])
+    | st.lists(st.sampled_from(_TEXT_PIECES), max_size=6).map("".join)
+    | st.fractions(max_denominator=10 ** 6).map(str)
+    | st.builds(lambda n, d: f"{n}.{d}", st.integers(-10 ** 20, 10 ** 20),
+                st.integers(0, 10 ** 20).map(str).map(lambda t: t.zfill(25)))
+    | st.text(alphabet="0123456789-+./_eE \u00b2\u0663", max_size=12))
+
+
+class TestJsonIngestion:
+    """from_json reads coefficient text in integers, in one pass with the masses."""
+
+    @given(text=coefficient_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_coefficient_parser_is_fractions_grammar(self, text):
+        assert _ratio_or_error(text) == _fraction_ratio(text)
+
+    @pytest.mark.parametrize("value", [0, 7, -12, True, Fraction(-3, 6), 10 ** 40])
+    def test_non_text_coefficients_are_read_as_given(self, value):
+        f = Fraction(value)
+        assert _coerce_ratio(value) == (f.numerator, f.denominator)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, float("nan"), e_cr(), None, [1]])
+    def test_rejected_coefficients_keep_their_errors(self, value):
+        with pytest.raises(TypeError):
+            _coerce_ratio(value)
+
+    @given(terms=st.dictionaries(
+        frequencies,
+        st.tuples(*[st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                              st.sampled_from([1, 2, 8, 3, 7, 2 ** 70, 10 ** 40, 3 * 2 ** 70]))] * 2),
+        max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_equals_the_constructor(self, terms):
+        p = TrigPoly(2, dict(sorted(terms.items())))    # to_json's order
+        text = json.dumps(p.to_json())
+        _same_poly(TrigPoly.from_json(text), TrigPoly(2, p.terms))
+        q = TrigPoly.from_json(text)      # terms read before masses
+        assert dict(q.terms) == dict(p.terms)
+        _same_poly(q, p)
+
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from([(1, 0), (0, 1), (2, -3), (-1, 0), (5, 5)]),
+        st.sampled_from(["0", "-0", "0/5", "0.00", "1", "-7/3", "0.125", "3/4", "2.50", "1e-2"]),
+        st.sampled_from(["0", "1/2", "-4", "9.75"]) | st.integers(-3, 3)), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_duplicate_keys_resolve_as_the_constructor_does(self, rows):
+        data = {"dim": 2, "terms": [{"k": list(k), "re": x, "im": y} for k, x, y in rows]}
+        text = json.dumps(data)
+        _same_poly(TrigPoly.from_json(text), _from_json_as_constructor(json.loads(text)))
+
+    @pytest.mark.parametrize("data", [
+        [], {"terms": []}, {"dim": 2}, {"dim": 2, "terms": [{"k": [1, 0], "re": "1"}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "im": "1"}]}, {"dim": 2, "terms": [[1, 0]]},
+        {"dim": "x", "terms": []}, {"dim": None, "terms": []}, {"dim": 0, "terms": []},
+        {"dim": 2, "terms": [{"k": [1], "re": "1", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [0, 0], "re": "1", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [0.5, 1], "re": "1", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [[1], 1], "re": "1", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": 3, "re": "1", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "re": "abc", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "re": "1", "im": 0.25}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "re": None, "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "re": "1\u00b2", "im": "0"}]},
+        {"dim": 2, "terms": [{"k": [1, 0], "re": "bad", "im": "0"},
+                             {"k": [1, 0], "re": "1", "im": "0"}]},
+    ])
+    def test_rejections_keep_their_exception_types(self, data):
+        try:
+            _from_json_as_constructor(data)
+        except Exception as exc:
+            expected = type(exc)
+        else:
+            expected = None
+        if expected is None:
+            _same_poly(TrigPoly.from_json(data), _from_json_as_constructor(data))
+        else:
+            with pytest.raises(expected):
+                TrigPoly.from_json(data)
+
+    @pytest.mark.parametrize("re, im", [("1/0", "0"), ("0", "-3/0"), (" 1/0", "1"),
+                                        ("1/00", "0"), ("0/0", "0")])
+    def test_zero_denominator_is_a_parse_error(self, re, im):
+        data = {"dim": 2, "terms": [{"k": [1, 2], "re": "1", "im": "0"},
+                                    {"k": [3, -4], "re": re, "im": im}]}
+        with pytest.raises(ParseError, match=r"zero denominator .*k=\[3, -4\]"):
+            TrigPoly.from_json(data)
+
+    def test_zero_denominator_exits_2_on_the_cli(self, tmp_path, capsys):
+        from dirp.cli import main
+        path = tmp_path / "poly.json"
+        path.write_text('{"dim": 1, "terms": [{"k": [1], "re": "1/0", "im": "0"}]}')
+        assert main(["norms", "@" + str(path), "--direction", "dir:[1]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed TrigPoly JSON: zero denominator") and "k=[1]" in err
+
+    def test_terms_are_built_on_first_read(self):
+        q = TrigPoly.from_json(POLY60.read_text())
+        ratio = poincare_ratio(q, parse_direction("dir:[1, const:e]"), 1, 1).to_json(30)
+        assert q._terms is None
+        with pytest.raises(TypeError):
+            q.terms[(1, 2)] = (Fraction(1), Fraction(0))
+        assert q.terms is q.terms
+        p = TrigPoly(2, q.terms)
+        assert poincare_ratio(p, parse_direction("dir:[1, const:e]"), 1, 1).to_json(30) == ratio
+
+    def test_all_zero_file_is_the_zero_function(self):
+        q = TrigPoly.from_json({"dim": 2, "terms": [{"k": [1, 0], "re": "0", "im": "-0/3"}]})
+        assert q.masses == (1, ()) and dict(q.terms) == {}
+        with pytest.raises(ZeroFunction):
+            poincare_ratio(q, PHI, 1, 1)
