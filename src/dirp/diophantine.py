@@ -256,7 +256,7 @@ class LatticeSearchResult:
                 **_search_json(self, digits)}
 
 
-_BLOCK = 1 << 20  # frequencies per numpy block
+_BLOCK = 1 << 13  # frequencies per numpy block
 
 
 def _lead_sign(K: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ def _lead_sign(K: np.ndarray) -> np.ndarray:
 
 def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
     """Points of Z^m with 0 < |k| <= R whose first nonzero coordinate is
-    positive (one representative per +/- pair), in blocks."""
+    positive (one representative per +/- pair), in nonempty blocks."""
     if m == 0:
         return
     side = np.arange(-R, R + 1, dtype=np.int64)
@@ -275,10 +275,12 @@ def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
         firsts = np.arange(start, min(start + step, R + 1), dtype=np.int64)
         grids = np.meshgrid(firsts, *[side] * (m - 1), indexing="ij")
         K = np.stack([g.reshape(-1) for g in grids], axis=1)
-        keep = _lead_sign(K) > 0
+        if start == 0:  # later blocks have first coordinate >= 1
+            K = K[_lead_sign(K) > 0]
         if norm == "euclidean":
-            keep &= (K * K).sum(axis=1) <= R * R
-        yield K[keep]
+            K = K[(K * K).sum(axis=1) <= R * R]
+        if len(K):
+            yield K
 
 
 def _float_entries(forms: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
@@ -313,10 +315,12 @@ def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray, name: str
     return lo, hi
 
 
-def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[np.ndarray, ...]:
-    """(K, |K|^2, lo, hi, enumerated): the frequencies a lattice search must
-    look at, the float bracket [lo, hi] of |k|^sigma |<k,alpha>| at each, and
-    the number of half-ball frequencies covered.
+def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
+                    ) -> tuple[Iterator[tuple[np.ndarray, ...]], int]:
+    """(blocks, enumerated): the frequencies a lattice search must look at,
+    as blocks (K, |K|^2, lo, hi) of at most _BLOCK rows with the float
+    bracket [lo, hi] of |k|^sigma |<k,alpha>| at each row, and the number
+    of half-ball frequencies covered.
 
     The window coordinate j holds the largest float |alpha_j|; the others
     form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
@@ -324,6 +328,9 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[n
     below |k'|^2 (a running envelope, so the windows hold every record of
     lattice_min_profile); pass 2 keeps each column's window
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
+    Pass 1 runs here and keeps two numbers per column, the shell and the hi
+    of its nearest integer; pass 2 regenerates the columns as the blocks
+    are drawn, so one block of rows is held at a time.
     """
     (alpha,), (err,) = _float_entries([a])
     sig = float(sigma)
@@ -333,15 +340,16 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[n
     scale = (1 - 1e-12) * (abs(alpha[j]) - err[j])
     slope = np.delete(alpha, j) / -(alpha[j] or 1.0)  # all-zero floats: centres 0
 
-    # (k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1
-    columns = [(np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R))]
-    for C in _half_ball(a.dim - 1, R, norm):
-        cap = np.full(len(C), R)
-        if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
-            rest = R * R - (C * C).sum(axis=1)
-            cap = np.floor(np.sqrt(rest)).astype(np.int64)
-            cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
-        columns.append((C, -cap, cap))
+    def columns():
+        """(k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1"""
+        yield np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R)
+        for C in _half_ball(a.dim - 1, R, norm):
+            cap = np.full(len(C), R)
+            if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
+                rest = R * R - (C * C).sum(axis=1)
+                cap = np.floor(np.sqrt(rest)).astype(np.int64)
+                cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
+            yield C, -cap, cap
 
     def weight(K):
         if norm == "euclidean":
@@ -356,36 +364,53 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str) -> tuple[n
                               a.key())
         return K, (K * K).sum(axis=1), lo, hi
 
-    pass1 = [evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
-             for C, lower, upper in columns]
-    _, shells, _, his = (np.concatenate(parts) for parts in zip(*pass1))
-    order = np.argsort(shells, kind="stable")
-    shells, envelope = shells[order], np.minimum.accumulate(his[order])
-
-    pool, enumerated = [], 0
-    for C, lower, upper in columns:
+    shells, envelope, enumerated = [], [], 0
+    for C, lower, upper in columns():  # keeps each column's shell and hi only
         enumerated += int((upper - lower + 1).sum())
-        colsq = (C * C).sum(axis=1)
-        below = np.searchsorted(shells, colsq)
-        B = np.where(below > 0, envelope[below - 1], np.inf)
-        rho = weight(C) if sig >= 0 else float(R) ** sig
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
-        centre = C @ slope
-        p1 = np.clip(np.rint(centre), lower, upper)
-        first = np.minimum(np.maximum(lower, np.ceil(centre - h)), p1).astype(np.int64)
-        last = np.maximum(np.minimum(upper, np.floor(centre + h)), p1).astype(np.int64)
-        counts = last - first + 1
-        begin = np.cumsum(counts) - counts  # each column's first row in the block
-        start = 0
-        while start < len(C):  # blocks of about _BLOCK frequencies
-            stop = max(start + 1, int(np.searchsorted(begin, begin[start] + _BLOCK)))
-            cols = np.repeat(np.arange(start, stop), counts[start:stop])
-            rows = np.arange(begin[start], begin[stop - 1] + counts[stop - 1])
-            pool.append(evaluate(C[cols], first[cols] + rows - begin[cols]))
-            start = stop
-    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*pool))
-    return K, normsq, lo, hi, enumerated
+        _, shell, _, hi = evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
+        shells.append(shell)
+        envelope.append(hi)
+    shells, envelope = np.concatenate(shells), np.concatenate(envelope)
+    order = np.argsort(shells, kind="stable")
+    shells, envelope = shells[order], envelope[order]
+    np.minimum.accumulate(envelope, out=envelope)  # in place: pass 1 peaks here
+
+    def blocks():
+        for C, lower, upper in columns():
+            below = np.searchsorted(shells, (C * C).sum(axis=1))
+            B = np.where(below > 0, envelope[below - 1], np.inf)
+            rho = weight(C) if sig >= 0 else float(R) ** sig
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
+            centre = C @ slope
+            p1 = np.clip(np.rint(centre), lower, upper)
+            first = np.minimum(np.maximum(lower, np.ceil(centre - h)), p1).astype(np.int64)
+            last = np.maximum(np.minimum(upper, np.floor(centre + h)), p1).astype(np.int64)
+            counts = last - first + 1
+            ends = np.cumsum(counts)  # the windows laid end to end, one row each
+            shift = first - (ends - counts)  # k_j at row r of a column's window is r + shift
+            for start in range(0, int(ends[-1]), _BLOCK):  # a long column spans blocks
+                rows = np.arange(start, min(start + _BLOCK, int(ends[-1])))
+                cols = np.searchsorted(ends, rows, side="right")
+                yield evaluate(C[cols], rows + shift[cols])
+
+    return blocks(), enumerated
+
+
+def _prune(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """(K, key) of the rows of blocks (K, key, lo, hi) whose lo reaches the
+    least hi of all rows, in the order they came.  A block keeps the rows
+    whose lo reaches the least hi seen so far, a cut at or above the final
+    one, and the final cut is applied once more, so only the survivors are
+    ever held together."""
+    kept, cut = [], np.inf
+    for K, key, lo, hi in blocks:
+        cut = min(cut, float(hi.min()))
+        keep = lo <= cut
+        kept.append((K[keep], key[keep], lo[keep]))
+    K, key, lo = (np.concatenate(parts) for parts in zip(*kept))
+    keep = lo <= cut
+    return K[keep], key[keep]
 
 
 def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
@@ -441,7 +466,9 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
 
     Candidates come from the column windows of ``_column_windows``: a
     frequency survives when its float bracket reaches the least upper
-    bracket in the ball, so the true argmin always survives.  They are
+    bracket in the ball, so the true argmin always survives.  The windows
+    are pruned as their blocks arrive, so one block of rows, the
+    survivors and two numbers per column are held at once.  They are
     certified in order of frequency shells by exact squared norm, then
     lexicographic; one representative per +/- pair (the one whose first
     nonzero coordinate is positive) since the value is symmetric.  A
@@ -452,9 +479,9 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     """
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    K, normsq, lo, hi, enumerated = _column_windows(a, R, sigma, norm)
-    order = _shell_order(K, normsq)
-    argmin, minimum = _running_min(K[order[lo[order] <= hi.min()]],
+    blocks, enumerated = _column_windows(a, R, sigma, norm)
+    K, normsq = _prune(blocks)
+    argmin, minimum = _running_min(K[_shell_order(K, normsq)],
                                    lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
     witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
     return LatticeSearchResult(a.key(), R, sigma, norm, minimum, argmin,
@@ -474,10 +501,12 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     A frequency is a candidate when its float bracket reaches the least
     upper bracket of the frequencies before it; the column windows bound
     that by the pass-1 envelope over the smaller shells, which holds every
-    true record."""
+    true record.  That cut follows shell order, so the whole pool of
+    windows is held before it is sorted."""
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    K, normsq, lo, hi, _ = _column_windows(a, R, sigma, norm)
+    blocks, _ = _column_windows(a, R, sigma, norm)
+    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
     order = _shell_order(K, normsq)
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
     records = _running_min(K[order[lo[order] <= prev_hi]],
@@ -571,27 +600,20 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     A, Aerr = _float_entries(S.forms)
     name = "forms:[" + "; ".join(f.key() for f in S.forms) + "]"
 
-    # the columns are the whole search; the nearest integer is each one's window
-    pools, cuts = ([], []), [np.inf, np.inf]
-    enumerated = 0
-    for X in _half_ball(nvars, R, "max"):
-        enumerated += len(X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            L = X @ A.T
-            emax = (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1)
+    def blocks(exponent, use_dist):
+        """The whole max ball: the nearest integer is each column's window."""
+        for X in _half_ball(nvars, R, "max"):
             maxn = np.abs(X).max(axis=1)
-            mags = (np.abs(L - np.rint(L)).max(axis=1), np.abs(L).max(axis=1))
-            brackets = [_bracket(maxn.astype(np.float64) ** float(e), mag, emax, name)
-                        for e, mag in zip((expo, expo_abs), mags)]
-        for v, (lo, hi) in enumerate(brackets):
-            cuts[v] = min(cuts[v], float(hi.min()))
-            keep = lo <= cuts[v]
-            pools[v].append((X[keep], maxn[keep], lo[keep]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                L = X @ A.T
+                mag = np.abs(L - np.rint(L) if use_dist else L).max(axis=1)
+                lo, hi = _bracket(maxn.astype(np.float64) ** float(exponent), mag,
+                                  (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1), name)
+            yield X, maxn, lo, hi
 
-    def search(variant, exponent, use_dist):
+    def search(candidates, exponent, use_dist):
         """The last running-minimum record over one variant's candidates."""
-        X, maxn, lo = (np.concatenate(parts) for parts in zip(*pools[variant]))
-        order = _shell_order(X, maxn)
+        X, maxn = candidates
 
         def certify(x):
             parts, zero_all = [], True
@@ -607,13 +629,16 @@ def system_lattice_min(S: LinearFormSystem, R: int,
                     m = v
             return None if zero_all else m * freq_norm_cr(x, exponent, "max")
 
-        return _running_min(X[order[lo[order] <= cuts[variant]]], certify, ctx)[-1]
+        return _running_min(X[_shell_order(X, maxn)], certify, ctx)[-1]
 
-    argmin, minimum = search(0, expo, use_dist=True)
-    imp_arg, imp_min = search(1, expo_abs, use_dist=False)
+    # both prefilters run, and may raise, before anything is certified
+    candidates = _prune(blocks(expo, True)), _prune(blocks(expo_abs, False))
+    argmin, minimum = search(candidates[0], expo, use_dist=True)
+    imp_arg, imp_min = search(candidates[1], expo_abs, use_dist=False)
     witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
     lo, hi = minimum.enclosure(ctx.working_digits)
     dirichlet_ok = lo <= 1 + (hi - lo)
+    enumerated = ((2 * R + 1) ** nvars - 1) // 2  # the half of the max ball
     return SystemLatticeResult(name, R, expo, minimum, argmin,
                                ctx.working_digits, witness, enumerated,
                                dirichlet_ok, expo_abs, imp_min, imp_arg)

@@ -165,14 +165,18 @@ class TrigPoly:
     def from_json(cls, data) -> "TrigPoly":
         """The polynomial of a to_json dict or its JSON text, checked as the
         constructor checks its terms; of two terms with one k the later
-        wins.  The coefficients are read as integer numerators and
+        wins, and dim must be an integer (a float, a string or a bool is a
+        ParseError).  The coefficients are read as integer numerators and
         denominators, validated in the same pass as the keys, and the masses
         are summed from those integers; a zero denominator is a ParseError."""
         if isinstance(data, str):
             data = json.loads(data)
         try:
             parts = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
-            dim = int(data["dim"])
+            dim = data["dim"]
+            if isinstance(dim, bool) or not hasattr(dim, "__index__"):  # index(True) is 1
+                raise TypeError(f"dim must be an integer, got {dim!r}")
+            dim = index(dim)
             if dim < 1:
                 raise DimensionMismatch("dim must be >= 1")
             rows, L = [], 1

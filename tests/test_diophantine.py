@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -515,6 +516,13 @@ def _oracle_brackets(a, R, sigma, norm):
     return K, normsq, val - verr, val + verr
 
 
+def _window_pool(a, R, sigma, norm):
+    """(K, |K|^2, lo, hi, enumerated) of every block _column_windows yields."""
+    blocks, enumerated = diophantine._column_windows(a, R, sigma, norm)
+    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
+    return K, normsq, lo, hi, enumerated
+
+
 def _shell_sorted(K, normsq, idx):
     return sorted((int(normsq[i]), tuple(int(c) for c in K[i])) for i in idx)
 
@@ -608,6 +616,10 @@ def _random_directions(seed, count):
 KERNEL_DIRECTIONS = _random_directions(2024, 6) + [
     "dir:[1, 0]", "dir:[0, quad:sqrt2, 1]", "dir:[0, 0]"]
 SIGMAS = (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+SYSTEM_CASES = [
+    (["dir:[quad:sqrt2]"], 40), (["dir:[rat:2/7]"], 30),
+    (["dir:[quad:(1+sqrt5)/2, quad:sqrt5]"], 7), (["dir:[0, quad:sqrt3]"], 6),
+    (["dir:[quad:sqrt2, quad:sqrt3]", "dir:[quad:sqrt5, rat:1/3]"], 6)]
 
 
 class TestColumnWindowKernel:
@@ -616,7 +628,7 @@ class TestColumnWindowKernel:
         a = parse_direction(spec)
         R = 12 if a.dim == 2 else 5
         for sigma, norm in itertools.product(SIGMAS, ("euclidean", "max")):
-            K, normsq, lo, hi, _ = diophantine._column_windows(a, R, sigma, norm)
+            K, normsq, lo, hi, _ = _window_pool(a, R, sigma, norm)
             kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
             assert kernel == _oracle_candidates(a, R, sigma, norm)
 
@@ -637,14 +649,11 @@ class TestColumnWindowKernel:
         for spec in _random_directions(7, 40):
             a = parse_direction(spec)
             for R, sigma, norm in itertools.product((1, 2, 3), (2, 3), ("euclidean", "max")):
-                K, normsq, lo, hi, _ = diophantine._column_windows(a, R, Fraction(sigma), norm)
+                K, normsq, lo, hi, _ = _window_pool(a, R, Fraction(sigma), norm)
                 kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
                 assert kernel == _oracle_candidates(a, R, sigma, norm), (spec, R, sigma, norm)
 
-    @pytest.mark.parametrize("forms,R", [
-        (["dir:[quad:sqrt2]"], 40), (["dir:[rat:2/7]"], 30),
-        (["dir:[quad:(1+sqrt5)/2, quad:sqrt5]"], 7), (["dir:[0, quad:sqrt3]"], 6),
-        (["dir:[quad:sqrt2, quad:sqrt3]", "dir:[quad:sqrt5, rat:1/3]"], 6)])
+    @pytest.mark.parametrize("forms,R", SYSTEM_CASES)
     def test_system_matches_full_enumeration(self, forms, R):
         S = LinearFormSystem(tuple(parse_direction(f) for f in forms))
         res = system_lattice_min(S, R)
@@ -675,8 +684,93 @@ class TestColumnWindowKernel:
 
     def test_zero_direction_is_searched_whole(self):
         a = make_direction([0, 0])
-        K, normsq, lo, hi, enumerated = diophantine._column_windows(a, 3, Fraction(1), "euclidean")
+        K, normsq, lo, hi, enumerated = _window_pool(a, 3, Fraction(1), "euclidean")
         assert enumerated == len(K) == 14
+
+
+BLOCK_SIZES = (1, 5, 64)
+
+
+def _searches(a, R, sigma, norm):
+    res = lattice_min(a, R, sigma, norm)
+    profile = [(ns, k, v.to_json(40)) for ns, k, v in lattice_min_profile(a, R, sigma, norm)]
+    return res.to_json(40), res.argmin, res.enumerated, profile
+
+
+def _system_search(S, R):
+    res = system_lattice_min(S, R)
+    return res.to_json(40), res.argmin, res.enumerated, res.improved_argmin
+
+
+class TestBlockBoundaries:
+    """The searches stream their windows in blocks of at most _BLOCK rows; a
+    block boundary, anywhere in a column, changes no result."""
+
+    @pytest.mark.parametrize("spec", KERNEL_DIRECTIONS)
+    def test_lattice_searches_do_not_see_the_block_size(self, spec, monkeypatch):
+        a = parse_direction(spec)
+        R = 12 if a.dim == 2 else 5
+        for sigma, norm in itertools.product(SIGMAS, ("euclidean", "max")):
+            expected = _searches(a, R, sigma, norm)
+            K, normsq, lo, hi, enumerated = _window_pool(a, R, sigma, norm)
+            keep = lo <= hi.min()
+            for size in BLOCK_SIZES:
+                monkeypatch.setattr(diophantine, "_BLOCK", size)
+                assert _searches(a, R, sigma, norm) == expected, (size, sigma, norm)
+                blocks, count = diophantine._column_windows(a, R, sigma, norm)
+                blocks = list(blocks)
+                assert count == enumerated
+                assert all(0 < len(block[0]) <= size for block in blocks)
+                survivors, keys = diophantine._prune(iter(blocks))
+                # the survivors come in the pool's order
+                assert np.array_equal(survivors, K[keep]) and np.array_equal(keys, normsq[keep])
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("forms,R", SYSTEM_CASES)
+    def test_system_search_does_not_see_the_block_size(self, forms, R, monkeypatch):
+        S = LinearFormSystem(tuple(parse_direction(f) for f in forms))
+        expected = _system_search(S, R)
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(diophantine, "_BLOCK", size)
+            assert _system_search(S, R) == expected, size
+            monkeypatch.undo()
+
+    def test_a_long_column_spans_blocks(self, monkeypatch):
+        # the k' = 0 column of a d = 2 search is R rows long and has no window
+        monkeypatch.setattr(diophantine, "_BLOCK", 5)
+        blocks, _ = diophantine._column_windows(PHI, 12, Fraction(1), "euclidean")
+        head = [block[0] for block in itertools.islice(blocks, 3)]
+        assert [len(K) for K in head] == [5, 5, 2]
+        assert np.concatenate(head).tolist() == [[0, k] for k in range(1, 13)]
+
+
+class TestLatticeMemory:
+    """Warmed-up tracemalloc peaks: the prefilter holds one block of rows,
+    the survivors and two numbers per column, never the whole pool."""
+
+    @staticmethod
+    def _peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_three_dimensional_search(self):
+        # the whole pool of windows held at once peaked at 104 MiB
+        a = parse_direction("dir:[1, quad:sqrt2, quad:sqrt3]")
+        assert self._peak(lambda: lattice_min(a, 400, Fraction(1, 2))) <= 16 * 2 ** 20
+
+    def test_long_column_search(self):
+        # the k' = 0 column alone is R rows; in one piece the search peaked at 62 MiB
+        assert self._peak(lambda: lattice_min(PHI, 10 ** 5, 1)) <= 16 * 2 ** 20
+
+    def test_system_search(self):
+        S = LinearFormSystem((parse_direction("dir:[quad:sqrt2, quad:sqrt3]"),))
+        assert self._peak(lambda: system_lattice_min(S, 200)) <= 4 * 2 ** 20
 
 
 class TestSystemLatticeMin:

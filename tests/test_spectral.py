@@ -1000,6 +1000,15 @@ class TestJsonIngestion:
             with pytest.raises(expected):
                 TrigPoly.from_json(data)
 
+    @pytest.mark.parametrize("dim", [2.9, 2.0, "2", True, False])
+    def test_dim_must_be_a_json_integer(self, dim):
+        # int() would read these as 2, 2, 2, 1 and 0
+        data = {"dim": dim, "terms": [{"k": [1] * int(dim or 1), "re": "1", "im": "0"}]}
+        with pytest.raises(ParseError, match="dim"):
+            TrigPoly.from_json(data)
+        with pytest.raises(ParseError, match="dim"):
+            TrigPoly.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("re, im", [("1/0", "0"), ("0", "-3/0"), (" 1/0", "1"),
                                         ("1/00", "0"), ("0/0", "0")])
     def test_zero_denominator_is_a_parse_error(self, re, im):
