@@ -5,7 +5,7 @@ Highlights:
   - exact/interval reals (`CertifiedReal`, `QuadExact`) that decide signs
     of inner products <k, alpha> rigorously;
   - sparse trigonometric polynomials and their Parseval-exact norms;
-  - continued fractions, lattice minima, Hurwitz witnesses;
+  - continued fractions and lattice minima;
   - named extremizer families and sharpness tables;
   - a grid diffusion model whose cell masses are exact; its contraction
     factors are float64 values (p = 2 from a float FFT), not enclosures.

@@ -672,47 +672,3 @@ def markov_bounds(level: int) -> CertifiedReal:
         raise UnsupportedLevel(f"only levels 1..3 are known here, got {level}")
     return CertifiedReal.from_quad(table[level])
 
-
-# ---------------------------------------------------------------------------
-# Hurwitz witnesses
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HurwitzWitness:
-    k: tuple[int, int]
-    convergent: tuple[int, int]
-    product: CertifiedReal  # |k| * |<k, alpha>|
-
-
-def hurwitz_witnesses(a: Direction, count: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[HurwitzWitness]:
-    """The first `count` convergents p/q of a1/a2 that certify
-    |a1/a2 - p/q| <= 1/(sqrt5 q^2), each with its frequency k = (q, -p) and
-    |k| * |<k, alpha>|, which exhibits the upper bound c_alpha <= |alpha|/sqrt5.
-
-    By Borel's theorem (1903) one of any three consecutive convergents
-    satisfies the strict inequality, so the first 3 * count convergents
-    hold at least `count` witnesses.  They come from one
-    convergent_frequencies walk at j = 1, exact for quadratic ratios and
-    otherwise refined up to ctx.max_digits; a convergent whose test sign
-    stays undecided is skipped, and DepthNotCertified is raised when fewer
-    than `count` witnesses remain."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if a.entries[0].sign_soft(ctx) == 0:
-        raise ValueError("a1 must be nonzero")
-    walk = convergent_frequencies(a, 1, 3 * count, ctx)
-    ratio = a.entries[0] / a.entries[1]  # the walk's x
-    sqrt5 = CertifiedReal.from_quad(QuadExact(0, 1, 5))
-    out: list[HurwitzWitness] = []
-    walked = 0
-    for walked, ((p, q), k, ip) in enumerate(walk, 1):
-        s = (abs(ratio * q - p) * q * sqrt5 - 1).sign_soft(ctx)
-        if s is None or s > 0:
-            continue
-        out.append(HurwitzWitness(k, (p, q), abs(ip) * freq_norm_cr(k)))
-        if len(out) == count:
-            return out
-    raise DepthNotCertified(
-        f"only {walked} convergents certified; "
-        f"{len(out)} of {count} witnesses found")

@@ -31,7 +31,7 @@ class DepthNotCertified(DirpError):
 
 
 class RationalRatio(DirpError):
-    """Hurwitz-type machinery needs an irrational slope."""
+    """A convergent walk needs an irrational slope."""
 
 
 class UnsupportedLevel(DirpError):

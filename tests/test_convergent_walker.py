@@ -1,9 +1,10 @@
-"""The d = 2 convergent walker against the two walks it replaced.
+"""The d = 2 convergent walker against the walk it replaced.
 
-The oracles below are the bodies of the one-wave builder (now a
-one-element `convergent_waves` call) and `hurwitz_witnesses` as they were
-before both became `diophantine.convergent_frequencies` walks (one at
-j = 0, one at j = 1).
+`oracle_wave` is the body of the one-wave builder (now a one-element
+`convergent_waves` call) as it was before it became a
+`diophantine.convergent_frequencies` walk at j = 0.  `oracle_walk_j1`
+builds the j = 1 walk (convergents of a1/a2, k = (q, -p)) straight from
+`cf_expand`.
 Each run parses its direction afresh, so the enclosures compared at 80
 digits start from the same refinement state on both sides.
 """
@@ -11,8 +12,7 @@ digits start from the same refinement state on both sides.
 import pytest
 
 from dirp import diophantine
-from dirp.certified import CertifiedReal
-from dirp.diophantine import cf_expand, convergent_frequencies, hurwitz_witnesses
+from dirp.diophantine import cf_expand, convergent_frequencies
 from dirp.directions import inner_product, parse_direction
 from dirp.errors import DepthNotCertified, PrecisionExhausted, RationalRatio
 from dirp.extremizers import convergent_waves, sharpness_table
@@ -45,35 +45,18 @@ def oracle_wave(a, n, ctx=DEFAULT_CONTEXT):
     return {"k": k, "convergent": (p, q), "abs_k": freq_norm_cr(k), "abs_inner": abs(ip)}
 
 
-def oracle_hurwitz_witnesses(a, count, ctx=DEFAULT_CONTEXT):
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+def oracle_walk_j1(a, depth, ctx=DEFAULT_CONTEXT):
     if a.dim != 2:
-        raise ValueError("hurwitz_witnesses needs d = 2")
-    if a.entries[0].sign_soft(ctx) == 0 or a.entries[1].sign_soft(ctx) == 0:
-        raise ValueError("both entries must be nonzero")
+        raise ValueError("convergent frequencies need d = 2")
+    if a.entries[1].sign_soft(ctx) == 0:
+        raise ValueError("a2 must be nonzero")
     ratio = a.entries[0] / a.entries[1]
     if ratio.exact is not None and ratio.exact.is_rational:
         raise RationalRatio("a1/a2 is rational")
-    cf = cf_expand(ratio, 3 * count, ctx)
+    cf = cf_expand(ratio, depth, ctx)
     if cf.finite:
         raise RationalRatio("a1/a2 terminated as a rational expansion")
-    sqrt5 = CertifiedReal.from_quad(QuadExact(0, 1, 5))
-    out = []
-    for p, q in cf.convergents:
-        test = abs(ratio * q - p) * q * sqrt5 - 1
-        s = test.sign_soft(ctx)
-        if s is None or s > 0:
-            continue
-        k = (q, -p)
-        ip = inner_product(k, a)
-        product = abs(ip) * CertifiedReal.from_rational(p * p + q * q).sqrt()
-        out.append((k, (p, q), product))
-        if len(out) == count:
-            return out
-    raise DepthNotCertified(
-        f"only {cf.certified_depth} convergents certified; "
-        f"{len(out)} of {count} witnesses found")
+    return [((p, q), (q, -p), inner_product((q, -p), a)) for p, q in cf.convergents]
 
 
 DIRECTIONS = [
@@ -120,36 +103,33 @@ def test_convergent_waves_match_oracle(spec):
 
 
 @pytest.mark.parametrize("spec", DIRECTIONS)
-def test_hurwitz_witnesses_match_oracle(spec):
-    assert not isinstance(outcome(oracle_hurwitz_witnesses, spec, 1), type)
-    for count in range(1, 21):
-        want = outcome(oracle_hurwitz_witnesses, spec, count)
-        got = outcome(hurwitz_witnesses, spec, count)
-        if isinstance(want, type):
-            assert got is want, (spec, count)
-            continue
-        assert [(w.k, w.convergent) for w in got] == [(k, pq) for k, pq, _ in want]
-        assert ([enclosure(w.product) for w in got]
-                == [enclosure(product) for _, _, product in want]), (spec, count)
+def test_walk_at_j1_matches_oracle(spec):
+    want = outcome(oracle_walk_j1, spec, 60)
+    got = outcome(lambda a, depth: list(convergent_frequencies(a, 1, depth)), spec, 60)
+    if isinstance(want, type):
+        assert got is want, spec
+        return
+    assert want, spec
+    assert [(pq, k) for pq, k, _ in got] == [(pq, k) for pq, k, _ in want], spec
+    assert ([enclosure(ip) for _, _, ip in got]
+            == [enclosure(ip) for _, _, ip in want]), spec
 
 
-@pytest.mark.parametrize("spec, cwave_exc, hurwitz_exc", [
-    ("dir:[1, 2, 3]", ValueError, ValueError),
-    ("dir:[0, quad:sqrt2]", ValueError, ValueError),
-    ("dir:[quad:sqrt2, 0]", RationalRatio, ValueError),
-    ("dir:[1, 2]", RationalRatio, RationalRatio),
-    ("dir:[dec:0.0000001, 1]", PrecisionExhausted, DepthNotCertified),
+@pytest.mark.parametrize("spec, cwave_exc", [
+    ("dir:[1, 2, 3]", ValueError),
+    ("dir:[0, quad:sqrt2]", ValueError),
+    ("dir:[quad:sqrt2, 0]", RationalRatio),
+    ("dir:[1, 2]", RationalRatio),
+    ("dir:[dec:0.0000001, 1]", PrecisionExhausted),
 ])
-def test_edge_cases_raise_as_before(spec, cwave_exc, hurwitz_exc):
+def test_edge_cases_raise_as_before(spec, cwave_exc):
     assert outcome(oracle_wave, spec, 3) is cwave_exc
     assert outcome(convergent_waves, spec, range(3, 4)) is cwave_exc
-    assert outcome(oracle_hurwitz_witnesses, spec, 3) is hurwitz_exc
-    assert outcome(hurwitz_witnesses, spec, 3) is hurwitz_exc
 
 
 @pytest.mark.parametrize("j, ks", [
     (0, [(-2, -1), (-1, -1), (-3, -2), (-7, -5)]),   # convergent_waves' k = (p, -q) of a2/a1
-    (1, [(1, 1), (3, 2), (7, 5), (17, 12)]),          # hurwitz_witnesses' k = (q, -p) of a1/a2
+    (1, [(1, 1), (3, 2), (7, 5), (17, 12)]),          # k = (q, -p) of a1/a2
 ])
 def test_orientation_on_a_negative_slope(j, ks):
     walk = convergent_frequencies(parse_direction("dir:[1, quad:sqrt2/-1]"), j, 4)

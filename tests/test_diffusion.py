@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirp import diffusion
@@ -25,6 +25,21 @@ DRIFT = RVSpec.uniform(0, Fraction(1, 2))
 SYM = RVSpec.uniform(Fraction(-1, 2), Fraction(1, 2))
 MIX = parse_rv("mix:[(1/2,uniform;-1/4;1/4),(1/2,atoms;[(1/3,1)])]")
 FIT_T_GRID = [Fraction(1, n) for n in (10, 20, 50, 100, 200)]
+PERIODIC = RVSpec.from_atoms([(Fraction(1, 2), 1)])   # t = 1: mu_hat(n) = (-1)^n
+
+
+@st.composite
+def _laws(draw) -> RVSpec:
+    """A mixture of up to three uniform parts at least 1/4 wide and atoms at
+    small-denominator positions, which put periodic orbits in reach."""
+    parts = draw(st.lists(st.tuples(
+        st.integers(1, 4), st.booleans(), st.fractions(-1, 1, max_denominator=12),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)])), min_size=1, max_size=3))
+    total = sum(w for w, _, _, _ in parts)
+    uniforms = tuple((Fraction(w, total), x, x + width)
+                     for w, is_atom, x, width in parts if not is_atom)
+    atoms = tuple((x, Fraction(w, total)) for w, is_atom, x, _ in parts if is_atom)
+    return RVSpec(uniforms=uniforms, atoms=atoms)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -647,6 +662,46 @@ class TestScalingFit:
     def test_h_values_equal_per_t_loop(self, Y, p, M):
         assert scaling_fit(Y, p, FIT_T_GRID, M).h_values == _per_t_contraction(
             Y, FIT_T_GRID, p, M)
+
+    # skipped transforms must leave every bit, down to the periodic law's
+    # h ~ 1e-16, where the lower bound and the ratios are rounding noise
+    @given(Y=_laws(), M=st.sampled_from([64, 128, 200, 2048]), p=st.sampled_from([1, math.inf]),
+           ts=st.lists(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2),
+                                        Fraction(1, 3), Fraction(1, 4)]),
+                       min_size=2, max_size=3, unique=True),
+           seed=st.integers(0, 10 ** 6))
+    @example(Y=PERIODIC, M=64, p=1, ts=[Fraction(1)], seed=DEFAULT_SEED)
+    @example(Y=PERIODIC, M=128, p=math.inf, ts=[Fraction(1)], seed=DEFAULT_SEED)
+    @example(Y=PERIODIC, M=2048, p=1, ts=[Fraction(1)], seed=7)
+    @example(Y=PERIODIC, M=2048, p=math.inf, ts=[Fraction(1)], seed=DEFAULT_SEED)
+    @settings(max_examples=40, deadline=None)
+    def test_skipped_transforms_leave_h_values_property(self, Y, M, p, ts, seed):
+        ts = sorted(ts, reverse=True)
+        assert scaling_fit(Y, p, ts, M, seed).h_values == _per_t_contraction(Y, ts, p, M, seed)
+
+    @pytest.mark.parametrize("M", [64, 128])
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 4), Fraction(1, 8), Fraction(1, 1000)])
+    def test_tight_bound_ties_are_transformed(self, M, eps):
+        # 1 - eps of the mass on the even cells, eps on the odd ones: only the
+        # Nyquist multiplier 2 eps is below 1, and for the Nyquist harmonics
+        # the lower bound is the ratio itself, so they differ only by rounding
+        half = M // 2
+        Y = RVSpec.from_atoms([(Fraction(j, M), (1 - eps if j % 2 == 0 else eps) / half)
+                               for j in range(M)])
+        for p in (1, math.inf):
+            got = contraction_factor(Y, 1, p, M).value
+            assert [got] == _per_t_contraction(Y, [Fraction(1)], p, M)
+
+    def test_lower_bound_skips_most_inverse_transforms(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *args, **kw: calls.append(1) or ifft(*args, **kw))
+        scaling_fit(DRIFT, 1, FIT_T_GRID, 8192)
+        assert len(calls) <= 120      # 47 when written; 208 per t without the bound
+        # the error bound is Higham's for radix-2 transforms, so other M run them all
+        calls.clear()
+        scaling_fit(DRIFT, 1, FIT_T_GRID, 2000)
+        assert len(calls) == 208 * len(FIT_T_GRID)
 
     def test_witness_memory_stays_one_dimensional(self):
         # one multiplier per t plus one witness at a time; a (t x M) complex

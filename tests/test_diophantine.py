@@ -18,13 +18,12 @@ from dirp.certified import CertifiedReal
 from dirp.cli import main
 from dirp.constants import e_cr, pi_cr
 from dirp.diophantine import (CFExpansion, LinearFormSystem, bounded_quotient_report,
-                              cf_expand, delta_from_sigma, hurwitz_witnesses,
+                              cf_expand, delta_from_sigma,
                               lattice_min, lattice_min_profile, markov_bounds,
                               system_lattice_min)
 from dirp.directions import (liouville_constant, make_direction, parse_direction,
                              parse_entry)
-from dirp.errors import (NonpositiveSigma, PrecisionExhausted, RationalRatio,
-                         UnsupportedLevel)
+from dirp.errors import NonpositiveSigma, PrecisionExhausted, UnsupportedLevel
 from dirp.precision import DEFAULT_CONTEXT, PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
@@ -852,50 +851,3 @@ class TestExponentTables:
         with pytest.raises(UnsupportedLevel):
             markov_bounds(4)
 
-
-class TestHurwitz:
-    def test_golden_witnesses_approach_floor(self):
-        ws = hurwitz_witnesses(PHI, 8)
-        assert len(ws) == 8
-        products = [float(w.product) for w in ws]
-        assert all(0.84 < p < 1.0 for p in products)
-        limit = math.sqrt(1 + ((1 + math.sqrt(5)) / 2) ** 2) / math.sqrt(5)
-        assert abs(products[-1] - limit) < 1e-3
-
-    def test_sqrt2_witnesses(self):
-        ws = hurwitz_witnesses(make_direction([SQRT2, 1]), 5)
-        assert len(ws) == 5
-        # every witness satisfies the Hurwitz inequality by construction
-        sqrt5 = CertifiedReal.from_quad(QuadExact(0, 1, 5))
-        for w in ws:
-            p, q = w.convergent
-            ratio = make_direction([SQRT2, 1]).entries[0]
-            test = abs(ratio * q - p) * q * sqrt5 - 1
-            assert test.sign() <= 0
-
-    @pytest.mark.parametrize("spec, count", [("dir:[1, const:e]", 20),
-                                             ("dir:[const:pi, 1]", 60),
-                                             ("dir:[1, const:e]", 60)])
-    def test_witnesses_match_mpmath(self, spec, count):
-        # oracle: the first `count` mpmath convergents p/q of a1/a2 with
-        # |a1/a2 - p/q| q^2 sqrt5 <= 1; 3 * count of them hold enough (Borel)
-        mpmath.mp.dps = 600
-        a1, a2 = {"dir:[1, const:e]": (1, mpmath.e),
-                  "dir:[const:pi, 1]": (mpmath.pi, 1)}[spec]
-        x = mpmath.mpf(a1) / a2
-        expected, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
-        for a in mpmath_quotients(x, 3 * count):
-            (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
-            if abs(x - mpmath.mpf(p1) / q1) * q1 * q1 * mpmath.sqrt(5) <= 1:
-                expected.append((p1, q1))
-        ws = hurwitz_witnesses(parse_direction(spec), count)
-        assert [w.convergent for w in ws] == expected[:count]
-        assert len({w.k for w in ws}) == count
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="count"):
-            hurwitz_witnesses(PHI, 0)
-
-    def test_rational_slope_rejected(self):
-        with pytest.raises(RationalRatio):
-            hurwitz_witnesses(make_direction([1, 2]), 3)

@@ -9,7 +9,9 @@ three exact `cf` commands (a negative rational, a quadratic with negative
 b, a finite `cf:` literal) before the exact expansion became an integer
 (P, Q) recurrence, and the three 60-term commands on (1, e), (1, Liouville)
 and (1, dec:0.5) before the interval kernels rounded from integer
-numerators; a change to one needs a CHANGES.md line that says why.
+numerators, and the three p = 1 and p = inf `diffusion` fits before the
+witness loop skipped the inverse FFTs that a spectral lower bound rules
+out; a change to one needs a CHANGES.md line that says why.
 """
 
 import hashlib
@@ -99,6 +101,17 @@ SUBCOMMANDS = {
     "norms poly60 (1,dec:0.5)": (
         ["norms", POLY60, "--direction", "dir:[1, dec:0.5]"],
         "bbadf1a7c207a167d29c28dc62b3f5c4b47526a9b38f3a0c6c8ca5077120be0d"),
+    # the p = 1 and p = inf witness families: a drifted law, a symmetric law,
+    # and M = 8192 under another witness seed
+    "diffusion drifted p=1": (
+        ["diffusion", "uniform:0:1/2", "--p", "1"],
+        "d1d9da248e5d50f92be53c2203e9c7636b0dc4fc2a7cd4bbdf3dd879cca8e989"),
+    "diffusion symmetric p=inf": (
+        ["diffusion", "uniform:-1/2:1/2", "--p", "inf"],
+        "0adf781e5c627a636638ac3e14fb7ddfeb52410ee129231765e9a7511b5a4a33"),
+    "diffusion drifted p=inf M=8192 seed=7": (
+        ["diffusion", "uniform:0:1/2", "--p", "inf", "--grid", "8192", "--seed", "7"],
+        "43380fa86b7a55eb0b5913499a2ca1aed31985874f1ed99c96be12adfe28f4d4"),
 }
 
 
