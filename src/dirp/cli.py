@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
 from .precision import DEFAULT_CONTEXT, PrecisionContext
-from .report import build_report
+from .report import build_report, report_to_bytes
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
 
@@ -93,7 +92,7 @@ def _emit(payload, settings, csv_text: str | None = None) -> None:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(payload, sort_keys=True, indent=1)
+        text = report_to_bytes(payload).decode()
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -519,7 +519,8 @@ def scaling_fit(Y: RVSpec, p, t_grid: Sequence, M: int,
     (drifted Y, h ~ t), "no contraction: periodic orbit"
     when some h vanishes on the grid, else "indeterminate".  Every t is
     discretized with measure_from_rv, and so checked, before any witness
-    work starts.
+    work starts.  A fit needs two or more t values: a one-point grid
+    raises ValueError unless h vanishes there.
     """
     ts = [Fraction(t) for t in t_grid]
     if any(b >= a for a, b in zip(ts, ts[1:])):
@@ -528,9 +529,11 @@ def scaling_fit(Y: RVSpec, p, t_grid: Sequence, M: int,
     values = [cv.value for cv in factors]
     methods = [cv.method for cv in factors]
     tf = [float(t) for t in ts]
-    if min(values) <= 1e-14:
+    if values and min(values) <= 1e-14:
         return ContractionEstimate(p, tf, values, 0.0, 0.0, 0.0,
                                    "no contraction: periodic orbit", M, seed, methods)
+    if len(ts) < 2:     # a vanishing h needs no fit, but a slope needs two points
+        raise ValueError("a scaling fit needs two or more t values")
     logs_t = np.log(tf)
     logs_h = np.log(values)
     slope, intercept = np.polyfit(logs_t, logs_h, 1)

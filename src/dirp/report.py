@@ -466,4 +466,6 @@ def build_report(seed: int = DEFAULT_SEED,
 
 
 def report_to_bytes(report: dict) -> bytes:
+    """The canonical JSON bytes (sorted keys, indent 1) of a report and of
+    every CLI output; REPORT_SHA256 and the golden digests pin them."""
     return json.dumps(report, sort_keys=True, indent=1).encode()

@@ -48,34 +48,23 @@ def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> Certifie
     return CertifiedReal.from_rational(base).pow_frac(expo)
 
 
-def _coerce_part(x) -> Fraction:
-    if type(x) is Fraction:     # immutable: no copy needed
-        return x
-    if isinstance(x, (float, CertifiedReal)):
-        raise TypeError(f"{type(x).__name__} coefficients are rejected; "
-                        "pass int, Fraction or a decimal or p/q str")
-    return Fraction(x)
-
-
-def _coerce_coeff(value) -> tuple[Fraction, Fraction]:
-    if isinstance(value, tuple) and len(value) == 2:
-        re, im = value
-    else:
-        re, im = value, 0
-    return _coerce_part(re), _coerce_part(im)
-
-
 # the shapes to_json writes: an ASCII decimal without exponent, or p/q
 _PLAIN = _re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def _coerce_ratio(x) -> tuple[int, int]:
-    """A coefficient part as (numerator, denominator) in lowest terms, with
-    the value, grammar and errors of _coerce_part: the shapes to_json writes
-    are read in integers, any other text and any non-str through it."""
+    """A coefficient part as (numerator, denominator) in lowest terms.  A
+    Fraction is taken as it is and the shapes to_json writes are read in
+    integers; anything else goes through Fraction(x), with its grammar and
+    errors, except that a float or a CertifiedReal raises TypeError."""
+    if type(x) is Fraction:     # already in lowest terms
+        return x.numerator, x.denominator
     m = _PLAIN.fullmatch(x) if type(x) is str else None
     if m is None:
-        f = _coerce_part(x)
+        if isinstance(x, (float, CertifiedReal)):
+            raise TypeError(f"{type(x).__name__} coefficients are rejected; "
+                            "pass int, Fraction or a decimal or p/q str")
+        f = Fraction(x)
         return f.numerator, f.denominator
     sign, whole, frac, den = m.groups()
     if den is not None:
@@ -103,12 +92,15 @@ def _exact_text(x: Fraction) -> str:
 
 class TrigPoly:
     """Finite map from integer frequency vectors to exact Gaussian-rational
-    coefficients (re, im), both Fractions; zero terms are not stored.
-    `terms` is read-only, and `masses` holds its IntegerMasses: A_k =
-    (L re_k)^2 + (L im_k)^2 over the lcm L of the coefficient denominators;
-    `mass_totals` holds the integers sum A_k and sum A_k |k|^2.  A
-    polynomial read by from_json keeps its coefficients as integer
-    numerators and denominators and builds `terms` when it is first read.
+    coefficients (re, im).  A term is a (re, im) pair or a bare real part,
+    each part an int, a Fraction or a decimal or p/q str; zero terms are
+    not stored.  Every polynomial, built here or by from_json, keeps its
+    parts as integer numerators and denominators in lowest terms; the
+    read-only `terms` maps k to (re, im) Fractions and is built when it is
+    first read.  `masses` holds the
+    IntegerMasses: A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the
+    coefficient denominators; `mass_totals` holds the integers sum A_k and
+    sum A_k |k|^2.
 
     The zero frequency is always rejected: every polynomial is mean zero.
     """
@@ -117,21 +109,28 @@ class TrigPoly:
         if dim < 1:
             raise DimensionMismatch("dim must be >= 1")
         self.dim = dim
-        store: dict[FreqVector, tuple[Fraction, Fraction]] = {}
-        for k, coeff in terms.items():
+        rows: dict[FreqVector, tuple[int, int, int, int]] = {}  # k -> (rn, rd, jn, jd)
+        for k, value in terms.items():
             kt = tuple(map(index, k))    # a non-integer component raises TypeError
             if len(kt) != dim:
                 raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
             if not any(kt):
                 raise ValueError("zero frequency present (mean != 0)")
-            re, im = _coerce_coeff(coeff)
-            if re or im:
-                store[kt] = (re, im)
-        self._terms = MappingProxyType(store)
-        L = math.lcm(*(c.denominator for coeff in store.values() for c in coeff))
+            if isinstance(value, tuple) and len(value) == 2:
+                re, im = value
+            else:
+                re, im = value, 0
+            try:
+                row = _coerce_ratio(re) + _coerce_ratio(im)
+            except ZeroDivisionError:
+                raise ZeroDivisionError("zero denominator in the coefficient at "
+                                        f"k={list(kt)}") from None
+            if row[0] or row[2]:
+                rows[kt] = row
+        self._rows, self._terms = rows, None
+        L = math.lcm(*(row[1] for row in rows.values()), *(row[3] for row in rows.values()))
         masses, S0, SG = [], 0, 0
-        for k, (re, im) in store.items():
-            (rn, rd), (jn, jd) = re.as_integer_ratio(), im.as_integer_ratio()
+        for k, (rn, rd, jn, jd) in rows.items():
             rn *= L // rd
             jn *= L // jd
             A = rn * rn + jn * jn
@@ -143,10 +142,9 @@ class TrigPoly:
 
     @property
     def terms(self) -> Mapping[FreqVector, tuple[Fraction, Fraction]]:
-        if self._terms is None:  # read by from_json: (k, re num, re den, im num, im den) rows
+        if self._terms is None:
             self._terms = MappingProxyType({k: (Fraction(rn, rd), Fraction(jn, jd))
-                                            for k, rn, rd, jn, jd in self._rows})
-            del self._rows
+                                            for k, (rn, rd, jn, jd) in self._rows.items()})
         return self._terms
 
     # -- serialization ---------------------------------------------------
@@ -163,12 +161,11 @@ class TrigPoly:
 
     @classmethod
     def from_json(cls, data) -> "TrigPoly":
-        """The polynomial of a to_json dict or its JSON text, checked as the
-        constructor checks its terms; of two terms with one k the later
-        wins, and dim must be an integer (a float, a string or a bool is a
-        ParseError).  The coefficients are read as integer numerators and
-        denominators, validated in the same pass as the keys, and the masses
-        are summed from those integers; a zero denominator is a ParseError."""
+        """The polynomial of a to_json dict or its JSON text, built by the
+        constructor from its {k: (re, im)} terms, so of two terms with one k
+        the later wins.  dim must be an integer: a float, a string or a bool
+        is a ParseError, as is a missing key, a malformed frequency or
+        coefficient, or a zero denominator."""
         if isinstance(data, str):
             data = json.loads(data)
         try:
@@ -176,38 +173,9 @@ class TrigPoly:
             dim = data["dim"]
             if isinstance(dim, bool) or not hasattr(dim, "__index__"):  # index(True) is 1
                 raise TypeError(f"dim must be an integer, got {dim!r}")
-            dim = index(dim)
-            if dim < 1:
-                raise DimensionMismatch("dim must be >= 1")
-            rows, L = [], 1
-            for k, (x, y) in parts.items():
-                kt = tuple(map(index, k))    # a non-integer component raises TypeError
-                if len(kt) != dim:
-                    raise DimensionMismatch(f"frequency {kt} has length != dim={dim}")
-                if not any(kt):
-                    raise ValueError("zero frequency present (mean != 0)")
-                try:
-                    (rn, rd), (jn, jd) = _coerce_ratio(x), _coerce_ratio(y)
-                except ZeroDivisionError:
-                    raise ParseError("malformed TrigPoly JSON: zero denominator in the "
-                                     f"coefficient at k={list(kt)}") from None
-                if rn or jn:
-                    rows.append((kt, rn, rd, jn, jd))
-                    L = math.lcm(L, rd, jd)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(index(dim), parts)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed TrigPoly JSON: {exc}") from exc
-        masses, S0, SG = [], 0, 0
-        for k, rn, rd, jn, jd in rows:
-            rn *= L // rd
-            jn *= L // jd
-            A = rn * rn + jn * jn
-            masses.append((k, A))
-            S0 += A
-            SG += A * sum(map(mul, k, k))
-        poly = cls.__new__(cls)
-        poly.dim, poly._terms, poly._rows = dim, None, rows
-        poly.masses, poly.mass_totals = (L * L, tuple(masses)), (S0, SG)
-        return poly
 
 
 # -- coefficient sums ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -189,6 +190,17 @@ class TestDiffusion:
     def test_bad_rv_is_input_error(self, capsys):
         code, _, _ = run(capsys, "diffusion", "nope:1")
         assert code == 2
+
+    @pytest.mark.parametrize("t", ["1/10", "1"])
+    def test_one_point_t_grid_is_input_error(self, capfd, t):
+        # a line through one point: a RankWarning and a meaningless slope, or
+        # at t = 1 (log t = 0) a LAPACK error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["diffusion", "uniform:0:1/2", "--p", "2", "--t-grid", t])
+        out, err = capfd.readouterr()
+        assert code == 2 and out == "" and not caught
+        assert err == "error: a scaling fit needs two or more t values\n"
 
     def test_out_file_deterministic(self, tmp_path, capsys):
         target = tmp_path / "fit.json"

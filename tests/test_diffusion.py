@@ -732,6 +732,11 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             scaling_fit(SYM, 2, [Fraction(1, 100), Fraction(1, 10)], 512)
 
+    @pytest.mark.parametrize("ts", [[], [Fraction(1, 10)]])
+    def test_fit_needs_two_t_values(self, ts):
+        with pytest.raises(ValueError, match="two or more t values"):
+            scaling_fit(SYM, 2, ts, 512)
+
     def test_step_function_drift_is_linear_in_l1(self):
         # the sign step chi_[0,1/2) - chi_[1/2,1) loses Theta(t) of its
         # L1 mass under the drifted average

@@ -67,7 +67,7 @@ class TestTrigPoly:
     def test_fraction_coefficients_are_stored_as_given(self):
         re, im = Fraction(3, 8), Fraction(-1, 2)
         stored = TrigPoly(2, {(1, 0): (re, im)}).terms[(1, 0)]
-        assert stored[0] is re and stored[1] is im
+        assert stored == (re, im) and all(type(c) is Fraction for c in stored)
         with pytest.raises(TypeError):
             TrigPoly(2, {(1, 0): (re, 0.5)})
 
@@ -893,14 +893,27 @@ def _ratio_or_error(text):
         return type(exc)
 
 
-def _from_json_as_constructor(data):
-    """Reading a file through the constructor, with its duplicate keys and
-    errors: the reference for from_json's integer pass."""
-    try:
-        terms = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
-        return TrigPoly(int(data["dim"]), terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+def _fraction_oracle(data):
+    """A valid to_json dict read with Fraction alone, never through TrigPoly:
+    (dim, {k: (re, im)}, L^2, [(k, |a_k|^2)], (sum |a_k|^2, sum |a_k|^2 |k|^2)),
+    where of two terms with one k the later wins, zero terms are dropped
+    and L is the lcm of the kept denominators."""
+    parts = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
+    terms = {k: (Fraction(x), Fraction(y)) for k, (x, y) in parts.items()}
+    terms = {k: c for k, c in terms.items() if c != (0, 0)}
+    L = math.lcm(*(x.denominator for c in terms.values() for x in c))
+    masses = [(k, re * re + im * im) for k, (re, im) in terms.items()]
+    totals = (sum(m for _, m in masses), sum(m * sum(c * c for c in k) for k, m in masses))
+    return data["dim"], terms, L * L, masses, totals
+
+
+def _matches_oracle(p, data):
+    dim, terms, scale, masses, totals = _fraction_oracle(data)
+    assert p.dim == dim
+    assert list(p.terms.items()) == list(terms.items())
+    assert p.masses[0] == scale
+    assert [(k, Fraction(A, scale)) for k, A in p.masses[1]] == masses
+    assert tuple(Fraction(S, scale) for S in p.mass_totals) == totals
 
 
 def _same_poly(p, q):
@@ -957,6 +970,7 @@ class TestJsonIngestion:
         p = TrigPoly(2, dict(sorted(terms.items())))    # to_json's order
         text = json.dumps(p.to_json())
         _same_poly(TrigPoly.from_json(text), TrigPoly(2, p.terms))
+        _matches_oracle(TrigPoly.from_json(text), json.loads(text))
         q = TrigPoly.from_json(text)      # terms read before masses
         assert dict(q.terms) == dict(p.terms)
         _same_poly(q, p)
@@ -969,33 +983,31 @@ class TestJsonIngestion:
     def test_duplicate_keys_resolve_as_the_constructor_does(self, rows):
         data = {"dim": 2, "terms": [{"k": list(k), "re": x, "im": y} for k, x, y in rows]}
         text = json.dumps(data)
-        _same_poly(TrigPoly.from_json(text), _from_json_as_constructor(json.loads(text)))
+        _matches_oracle(TrigPoly.from_json(text), json.loads(text))
 
-    @pytest.mark.parametrize("data", [
-        [], {"terms": []}, {"dim": 2}, {"dim": 2, "terms": [{"k": [1, 0], "re": "1"}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "im": "1"}]}, {"dim": 2, "terms": [[1, 0]]},
-        {"dim": "x", "terms": []}, {"dim": None, "terms": []}, {"dim": 0, "terms": []},
-        {"dim": 2, "terms": [{"k": [1], "re": "1", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [0, 0], "re": "1", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [0.5, 1], "re": "1", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [[1], 1], "re": "1", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": 3, "re": "1", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "re": "abc", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "re": "1", "im": 0.25}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "re": None, "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "re": "1\u00b2", "im": "0"}]},
-        {"dim": 2, "terms": [{"k": [1, 0], "re": "bad", "im": "0"},
-                             {"k": [1, 0], "re": "1", "im": "0"}]},
+    @pytest.mark.parametrize("data, expected", [
+        ([], ParseError), ({"terms": []}, ParseError), ({"dim": 2}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": "1"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "im": "1"}]}, ParseError),
+        ({"dim": 2, "terms": [[1, 0]]}, ParseError),
+        ({"dim": "x", "terms": []}, ParseError), ({"dim": None, "terms": []}, ParseError),
+        ({"dim": 0, "terms": []}, DimensionMismatch),
+        ({"dim": 2, "terms": [{"k": [1], "re": "1", "im": "0"}]}, DimensionMismatch),
+        ({"dim": 2, "terms": [{"k": [0, 0], "re": "1", "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [0.5, 1], "re": "1", "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [[1], 1], "re": "1", "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": 3, "re": "1", "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": "abc", "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": "1", "im": 0.25}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": None, "im": "0"}]}, ParseError),
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": "1\u00b2", "im": "0"}]}, ParseError),
+        # the later term replaces the malformed one before it is read
+        ({"dim": 2, "terms": [{"k": [1, 0], "re": "bad", "im": "0"},
+                              {"k": [1, 0], "re": "1", "im": "0"}]}, None),
     ])
-    def test_rejections_keep_their_exception_types(self, data):
-        try:
-            _from_json_as_constructor(data)
-        except Exception as exc:
-            expected = type(exc)
-        else:
-            expected = None
+    def test_rejections_keep_their_exception_types(self, data, expected):
         if expected is None:
-            _same_poly(TrigPoly.from_json(data), _from_json_as_constructor(data))
+            _matches_oracle(TrigPoly.from_json(data), data)
         else:
             with pytest.raises(expected):
                 TrigPoly.from_json(data)
@@ -1016,6 +1028,9 @@ class TestJsonIngestion:
                                     {"k": [3, -4], "re": re, "im": im}]}
         with pytest.raises(ParseError, match=r"zero denominator .*k=\[3, -4\]"):
             TrigPoly.from_json(data)
+        terms = {tuple(t["k"]): (t["re"], t["im"]) for t in data["terms"]}
+        with pytest.raises(ZeroDivisionError, match=r"zero denominator .*k=\[3, -4\]"):
+            TrigPoly(2, terms)
 
     def test_zero_denominator_exits_2_on_the_cli(self, tmp_path, capsys):
         from dirp.cli import main
@@ -1026,14 +1041,18 @@ class TestJsonIngestion:
         assert err.startswith("error: malformed TrigPoly JSON: zero denominator") and "k=[1]" in err
 
     def test_terms_are_built_on_first_read(self):
+        direction = parse_direction("dir:[1, const:e]")
         q = TrigPoly.from_json(POLY60.read_text())
-        ratio = poincare_ratio(q, parse_direction("dir:[1, const:e]"), 1, 1).to_json(30)
-        assert q._terms is None
-        with pytest.raises(TypeError):
-            q.terms[(1, 2)] = (Fraction(1), Fraction(0))
-        assert q.terms is q.terms
-        p = TrigPoly(2, q.terms)
-        assert poincare_ratio(p, parse_direction("dir:[1, const:e]"), 1, 1).to_json(30) == ratio
+        p = TrigPoly(2, {tuple(t["k"]): (Fraction(t["re"]), Fraction(t["im"]))
+                         for t in json.loads(POLY60.read_text())["terms"]})
+        ratios = [poincare_ratio(f, direction, 1, 1).to_json(30) for f in (q, p)]
+        assert ratios[0] == ratios[1]
+        for f in (q, p):
+            assert f._terms is None
+            with pytest.raises(TypeError):
+                f.terms[(1, 2)] = (Fraction(1), Fraction(0))
+            assert f.terms is f.terms
+        assert q.terms == p.terms
 
     def test_all_zero_file_is_the_zero_function(self):
         q = TrigPoly.from_json({"dim": 2, "terms": [{"k": [1, 0], "re": "0", "im": "-0/3"}]})
