@@ -30,7 +30,7 @@ from .errors import (
 )
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import QuadExact
-from .spectral import freq_norm_cr, freq_norm_sq
+from .spectral import freq_norm_cr
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,13 @@ def _lead_sign(K: np.ndarray) -> np.ndarray:
     return np.sign(K[np.arange(len(K)), (K != 0).argmax(axis=1)])
 
 
+def _shell(K: np.ndarray, norm: str) -> np.ndarray:
+    """Each row's squared search norm: |k|^2, or max_i k_i^2 under the max
+    norm, so R^2 bounds the ball under both."""
+    K2 = K * K
+    return K2.sum(axis=1) if norm == "euclidean" else K2.max(axis=1, initial=0)
+
+
 def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
     """Points of Z^m with 0 < |k| <= R whose first nonzero coordinate is
     positive (one representative per +/- pair), in nonempty blocks."""
@@ -278,7 +285,7 @@ def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
         if start == 0:  # later blocks have first coordinate >= 1
             K = K[_lead_sign(K) > 0]
         if norm == "euclidean":
-            K = K[(K * K).sum(axis=1) <= R * R]
+            K = K[_shell(K, norm) <= R * R]
         if len(K):
             yield K
 
@@ -318,15 +325,15 @@ def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray, name: str
 def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
                     ) -> tuple[Iterator[tuple[np.ndarray, ...]], int]:
     """(blocks, enumerated): the frequencies a lattice search must look at,
-    as blocks (K, |K|^2, lo, hi) of at most _BLOCK rows with the float
-    bracket [lo, hi] of |k|^sigma |<k,alpha>| at each row, and the number
-    of half-ball frequencies covered.
+    as blocks (K, shell, lo, hi) of at most _BLOCK rows with the float
+    bracket [lo, hi] of shell^(sigma/2) |<k,alpha>| at each row, and the
+    number of half-ball frequencies covered.
 
     The window coordinate j holds the largest float |alpha_j|; the others
     form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
     the least hi at the nearest integers to the centres over the shells
-    below |k'|^2 (a running envelope, so the windows hold every record of
-    lattice_min_profile); pass 2 keeps each column's window
+    below the shell of k' (a running envelope, so the windows hold every
+    record of lattice_min_profile); pass 2 keeps each column's window
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
     Pass 1 runs here and keeps two numbers per column, the shell and the hi
     of its nearest integer; pass 2 regenerates the columns as the blocks
@@ -346,23 +353,19 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
         for C in _half_ball(a.dim - 1, R, norm):
             cap = np.full(len(C), R)
             if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
-                rest = R * R - (C * C).sum(axis=1)
+                rest = R * R - _shell(C, norm)
                 cap = np.floor(np.sqrt(rest)).astype(np.int64)
                 cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
             yield C, -cap, cap
 
-    def weight(K):
-        if norm == "euclidean":
-            return (K * K).sum(axis=1).astype(np.float64) ** (sig / 2)
-        return np.abs(K).max(axis=1, initial=0).astype(np.float64) ** sig
-
     def evaluate(C, kj):
         K = np.insert(C, j, kj, axis=1)
         K *= _lead_sign(K)[:, None]
+        shell = _shell(K, norm)
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = _bracket(weight(K), np.abs(K @ alpha), np.abs(K).astype(np.float64) @ err,
-                              a.key())
-        return K, (K * K).sum(axis=1), lo, hi
+            lo, hi = _bracket(shell.astype(np.float64) ** (sig / 2), np.abs(K @ alpha),
+                              np.abs(K).astype(np.float64) @ err, a.key())
+        return K, shell, lo, hi
 
     shells, envelope, enumerated = [], [], 0
     for C, lower, upper in columns():  # keeps each column's shell and hi only
@@ -377,9 +380,10 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
 
     def blocks():
         for C, lower, upper in columns():
-            below = np.searchsorted(shells, (C * C).sum(axis=1))
+            shell = _shell(C, norm)
+            below = np.searchsorted(shells, shell)
             B = np.where(below > 0, envelope[below - 1], np.inf)
-            rho = weight(C) if sig >= 0 else float(R) ** sig
+            rho = shell.astype(np.float64) ** (sig / 2) if sig >= 0 else float(R) ** sig
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
             centre = C @ slope
@@ -425,13 +429,13 @@ def _certified_value(k: tuple[int, ...], a: Direction, sigma: Fraction,
 
 def _running_min(rows: Iterable[np.ndarray],
                  certify: Callable[[tuple[int, ...]], Optional[CertifiedReal]],
-                 ctx: PrecisionContext) -> list[tuple[tuple[int, ...], CertifiedReal]]:
-    """Certify the rows in their given order and record (row, value) each
-    time the minimum strictly improves, so ties keep the earlier row.
+                 ctx: PrecisionContext) -> list[tuple[int, tuple[int, ...], CertifiedReal]]:
+    """Certify the rows in their given order and record (index, row, value)
+    each time the minimum strictly improves, so ties keep the earlier row.
     ``certify`` returns None for a certified exact zero, which is recorded
     as value 0 and ends the search."""
-    records: list[tuple[tuple[int, ...], CertifiedReal]] = []
-    for row in rows:
+    records: list[tuple[int, tuple[int, ...], CertifiedReal]] = []
+    for i, row in enumerate(rows):
         k = tuple(int(c) for c in row)
         try:
             value = certify(k)
@@ -440,10 +444,10 @@ def _running_min(rows: Iterable[np.ndarray],
                 f"the value at k={k} cannot be separated from 0 within "
                 f"max_digits={ctx.max_digits}", offending=k) from exc
         if value is None:
-            records.append((k, CertifiedReal.from_rational(0)))
+            records.append((i, k, CertifiedReal.from_rational(0)))
             break
-        if not records or (value.compare(records[-1][1], ctx) or 0) < 0:
-            records.append((k, value))
+        if not records or (value.compare(records[-1][2], ctx) or 0) < 0:
+            records.append((i, k, value))
     return records
 
 
@@ -454,9 +458,9 @@ def _check_search(R: int, norm: str) -> None:
         raise ValueError("norm must be euclidean or max")
 
 
-def _shell_order(K: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Row order by key (a norm), then lexicographic."""
-    return np.lexsort(tuple(K[:, i] for i in reversed(range(K.shape[1]))) + (key,))
+def _shell_order(K: np.ndarray, shell: np.ndarray) -> np.ndarray:
+    """Row order by shell, then lexicographic."""
+    return np.lexsort(tuple(K[:, i] for i in reversed(range(K.shape[1]))) + (shell,))
 
 
 def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
@@ -469,8 +473,8 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     bracket in the ball, so the true argmin always survives.  The windows
     are pruned as their blocks arrive, so one block of rows, the
     survivors and two numbers per column are held at once.  They are
-    certified in order of frequency shells by exact squared norm, then
-    lexicographic; one representative per +/- pair (the one whose first
+    certified in order of the search norm's shells (its exact square),
+    then lexicographic; one representative per +/- pair (the one whose first
     nonzero coordinate is positive) since the value is symmetric.  A
     certified exact zero of the inner product short-circuits the search
     and is reported as exact_zero_witness.  ``enumerated`` counts the
@@ -480,9 +484,9 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     _check_search(R, norm)
     sigma = Fraction(sigma)
     blocks, enumerated = _column_windows(a, R, sigma, norm)
-    K, normsq = _prune(blocks)
-    argmin, minimum = _running_min(K[_shell_order(K, normsq)],
-                                   lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
+    K, shell = _prune(blocks)
+    _, argmin, minimum = _running_min(K[_shell_order(K, shell)],
+                                      lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
     witness = argmin if minimum.exact is not None and minimum.exact.sign() == 0 else None
     return LatticeSearchResult(a.key(), R, sigma, norm, minimum, argmin,
                                ctx.working_digits, witness, enumerated)
@@ -491,12 +495,10 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
 def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
                         ctx: PrecisionContext = DEFAULT_CONTEXT
                         ) -> list[tuple[int, tuple[int, ...], CertifiedReal]]:
-    """Running-minimum records: (|k|^2, k, value) at every radius where the
-    ball minimum improves.  Under the euclidean norm, lattice_min(R') for
-    any R' <= R is the last record with |k|^2 <= R'^2; the records run in
-    |k|^2 order under the max norm too, so there only the last one is a
-    max-ball minimum (lattice_min(R)).  Certified exact zeros appear as
-    value 0.
+    """Running-minimum records: (shell, k, value) at every radius where the
+    ball minimum improves, shell being |k|^2, or max_i k_i^2 under the max
+    norm.  lattice_min(R') for any R' <= R is the last record with
+    shell <= R'^2.  Certified exact zeros appear as value 0.
 
     A frequency is a candidate when its float bracket reaches the least
     upper bracket of the frequencies before it; the column windows bound
@@ -506,12 +508,12 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     _check_search(R, norm)
     sigma = Fraction(sigma)
     blocks, _ = _column_windows(a, R, sigma, norm)
-    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
-    order = _shell_order(K, normsq)
+    K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
+    order = _shell_order(K, shell)
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
-    records = _running_min(K[order[lo[order] <= prev_hi]],
-                           lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)
-    return [(freq_norm_sq(k), k, value) for k, value in records]
+    keep = order[lo[order] <= prev_hi]
+    return [(int(shell[keep[i]]), k, value) for i, k, value in
+            _running_min(K[keep], lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +605,17 @@ def system_lattice_min(S: LinearFormSystem, R: int,
     def blocks(exponent, use_dist):
         """The whole max ball: the nearest integer is each column's window."""
         for X in _half_ball(nvars, R, "max"):
-            maxn = np.abs(X).max(axis=1)
+            shell = _shell(X, "max")
             with np.errstate(over="ignore", invalid="ignore"):
                 L = X @ A.T
                 mag = np.abs(L - np.rint(L) if use_dist else L).max(axis=1)
-                lo, hi = _bracket(maxn.astype(np.float64) ** float(exponent), mag,
+                lo, hi = _bracket(shell.astype(np.float64) ** float(exponent / 2), mag,
                                   (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1), name)
-            yield X, maxn, lo, hi
+            yield X, shell, lo, hi
 
     def search(candidates, exponent, use_dist):
         """The last running-minimum record over one variant's candidates."""
-        X, maxn = candidates
+        X, shell = candidates
 
         def certify(x):
             parts, zero_all = [], True
@@ -629,7 +631,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
                     m = v
             return None if zero_all else m * freq_norm_cr(x, exponent, "max")
 
-        return _running_min(X[_shell_order(X, maxn)], certify, ctx)[-1]
+        return _running_min(X[_shell_order(X, shell)], certify, ctx)[-1][1:]
 
     # both prefilters run, and may raise, before anything is certified
     candidates = _prune(blocks(expo, True)), _prune(blocks(expo_abs, False))

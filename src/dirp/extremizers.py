@@ -162,7 +162,6 @@ class SharpnessRow:
     abs_k: CertifiedReal
     abs_inner: CertifiedReal
     ratio: CertifiedReal
-    limit: Optional[CertifiedReal]
 
 
 @dataclass
@@ -192,8 +191,7 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         raise ParseError(f"unknown family {family!r}")
     rows = [SharpnessRow(m.index, m.frequency, freq_norm_cr(m.frequency),
                          abs(inner_product(m.frequency, a)),
-                         poincare_ratio(m.poly, a, Fraction(1), Fraction(1)),
-                         m.metadata.get("expected_limit"))
+                         poincare_ratio(m.poly, a, Fraction(1), Fraction(1)))
             for m in _FAMILIES[family][1](a, range(1, n_max + 1), ctx)]
     ratios = [Fraction(r.ratio.significant(20, ctx)) for r in rows]
     running = list(itertools.accumulate(ratios, min))

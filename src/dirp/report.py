@@ -277,9 +277,9 @@ def criterion_7() -> dict:
 
 def criterion_8() -> dict:
     values = {level: markov_bounds(level) for level in (1, 2, 3)}
-    expected = {1: QuadExact(0, 1, 5), 2: QuadExact(0, 1, 8),
-                3: QuadExact(0, Fraction(1, 5), 221)}
-    ok = all(values[i].exact == expected[i] for i in (1, 2, 3))
+    # the Lagrange value sqrt(9m^2 - 4)/m of the Markov numbers m = 1, 2, 5
+    ok = all(values[i].exact == QuadExact(0, Fraction(1, m), 9 * m * m - 4)
+             for i, m in ((1, 1), (2, 2), (3, 5)))
     return {
         "criterion": 8,
         "name": "markov-constants",

@@ -433,11 +433,15 @@ class TestLatticeMin:
         ([1, "const:e"], Fraction(1, 2), "euclidean", (5, 12, 40)),
         ([1, SQRT2, "quad:sqrt3"], Fraction(1, 2), "euclidean", (3, 7, 12)),
         ([1, SQRT2], Fraction(-1, 2), "euclidean", (5, 12, 40)),
-        pytest.param([1, "const:e"], 1, "max", (3, 19, 20), marks=pytest.mark.xfail(
-            strict=True, reason="the records run in |k|^2 order, not in max-norm order")),
-    ], ids=["phi", "e-half", "sqrt2-sqrt3-half", "sqrt2-negative", "e-max"])
+        ([1, "const:e"], 1, "max", (3, 19, 20)),
+        ([1, "const:pi"], 1, "max", (3, 22, 23)),
+        ([1, SQRT2], 1, "max", (1, 12)),
+        ([1, SQRT2, "quad:sqrt3"], 1, "max", tuple(range(1, 10))),
+    ], ids=["phi", "e-half", "sqrt2-sqrt3-half", "sqrt2-negative", "e-max", "pi-max",
+            "sqrt2-max", "sqrt2-sqrt3-max"])
     def test_profile_agrees_with_direct_minima(self, entries, sigma, norm, radii):
-        """lattice_min(R) is the last profile record with |k|^2 <= R^2."""
+        """lattice_min(R) is the last profile record with shell <= R^2, the
+        shell being the search norm squared."""
         a = make_direction(entries)
         records = lattice_min_profile(a, radii[-1], sigma, norm)
         for R in radii:
@@ -484,12 +488,14 @@ class TestLatticeMin:
 # ---------------------------------------------------------------------------
 
 def _full_enumeration(d, R, norm):
-    """Every frequency of the ball whose first nonzero coordinate is positive."""
+    """Every frequency of the ball whose first nonzero coordinate is
+    positive, and its squared search norm (the shell)."""
     K = np.array([k for k in itertools.product(range(-R, R + 1), repeat=d)
                   if next((c for c in k if c), 0) > 0
                   and (norm == "max" or sum(c * c for c in k) <= R * R)],
                  dtype=np.int64).reshape(-1, d)
-    return K, (K * K).sum(axis=1)
+    shell = [max(c * c for c in k) if norm == "max" else sum(c * c for c in k) for k in K.tolist()]
+    return K, np.array(shell, dtype=np.int64)
 
 
 def _oracle_floats(form):
@@ -500,35 +506,35 @@ def _oracle_floats(form):
 
 
 def _oracle_brackets(a, R, sigma, norm):
-    """The float prefilter over the whole ball: (K, |K|^2, lo, hi)."""
-    K, normsq = _full_enumeration(a.dim, R, norm)
+    """The float prefilter over the whole ball: (K, shell, lo, hi)."""
+    K, shell = _full_enumeration(a.dim, R, norm)
     alpha, err = (np.array(v, dtype=np.float64) for v in _oracle_floats(a))
     err = err + 1e-15 * (np.abs(alpha) + 1.0)
     inner = K @ alpha
     ierr = np.abs(K).astype(np.float64) @ err
     if norm == "euclidean":
-        w = normsq.astype(np.float64) ** (float(sigma) / 2)
+        w = (K * K).sum(axis=1).astype(np.float64) ** (float(sigma) / 2)
     else:
         w = np.abs(K).max(axis=1).astype(np.float64) ** float(sigma)
     val = w * np.abs(inner)
     verr = w * ierr * 1.01 + val * 1e-12 + 1e-290
-    return K, normsq, val - verr, val + verr
+    return K, shell, val - verr, val + verr
 
 
 def _window_pool(a, R, sigma, norm):
-    """(K, |K|^2, lo, hi, enumerated) of every block _column_windows yields."""
+    """(K, shell, lo, hi, enumerated) of every block _column_windows yields."""
     blocks, enumerated = diophantine._column_windows(a, R, sigma, norm)
-    K, normsq, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
-    return K, normsq, lo, hi, enumerated
+    K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
+    return K, shell, lo, hi, enumerated
 
 
-def _shell_sorted(K, normsq, idx):
-    return sorted((int(normsq[i]), tuple(int(c) for c in K[i])) for i in idx)
+def _shell_sorted(K, shell, idx):
+    return sorted((int(shell[i]), tuple(int(c) for c in K[i])) for i in idx)
 
 
 def _oracle_candidates(a, R, sigma, norm):
-    K, normsq, lo, hi = _oracle_brackets(a, R, sigma, norm)
-    return _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+    K, shell, lo, hi = _oracle_brackets(a, R, sigma, norm)
+    return _shell_sorted(K, shell, np.nonzero(lo <= hi.min())[0])
 
 
 def _oracle_lattice_min(a, R, sigma, norm):
@@ -544,8 +550,8 @@ def _oracle_lattice_min(a, R, sigma, norm):
 
 
 def _oracle_profile(a, R, sigma, norm):
-    K, normsq, lo, hi = _oracle_brackets(a, R, sigma, norm)
-    order = [i for _, _, i in sorted((int(normsq[i]), tuple(K[i]), i) for i in range(len(K)))]
+    K, shell, lo, hi = _oracle_brackets(a, R, sigma, norm)
+    order = [i for _, _, i in sorted((int(shell[i]), tuple(K[i]), i) for i in range(len(K)))]
     records, best, run_hi = [], None, np.inf
     for i in order:
         candidate = lo[i] <= run_hi
@@ -555,17 +561,17 @@ def _oracle_profile(a, R, sigma, norm):
         k = tuple(int(c) for c in K[i])
         value = diophantine._certified_value(k, a, sigma, norm, diophantine.DEFAULT_CONTEXT)
         if value is None:
-            records.append((int(normsq[i]), k, CertifiedReal.from_rational(0)))
+            records.append((int(shell[i]), k, CertifiedReal.from_rational(0)))
             break
         if best is None or (value.compare(best) or 0) < 0:
             best = value
-            records.append((int(normsq[i]), k, value))
+            records.append((int(shell[i]), k, value))
     return [(ns, k, v.to_json(40)) for ns, k, v in records]
 
 
 def _oracle_system(S, R):
     """Both variants of system_lattice_min by the float prefilter over the whole box."""
-    X, _ = _full_enumeration(S.nvars, R, "max")
+    X, shell = _full_enumeration(S.nvars, R, "max")
     A, Aerr = (np.array(v, dtype=np.float64) for v in zip(*map(_oracle_floats, S.forms)))
     Aerr = Aerr + 1e-15 * (np.abs(A) + 1.0)
     L = X @ A.T
@@ -579,7 +585,7 @@ def _oracle_system(S, R):
         val = mag * w
         verr = w * emax * 1.01 + val * 1e-12 + 1e-290
         best, best_x, witness = None, None, None
-        for _, x in _shell_sorted(X, maxn, np.nonzero(val - verr <= (val + verr).min())[0]):
+        for _, x in _shell_sorted(X, shell, np.nonzero(val - verr <= (val + verr).min())[0]):
             parts = [abs(ip) if not use_dist else
                      diophantine._dist_to_int_cr(ip, diophantine.DEFAULT_CONTEXT)
                      for ip in (diophantine.inner_product(x, f) for f in S.forms)]
@@ -627,8 +633,8 @@ class TestColumnWindowKernel:
         a = parse_direction(spec)
         R = 12 if a.dim == 2 else 5
         for sigma, norm in itertools.product(SIGMAS, ("euclidean", "max")):
-            K, normsq, lo, hi, _ = _window_pool(a, R, sigma, norm)
-            kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+            K, shell, lo, hi, _ = _window_pool(a, R, sigma, norm)
+            kernel = _shell_sorted(K, shell, np.nonzero(lo <= hi.min())[0])
             assert kernel == _oracle_candidates(a, R, sigma, norm)
 
             def search():
@@ -648,8 +654,8 @@ class TestColumnWindowKernel:
         for spec in _random_directions(7, 40):
             a = parse_direction(spec)
             for R, sigma, norm in itertools.product((1, 2, 3), (2, 3), ("euclidean", "max")):
-                K, normsq, lo, hi, _ = _window_pool(a, R, Fraction(sigma), norm)
-                kernel = _shell_sorted(K, normsq, np.nonzero(lo <= hi.min())[0])
+                K, shell, lo, hi, _ = _window_pool(a, R, Fraction(sigma), norm)
+                kernel = _shell_sorted(K, shell, np.nonzero(lo <= hi.min())[0])
                 assert kernel == _oracle_candidates(a, R, sigma, norm), (spec, R, sigma, norm)
 
     @pytest.mark.parametrize("forms,R", SYSTEM_CASES)
@@ -683,7 +689,7 @@ class TestColumnWindowKernel:
 
     def test_zero_direction_is_searched_whole(self):
         a = make_direction([0, 0])
-        K, normsq, lo, hi, enumerated = _window_pool(a, 3, Fraction(1), "euclidean")
+        K, shell, lo, hi, enumerated = _window_pool(a, 3, Fraction(1), "euclidean")
         assert enumerated == len(K) == 14
 
 
@@ -711,7 +717,7 @@ class TestBlockBoundaries:
         R = 12 if a.dim == 2 else 5
         for sigma, norm in itertools.product(SIGMAS, ("euclidean", "max")):
             expected = _searches(a, R, sigma, norm)
-            K, normsq, lo, hi, enumerated = _window_pool(a, R, sigma, norm)
+            K, shell, lo, hi, enumerated = _window_pool(a, R, sigma, norm)
             keep = lo <= hi.min()
             for size in BLOCK_SIZES:
                 monkeypatch.setattr(diophantine, "_BLOCK", size)
@@ -722,7 +728,7 @@ class TestBlockBoundaries:
                 assert all(0 < len(block[0]) <= size for block in blocks)
                 survivors, keys = diophantine._prune(iter(blocks))
                 # the survivors come in the pool's order
-                assert np.array_equal(survivors, K[keep]) and np.array_equal(keys, normsq[keep])
+                assert np.array_equal(survivors, K[keep]) and np.array_equal(keys, shell[keep])
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("forms,R", SYSTEM_CASES)
