@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -260,15 +261,22 @@ _BLOCK = 1 << 13  # frequencies per numpy block
 
 
 def _lead_sign(K: np.ndarray) -> np.ndarray:
-    """Sign of each row's first nonzero coordinate (0 for a zero row)."""
-    return np.sign(K[np.arange(len(K)), (K != 0).argmax(axis=1)])
+    """Sign of each row's first nonzero coordinate (0 for a zero row),
+    carried right to left over the columns."""
+    lead = np.zeros(len(K), np.int64)
+    for col in K.T[::-1]:
+        lead = np.where(col, col, lead)
+    return np.sign(lead)
 
 
 def _shell(K: np.ndarray, norm: str) -> np.ndarray:
     """Each row's squared search norm: |k|^2, or max_i k_i^2 under the max
-    norm, so R^2 bounds the ball under both."""
-    K2 = K * K
-    return K2.sum(axis=1) if norm == "euclidean" else K2.max(axis=1, initial=0)
+    norm, so R^2 bounds the ball under both; reduced column by column."""
+    out = np.zeros(len(K), np.int64)
+    combine = np.add if norm == "euclidean" else np.maximum
+    for col in K.T:
+        combine(out, col * col, out=out)
+    return out
 
 
 def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
@@ -323,11 +331,13 @@ def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray, name: str
 
 
 def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
-                    ) -> tuple[Iterator[tuple[np.ndarray, ...]], int]:
-    """(blocks, enumerated): the frequencies a lattice search must look at,
-    as blocks (K, shell, lo, hi) of at most _BLOCK rows with the float
-    bracket [lo, hi] of shell^(sigma/2) |<k,alpha>| at each row, and the
-    number of half-ball frequencies covered.
+                    ) -> tuple[Iterator[tuple[np.ndarray, ...]], int, np.ndarray, np.ndarray]:
+    """(blocks, enumerated, shells, bound): the frequencies a lattice search
+    must look at, as blocks (K, shell, lo, hi) of at most _BLOCK rows with
+    the float bracket [lo, hi] of shell^(sigma/2) |<k,alpha>| at each row,
+    the number of half-ball frequencies covered, and pass 1's envelope:
+    bound[np.searchsorted(shells, s)] is the least hi pass 1 saw below
+    shell s (inf if none).
 
     The window coordinate j holds the largest float |alpha_j|; the others
     form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
@@ -337,7 +347,9 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
     Pass 1 runs here and keeps two numbers per column, the shell and the hi
     of its nearest integer; pass 2 regenerates the columns as the blocks
-    are drawn, so one block of rows is held at a time.
+    are drawn, so one block of rows is held at a time.  Rows are built
+    and reduced column by column: numpy reduces a (rows, d) block along
+    its short axis many times slower.
     """
     (alpha,), (err,) = _float_entries([a])
     sig = float(sigma)
@@ -358,10 +370,16 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
                 cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
             yield C, -cap, cap
 
-    def evaluate(C, kj):
-        K = np.insert(C, j, kj, axis=1)
-        K *= _lead_sign(K)[:, None]
-        shell = _shell(K, norm)
+    def evaluate(X, kj):
+        """(K, shell, lo, hi) of the frequencies with coordinate j kj and
+        the others the rows of X, one row per coordinate"""
+        T = np.empty((a.dim, len(kj)), np.int64)
+        T[:j], T[j], T[j + 1:] = X[:j], kj, X[j:]
+        sign = _lead_sign(T.T)
+        K = np.empty((len(kj), a.dim), np.int64)
+        for i, coord in enumerate(T):
+            np.multiply(coord, sign, out=K[:, i])
+        shell = _shell(T.T, norm)
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi = _bracket(shell.astype(np.float64) ** (sig / 2), np.abs(K @ alpha),
                               np.abs(K).astype(np.float64) @ err, a.key())
@@ -370,19 +388,22 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
     shells, envelope, enumerated = [], [], 0
     for C, lower, upper in columns():  # keeps each column's shell and hi only
         enumerated += int((upper - lower + 1).sum())
-        _, shell, _, hi = evaluate(C, np.clip(np.rint(C @ slope), lower, upper).astype(np.int64))
+        kj = np.clip(np.rint(C @ slope), lower, upper).astype(np.int64)
+        _, shell, _, hi = evaluate(C.T, kj)
         shells.append(shell)
         envelope.append(hi)
     shells, envelope = np.concatenate(shells), np.concatenate(envelope)
     order = np.argsort(shells, kind="stable")
-    shells, envelope = shells[order], envelope[order]
-    np.minimum.accumulate(envelope, out=envelope)  # in place: pass 1 peaks here
+    shells = shells[order]
+    bound = np.empty(len(order) + 1)  # bound[i]: the least hi over shells[:i]
+    bound[0] = np.inf
+    np.take(envelope, order, out=bound[1:])
+    np.minimum.accumulate(bound, out=bound)  # in place: pass 1 peaks here
 
     def blocks():
         for C, lower, upper in columns():
             shell = _shell(C, norm)
-            below = np.searchsorted(shells, shell)
-            B = np.where(below > 0, envelope[below - 1], np.inf)
+            B = bound[np.searchsorted(shells, shell)]
             rho = shell.astype(np.float64) ** (sig / 2) if sig >= 0 else float(R) ** sig
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
@@ -392,13 +413,18 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
             last = np.maximum(np.minimum(upper, np.floor(centre + h)), p1).astype(np.int64)
             counts = last - first + 1
             ends = np.cumsum(counts)  # the windows laid end to end, one row each
-            shift = first - (ends - counts)  # k_j at row r of a column's window is r + shift
+            starts = ends - counts
+            shift = first - starts  # k_j at row r of a column's window is r + shift
             for start in range(0, int(ends[-1]), _BLOCK):  # a long column spans blocks
-                rows = np.arange(start, min(start + _BLOCK, int(ends[-1])))
-                cols = np.searchsorted(ends, rows, side="right")
-                yield evaluate(C[cols], rows + shift[cols])
+                stop = min(start + _BLOCK, int(ends[-1]))
+                # the block's first and last column, and how many of its rows each holds
+                c0, c1 = np.searchsorted(ends, (start, stop - 1), side="right")
+                span = slice(c0, c1 + 1)
+                reps = np.minimum(ends[span], stop) - np.maximum(starts[span], start)
+                kj = np.repeat(shift[span], reps) + np.arange(start, stop)
+                yield evaluate(np.repeat(C[span].T, reps, axis=1), kj)
 
-    return blocks(), enumerated
+    return blocks(), enumerated, shells, bound
 
 
 def _prune(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +509,7 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     """
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    blocks, enumerated = _column_windows(a, R, sigma, norm)
+    blocks, enumerated, _, _ = _column_windows(a, R, sigma, norm)
     K, shell = _prune(blocks)
     _, argmin, minimum = _running_min(K[_shell_order(K, shell)],
                                       lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
@@ -501,14 +527,19 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     shell <= R'^2.  Certified exact zeros appear as value 0.
 
     A frequency is a candidate when its float bracket reaches the least
-    upper bracket of the frequencies before it; the column windows bound
-    that by the pass-1 envelope over the smaller shells, which holds every
-    true record.  That cut follows shell order, so the whole pool of
-    windows is held before it is sorted."""
+    upper bracket of the frequencies before it.  That cut follows shell
+    order, so it waits for the whole pool; as each block arrives, the pool
+    keeps only the rows whose lo reaches pass 1's envelope strictly below
+    their own shell, a cut at or above the final one, so it holds about
+    the candidates rather than every window."""
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    blocks, _ = _column_windows(a, R, sigma, norm)
-    K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
+    blocks, _, shells, bound = _column_windows(a, R, sigma, norm)
+    pool = []
+    for K, shell, lo, hi in blocks:
+        keep = lo <= bound[np.searchsorted(shells, shell)]
+        pool.append((K[keep], shell[keep], lo[keep], hi[keep]))
+    K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*pool))
     order = _shell_order(K, shell)
     prev_hi = np.concatenate(([np.inf], np.minimum.accumulate(hi[order])[:-1]))
     keep = order[lo[order] <= prev_hi]
@@ -608,9 +639,10 @@ def system_lattice_min(S: LinearFormSystem, R: int,
             shell = _shell(X, "max")
             with np.errstate(over="ignore", invalid="ignore"):
                 L = X @ A.T
-                mag = np.abs(L - np.rint(L) if use_dist else L).max(axis=1)
+                mag = reduce(np.maximum, np.abs(L - np.rint(L) if use_dist else L).T)
                 lo, hi = _bracket(shell.astype(np.float64) ** float(exponent / 2), mag,
-                                  (np.abs(X).astype(np.float64) @ Aerr.T).max(axis=1), name)
+                                  reduce(np.maximum, (np.abs(X).astype(np.float64) @ Aerr.T).T),
+                                  name)
             yield X, shell, lo, hi
 
     def search(candidates, exponent, use_dist):

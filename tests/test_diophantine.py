@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirp import diophantine
 from dirp.certified import CertifiedReal
@@ -523,7 +524,7 @@ def _oracle_brackets(a, R, sigma, norm):
 
 def _window_pool(a, R, sigma, norm):
     """(K, shell, lo, hi, enumerated) of every block _column_windows yields."""
-    blocks, enumerated = diophantine._column_windows(a, R, sigma, norm)
+    blocks, enumerated, _, _ = diophantine._column_windows(a, R, sigma, norm)
     K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
     return K, shell, lo, hi, enumerated
 
@@ -693,6 +694,45 @@ class TestColumnWindowKernel:
         assert enumerated == len(K) == 14
 
 
+def _axis_one_shell(K, norm):
+    """The row reductions the kernel once ran along axis 1."""
+    K2 = K * K
+    return K2.sum(axis=1) if norm == "euclidean" else K2.max(axis=1, initial=0)
+
+
+def _axis_one_lead_sign(K):
+    return np.sign(K[np.arange(len(K)), (K != 0).argmax(axis=1)])
+
+
+# up to 4 coordinates of at most 2^30 keep |k|^2 inside int64; zeros are common
+_COORDS = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-2 ** 30, 2 ** 30))
+_BLOCKS = st.integers(1, 4).flatmap(lambda d: hnp.arrays(
+    np.int64, st.tuples(st.integers(0, 30), st.just(d)), elements=_COORDS))
+
+
+class TestColumnwiseReductions:
+    """_shell and _lead_sign reduce column by column; they equal the axis-1
+    reductions exactly, in either memory layout."""
+
+    @given(K=_BLOCKS)
+    @example(K=np.zeros((0, 3), np.int64))
+    @example(K=np.zeros((4, 2), np.int64))
+    @example(K=np.array([[0, 0, -5, 1], [0, 3, -1, 0], [-2, 0, 0, 0]], np.int64))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_axis_one_reductions(self, K):
+        for block in (K, np.asfortranarray(K)):
+            for norm in ("euclidean", "max"):
+                got, want = diophantine._shell(block, norm), _axis_one_shell(K, norm)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            got, want = diophantine._lead_sign(block), _axis_one_lead_sign(K)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_shell_of_no_coordinates(self):
+        # the k' = 0 column of a d = 1 search has no coordinates
+        for norm in ("euclidean", "max"):
+            assert diophantine._shell(np.zeros((1, 0), np.int64), norm).tolist() == [0]
+
+
 BLOCK_SIZES = (1, 5, 64)
 
 
@@ -722,7 +762,7 @@ class TestBlockBoundaries:
             for size in BLOCK_SIZES:
                 monkeypatch.setattr(diophantine, "_BLOCK", size)
                 assert _searches(a, R, sigma, norm) == expected, (size, sigma, norm)
-                blocks, count = diophantine._column_windows(a, R, sigma, norm)
+                blocks, count, _, _ = diophantine._column_windows(a, R, sigma, norm)
                 blocks = list(blocks)
                 assert count == enumerated
                 assert all(0 < len(block[0]) <= size for block in blocks)
@@ -743,7 +783,7 @@ class TestBlockBoundaries:
     def test_a_long_column_spans_blocks(self, monkeypatch):
         # the k' = 0 column of a d = 2 search is R rows long and has no window
         monkeypatch.setattr(diophantine, "_BLOCK", 5)
-        blocks, _ = diophantine._column_windows(PHI, 12, Fraction(1), "euclidean")
+        blocks, *_ = diophantine._column_windows(PHI, 12, Fraction(1), "euclidean")
         head = [block[0] for block in itertools.islice(blocks, 3)]
         assert [len(K) for K in head] == [5, 5, 2]
         assert np.concatenate(head).tolist() == [[0, k] for k in range(1, 13)]
@@ -772,6 +812,11 @@ class TestLatticeMemory:
     def test_long_column_search(self):
         # the k' = 0 column alone is R rows; in one piece the search peaked at 62 MiB
         assert self._peak(lambda: lattice_min(PHI, 10 ** 5, 1)) <= 16 * 2 ** 20
+
+    def test_profile_search(self):
+        # the profile once held every window row before its cut: 39.5 MiB
+        a = parse_direction("dir:[1, quad:sqrt2, quad:sqrt3]")
+        assert self._peak(lambda: lattice_min_profile(a, 400, Fraction(1, 2))) <= 16 * 2 ** 20
 
     def test_system_search(self):
         S = LinearFormSystem((parse_direction("dir:[quad:sqrt2, quad:sqrt3]"),))
