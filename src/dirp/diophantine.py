@@ -175,28 +175,27 @@ def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpan
     raise TypeError(f"cannot expand {type(x).__name__}")
 
 
-def convergent_frequencies(a: Direction, j: int, depth: int,
+def convergent_frequencies(a: Direction, depth: int,
                            ctx: PrecisionContext = DEFAULT_CONTEXT
                            ) -> Iterator[tuple[tuple[int, int], tuple[int, int], CertifiedReal]]:
-    """The certified convergents p/q of x = a_{1-j} / a_j for a d = 2
+    """The certified convergents p/q of the slope x = a_2 / a_1 of a d = 2
     direction a, from one cf_expand(x, depth, ctx) call, as an iterator of
-    ((p, q), k, <k, alpha>) with c_j = p, c_{1-j} = q and k = (c_0, -c_1).
-    Then <k, alpha> = a_1 c_0 - a_2 c_1 = +/- a_j (q x - p) is the small
-    quantity.  Raises at the call, not at the first step: ValueError unless
-    d = 2 and a_j is nonzero, RationalRatio when x is rational or its
-    expansion terminates."""
+    ((p, q), k, <k, alpha>) with k = (p, -q).  Then
+    <k, alpha> = a_1 p - a_2 q = -a_1 (q x - p) is the small quantity.
+    Raises at the call, not at the first step: ValueError unless d = 2 and
+    a_1 is nonzero, RationalRatio when x is rational or its expansion
+    terminates."""
     if a.dim != 2:
         raise ValueError("convergent frequencies need d = 2")
-    if a.entries[j].sign_soft(ctx) == 0:
-        raise ValueError(f"a{j + 1} must be nonzero")
-    x = a.entries[1 - j] / a.entries[j]
+    if a.entries[0].sign_soft(ctx) == 0:
+        raise ValueError("a1 must be nonzero")
+    x = a.entries[1] / a.entries[0]
     if x.exact is not None and x.exact.is_rational:
-        raise RationalRatio(f"a{2 - j}/a{j + 1} is rational")
+        raise RationalRatio("a2/a1 is rational")
     cf = cf_expand(x, depth, ctx)
     if cf.finite:
-        raise RationalRatio(f"a{2 - j}/a{j + 1} terminated as a rational expansion")
-    return (((p, q), k, inner_product(k, a)) for p, q in cf.convergents
-            for k in [(p, -q) if j == 0 else (q, -p)])
+        raise RationalRatio("a2/a1 terminated as a rational expansion")
+    return (((p, q), (p, -q), inner_product((p, -q), a)) for p, q in cf.convergents)
 
 
 @dataclass
@@ -279,9 +278,16 @@ def _shell(K: np.ndarray, norm: str) -> np.ndarray:
     return out
 
 
-def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """math.isqrt of each entry of an int64 array in [0, 2^52): the float
+    root, corrected by one either way for its rounding."""
+    r = np.sqrt(n).astype(np.int64)
+    return r + ((r + 1) * (r + 1) <= n) - (r * r > n)
+
+
+def _half_ball(m: int, R: int, norm: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Points of Z^m with 0 < |k| <= R whose first nonzero coordinate is
-    positive (one representative per +/- pair), in nonempty blocks."""
+    positive (one representative per +/- pair), in nonempty blocks (K, shell)."""
     if m == 0:
         return
     side = np.arange(-R, R + 1, dtype=np.int64)
@@ -292,10 +298,12 @@ def _half_ball(m: int, R: int, norm: str) -> Iterator[np.ndarray]:
         K = np.stack([g.reshape(-1) for g in grids], axis=1)
         if start == 0:  # later blocks have first coordinate >= 1
             K = K[_lead_sign(K) > 0]
+        shell = _shell(K, norm)
         if norm == "euclidean":
-            K = K[_shell(K, norm) <= R * R]
+            inside = shell <= R * R
+            K, shell = K[inside], shell[inside]
         if len(K):
-            yield K
+            yield K, shell
 
 
 def _float_entries(forms: Sequence[Direction]) -> tuple[np.ndarray, np.ndarray]:
@@ -331,25 +339,26 @@ def _bracket(w: np.ndarray, mag: np.ndarray, err: np.ndarray, name: str
 
 
 def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
-                    ) -> tuple[Iterator[tuple[np.ndarray, ...]], int, np.ndarray, np.ndarray]:
-    """(blocks, enumerated, shells, bound): the frequencies a lattice search
-    must look at, as blocks (K, shell, lo, hi) of at most _BLOCK rows with
-    the float bracket [lo, hi] of shell^(sigma/2) |<k,alpha>| at each row,
-    the number of half-ball frequencies covered, and pass 1's envelope:
-    bound[np.searchsorted(shells, s)] is the least hi pass 1 saw below
-    shell s (inf if none).
+                    ) -> tuple[Iterator[tuple[np.ndarray, ...]], int, np.ndarray]:
+    """(blocks, enumerated, bound): the frequencies a lattice search must
+    look at, as blocks (K, shell, lo, hi) of at most _BLOCK rows with the
+    float bracket [lo, hi] of shell^(sigma/2) |<k,alpha>| at each row, the
+    number of half-ball frequencies covered, and pass 1's envelope as a
+    table over the integer radius: bound.take(_isqrt(s), mode="clip") is
+    the least hi pass 1 saw at radii below isqrt(s), so at shells below s
+    (inf if none).
 
     The window coordinate j holds the largest float |alpha_j|; the others
     form a column k' centred at x* = -<k',alpha'>/alpha_j.  Pass 1 sets B to
-    the least hi at the nearest integers to the centres over the shells
-    below the shell of k' (a running envelope, so the windows hold every
-    record of lattice_min_profile); pass 2 keeps each column's window
+    the least hi at the nearest integers to the centres over the radii
+    below that of k' (a running envelope, so the windows hold every record
+    of lattice_min_profile); pass 2 keeps each column's window
     |k_j - x*| <= h(k'), outside which lo > B, or the whole column if h = inf.
-    Pass 1 runs here and keeps two numbers per column, the shell and the hi
-    of its nearest integer; pass 2 regenerates the columns as the blocks
-    are drawn, so one block of rows is held at a time.  Rows are built
-    and reduced column by column: numpy reduces a (rows, d) block along
-    its short axis many times slower.
+    Pass 1 runs here and folds each column's nearest integer into the
+    table, R + 2 numbers (3 for d = 1); pass 2 regenerates the columns as
+    the blocks are drawn, so one block of rows is held at a time.  Rows are
+    built and reduced column by column: numpy reduces a (rows, d) block
+    along its short axis many times slower.
     """
     (alpha,), (err,) = _float_entries([a])
     sig = float(sigma)
@@ -360,15 +369,12 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
     slope = np.delete(alpha, j) / -(alpha[j] or 1.0)  # all-zero floats: centres 0
 
     def columns():
-        """(k', lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1"""
-        yield np.zeros((1, a.dim - 1), np.int64), np.ones(1, np.int64), np.full(1, R)
-        for C in _half_ball(a.dim - 1, R, norm):
-            cap = np.full(len(C), R)
-            if norm == "euclidean":  # isqrt(R^2 - |k'|^2), corrected for rounding
-                rest = R * R - _shell(C, norm)
-                cap = np.floor(np.sqrt(rest)).astype(np.int64)
-                cap += ((cap + 1) ** 2 <= rest).astype(np.int64) - (cap * cap > rest)
-            yield C, -cap, cap
+        """(k', its shell, lowest k_j, highest k_j); k' = 0 comes first, with k_j >= 1"""
+        yield (np.zeros((1, a.dim - 1), np.int64), np.zeros(1, np.int64),
+               np.ones(1, np.int64), np.full(1, R))
+        for C, shell in _half_ball(a.dim - 1, R, norm):
+            cap = _isqrt(R * R - shell) if norm == "euclidean" else np.full(len(C), R)
+            yield C, shell, -cap, cap
 
     def evaluate(X, kj):
         """(K, shell, lo, hi) of the frequencies with coordinate j kj and
@@ -385,25 +391,19 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
                               np.abs(K).astype(np.float64) @ err, a.key())
         return K, shell, lo, hi
 
-    shells, envelope, enumerated = [], [], 0
-    for C, lower, upper in columns():  # keeps each column's shell and hi only
+    # bound[r]: the least hi at radii below r (d = 1: pass 1's one row is k = 1)
+    bound = np.full((R if a.dim > 1 else 1) + 2, np.inf)
+    enumerated = 0
+    for C, _, lower, upper in columns():
         enumerated += int((upper - lower + 1).sum())
         kj = np.clip(np.rint(C @ slope), lower, upper).astype(np.int64)
         _, shell, _, hi = evaluate(C.T, kj)
-        shells.append(shell)
-        envelope.append(hi)
-    shells, envelope = np.concatenate(shells), np.concatenate(envelope)
-    order = np.argsort(shells, kind="stable")
-    shells = shells[order]
-    bound = np.empty(len(order) + 1)  # bound[i]: the least hi over shells[:i]
-    bound[0] = np.inf
-    np.take(envelope, order, out=bound[1:])
-    np.minimum.accumulate(bound, out=bound)  # in place: pass 1 peaks here
+        np.minimum.at(bound, _isqrt(shell) + 1, hi)
+    np.minimum.accumulate(bound, out=bound)
 
     def blocks():
-        for C, lower, upper in columns():
-            shell = _shell(C, norm)
-            B = bound[np.searchsorted(shells, shell)]
+        for C, shell, lower, upper in columns():
+            B = bound.take(_isqrt(shell), mode="clip")
             rho = shell.astype(np.float64) ** (sig / 2) if sig >= 0 else float(R) ** sig
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = np.where(scale * rho > 0, (B + slack) / (scale * rho) + 1, np.inf)
@@ -424,7 +424,7 @@ def _column_windows(a: Direction, R: int, sigma: Fraction, norm: str
                 kj = np.repeat(shift[span], reps) + np.arange(start, stop)
                 yield evaluate(np.repeat(C[span].T, reps, axis=1), kj)
 
-    return blocks(), enumerated, shells, bound
+    return blocks(), enumerated, bound
 
 
 def _prune(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +498,7 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     frequency survives when its float bracket reaches the least upper
     bracket in the ball, so the true argmin always survives.  The windows
     are pruned as their blocks arrive, so one block of rows, the
-    survivors and two numbers per column are held at once.  They are
+    survivors and one number per radius are held at once.  They are
     certified in order of the search norm's shells (its exact square),
     then lexicographic; one representative per +/- pair (the one whose first
     nonzero coordinate is positive) since the value is symmetric.  A
@@ -509,7 +509,7 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     """
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    blocks, enumerated, _, _ = _column_windows(a, R, sigma, norm)
+    blocks, enumerated, _ = _column_windows(a, R, sigma, norm)
     K, shell = _prune(blocks)
     _, argmin, minimum = _running_min(K[_shell_order(K, shell)],
                                       lambda k: _certified_value(k, a, sigma, norm, ctx), ctx)[-1]
@@ -529,15 +529,16 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     A frequency is a candidate when its float bracket reaches the least
     upper bracket of the frequencies before it.  That cut follows shell
     order, so it waits for the whole pool; as each block arrives, the pool
-    keeps only the rows whose lo reaches pass 1's envelope strictly below
-    their own shell, a cut at or above the final one, so it holds about
-    the candidates rather than every window."""
+    keeps only the rows whose lo reaches pass 1's radius table at their own
+    integer radius, the least hi at the radii below it.  That is a cut at
+    or above the final one, so the pool holds about the candidates rather
+    than every window."""
     _check_search(R, norm)
     sigma = Fraction(sigma)
-    blocks, _, shells, bound = _column_windows(a, R, sigma, norm)
+    blocks, _, bound = _column_windows(a, R, sigma, norm)
     pool = []
     for K, shell, lo, hi in blocks:
-        keep = lo <= bound[np.searchsorted(shells, shell)]
+        keep = lo <= bound.take(_isqrt(shell), mode="clip")
         pool.append((K[keep], shell[keep], lo[keep], hi[keep]))
     K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*pool))
     order = _shell_order(K, shell)
@@ -635,8 +636,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
 
     def blocks(exponent, use_dist):
         """The whole max ball: the nearest integer is each column's window."""
-        for X in _half_ball(nvars, R, "max"):
-            shell = _shell(X, "max")
+        for X, shell in _half_ball(nvars, R, "max"):
             with np.errstate(over="ignore", invalid="ignore"):
                 L = X @ A.T
                 mag = reduce(np.maximum, np.abs(L - np.rint(L) if use_dist else L).T)

@@ -117,11 +117,11 @@ def convergent_waves(a: Direction, ns: range,
     """The real waves at k_n = (p_n, -q_n) for n in ns (a range from 1 up),
     where p_n/q_n is the n-th continued-fraction convergent of the slope
     beta = a2/a1, oriented so <k_n, alpha> = a1 (p_n - beta q_n) is the small
-    quantity.  They come from one convergent_frequencies walk at j = 0, to
-    depth max(ns) + 1."""
+    quantity.  They come from one convergent_frequencies walk, to depth
+    max(ns) + 1."""
     if ns.start < 1:
         raise ValueError("n must be >= 1")
-    walk = list(itertools.islice(convergent_frequencies(a, 0, ns.stop, ctx), ns.stop - 1))
+    walk = list(itertools.islice(convergent_frequencies(a, ns.stop, ctx), ns.stop - 1))
     if len(walk) < ns.stop - 1:
         raise DepthNotCertified(f"only {len(walk)} convergents certified, need {ns.stop - 1}")
     return [FamilyMember(_sine_wave(k), n, "convergent_wave", {

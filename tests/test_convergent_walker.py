@@ -2,9 +2,7 @@
 
 `oracle_wave` is the body of the one-wave builder (now a one-element
 `convergent_waves` call) as it was before it became a
-`diophantine.convergent_frequencies` walk at j = 0.  `oracle_walk_j1`
-builds the j = 1 walk (convergents of a1/a2, k = (q, -p)) straight from
-`cf_expand`.
+`diophantine.convergent_frequencies` walk over the convergents of a2/a1.
 Each run parses its direction afresh, so the enclosures compared at 80
 digits start from the same refinement state on both sides.
 """
@@ -43,20 +41,6 @@ def oracle_wave(a, n, ctx=DEFAULT_CONTEXT):
     k = (p, -q)
     ip = inner_product(k, a)
     return {"k": k, "convergent": (p, q), "abs_k": freq_norm_cr(k), "abs_inner": abs(ip)}
-
-
-def oracle_walk_j1(a, depth, ctx=DEFAULT_CONTEXT):
-    if a.dim != 2:
-        raise ValueError("convergent frequencies need d = 2")
-    if a.entries[1].sign_soft(ctx) == 0:
-        raise ValueError("a2 must be nonzero")
-    ratio = a.entries[0] / a.entries[1]
-    if ratio.exact is not None and ratio.exact.is_rational:
-        raise RationalRatio("a1/a2 is rational")
-    cf = cf_expand(ratio, depth, ctx)
-    if cf.finite:
-        raise RationalRatio("a1/a2 terminated as a rational expansion")
-    return [((p, q), (q, -p), inner_product((q, -p), a)) for p, q in cf.convergents]
 
 
 DIRECTIONS = [
@@ -102,19 +86,6 @@ def test_convergent_waves_match_oracle(spec):
             assert enclosure(got.metadata[key]) == enclosure(want[key]), (spec, n, key)
 
 
-@pytest.mark.parametrize("spec", DIRECTIONS)
-def test_walk_at_j1_matches_oracle(spec):
-    want = outcome(oracle_walk_j1, spec, 60)
-    got = outcome(lambda a, depth: list(convergent_frequencies(a, 1, depth)), spec, 60)
-    if isinstance(want, type):
-        assert got is want, spec
-        return
-    assert want, spec
-    assert [(pq, k) for pq, k, _ in got] == [(pq, k) for pq, k, _ in want], spec
-    assert ([enclosure(ip) for _, _, ip in got]
-            == [enclosure(ip) for _, _, ip in want]), spec
-
-
 @pytest.mark.parametrize("spec, cwave_exc", [
     ("dir:[1, 2, 3]", ValueError),
     ("dir:[0, quad:sqrt2]", ValueError),
@@ -127,18 +98,12 @@ def test_edge_cases_raise_as_before(spec, cwave_exc):
     assert outcome(convergent_waves, spec, range(3, 4)) is cwave_exc
 
 
-@pytest.mark.parametrize("j, ks", [
-    (0, [(-2, -1), (-1, -1), (-3, -2), (-7, -5)]),   # convergent_waves' k = (p, -q) of a2/a1
-    (1, [(1, 1), (3, 2), (7, 5), (17, 12)]),          # k = (q, -p) of a1/a2
-])
-def test_orientation_on_a_negative_slope(j, ks):
-    walk = convergent_frequencies(parse_direction("dir:[1, quad:sqrt2/-1]"), j, 4)
+def test_orientation_on_a_negative_slope():
+    walk = convergent_frequencies(parse_direction("dir:[1, quad:sqrt2/-1]"), 4)
     items = list(walk)
-    assert [k for _, k, _ in items] == ks
-    for (p, q), k, ip in items:
-        c = [0, 0]
-        c[j], c[1 - j] = p, q
-        assert k == (c[0], -c[1])
+    assert [k for _, k, _ in items] == [(-2, -1), (-1, -1), (-3, -2), (-7, -5)]
+    for (p, q), k, ip in items:  # k = (p, -q) of the convergents of a2/a1
+        assert k == (p, -q)
         assert ip.exact == k[0] + k[1] * QuadExact(0, -1, 2)
 
 

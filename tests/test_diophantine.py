@@ -524,7 +524,7 @@ def _oracle_brackets(a, R, sigma, norm):
 
 def _window_pool(a, R, sigma, norm):
     """(K, shell, lo, hi, enumerated) of every block _column_windows yields."""
-    blocks, enumerated, _, _ = diophantine._column_windows(a, R, sigma, norm)
+    blocks, enumerated, _ = diophantine._column_windows(a, R, sigma, norm)
     K, shell, lo, hi = (np.concatenate(parts) for parts in zip(*blocks))
     return K, shell, lo, hi, enumerated
 
@@ -733,6 +733,27 @@ class TestColumnwiseReductions:
             assert diophantine._shell(np.zeros((1, 0), np.int64), norm).tolist() == [0]
 
 
+# radicands in [0, 2^52), with the squares k^2 and k^2 - 1 the float root rounds across
+_RADICANDS = st.one_of(st.integers(0, 2 ** 52 - 1),
+                       st.integers(0, 2 ** 26 - 1).map(lambda k: k * k),
+                       st.integers(1, 2 ** 26).map(lambda k: k * k - 1))
+
+
+class TestIsqrt:
+    """_isqrt, which caps the euclidean columns and indexes the radius
+    table, is math.isqrt entry by entry."""
+
+    @given(n=hnp.arrays(np.int64, st.integers(0, 30), elements=_RADICANDS))
+    @example(n=np.zeros(0, np.int64))
+    @example(n=np.array([0, 1, 2, 3, 4, 2 ** 52 - 1, (2 ** 26 - 1) ** 2, 2 ** 52 - 2 ** 27],
+                        np.int64))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_math_isqrt(self, n):
+        got = diophantine._isqrt(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [math.isqrt(int(v)) for v in n]
+
+
 BLOCK_SIZES = (1, 5, 64)
 
 
@@ -762,7 +783,7 @@ class TestBlockBoundaries:
             for size in BLOCK_SIZES:
                 monkeypatch.setattr(diophantine, "_BLOCK", size)
                 assert _searches(a, R, sigma, norm) == expected, (size, sigma, norm)
-                blocks, count, _, _ = diophantine._column_windows(a, R, sigma, norm)
+                blocks, count, _ = diophantine._column_windows(a, R, sigma, norm)
                 blocks = list(blocks)
                 assert count == enumerated
                 assert all(0 < len(block[0]) <= size for block in blocks)
@@ -791,7 +812,8 @@ class TestBlockBoundaries:
 
 class TestLatticeMemory:
     """Warmed-up tracemalloc peaks: the prefilter holds one block of rows,
-    the survivors and two numbers per column, never the whole pool."""
+    the survivors and one number per integer radius, never the whole pool
+    nor a number per column."""
 
     @staticmethod
     def _peak(run):
@@ -805,18 +827,25 @@ class TestLatticeMemory:
         return peak
 
     def test_three_dimensional_search(self):
-        # the whole pool of windows held at once peaked at 104 MiB
+        # the whole pool of windows held at once peaked at 104 MiB, and two
+        # numbers per column at 9.6 MiB
         a = parse_direction("dir:[1, quad:sqrt2, quad:sqrt3]")
-        assert self._peak(lambda: lattice_min(a, 400, Fraction(1, 2))) <= 16 * 2 ** 20
+        assert self._peak(lambda: lattice_min(a, 400, Fraction(1, 2))) <= 6 * 2 ** 20
 
     def test_long_column_search(self):
         # the k' = 0 column alone is R rows; in one piece the search peaked at 62 MiB
         assert self._peak(lambda: lattice_min(PHI, 10 ** 5, 1)) <= 16 * 2 ** 20
 
     def test_profile_search(self):
-        # the profile once held every window row before its cut: 39.5 MiB
+        # the profile once held every window row before its cut: 39.5 MiB,
+        # and two numbers per column: 9.6 MiB
         a = parse_direction("dir:[1, quad:sqrt2, quad:sqrt3]")
-        assert self._peak(lambda: lattice_min_profile(a, 400, Fraction(1, 2))) <= 16 * 2 ** 20
+        assert self._peak(lambda: lattice_min_profile(a, 400, Fraction(1, 2))) <= 6 * 2 ** 20
+
+    def test_one_dimensional_search(self):
+        # one column, so no radius table of R + 2 numbers (7.6 MiB here)
+        a = make_direction([SQRT2])
+        assert self._peak(lambda: lattice_min_profile(a, 10 ** 6, Fraction(1, 2))) <= 4 * 2 ** 20
 
     def test_system_search(self):
         S = LinearFormSystem((parse_direction("dir:[quad:sqrt2, quad:sqrt3]"),))
