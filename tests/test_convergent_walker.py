@@ -3,7 +3,8 @@
 `oracle_wave` is the body of the one-wave builder (now a one-element
 `convergent_waves` call) as it was before it became a
 `diophantine.convergent_frequencies` walk over the convergents of a2/a1.
-Each run parses its direction afresh, so the enclosures compared at 80
+The walk's own triples are checked against the identities that
+continued-fraction convergents obey.  Each run parses its direction afresh, so the enclosures compared at 80
 digits start from the same refinement state on both sides.
 """
 
@@ -84,6 +85,26 @@ def test_convergent_waves_match_oracle(spec):
         assert got.metadata["convergent"] == want["convergent"]
         for key in ("abs_k", "abs_inner"):
             assert enclosure(got.metadata[key]) == enclosure(want[key]), (spec, n, key)
+
+
+@pytest.mark.parametrize("spec", DIRECTIONS)
+def test_walk_obeys_convergent_identities(spec):
+    """Each k = (p, -q) of the walk is a convergent p/q of x = a2/a1: the
+    q grow, p_n q_{n-1} - p_{n-1} q_n = (-1)^(n-1), and
+    <k, alpha> = a1 (p - q x) takes the sign of a1 (-1)^(n+1), as x - p/q
+    alternates in sign."""
+    a = parse_direction(spec)
+    items = list(convergent_frequencies(a, 60))
+    assert len(items) >= 10, spec
+    lead = a.entries[0].sign_soft()
+    for n, ((p, q), k, ip) in enumerate(items):
+        assert k == (p, -q), (spec, n)
+        assert enclosure(ip) == enclosure(inner_product(k, a)), (spec, n)
+        assert ip.sign_soft() == lead * (-1) ** (n + 1), (spec, n)
+        if n:
+            (p0, q0), _, _ = items[n - 1]
+            assert q > q0 or (n, q0, q) == (1, 1, 1), (spec, n)
+            assert p * q0 - p0 * q == (-1) ** (n - 1), (spec, n)
 
 
 @pytest.mark.parametrize("spec, cwave_exc", [
