@@ -12,10 +12,12 @@ with its certification radius/depth and never as a theorem.
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,6 @@ from .errors import (
     NonpositiveSigma,
     PrecisionExhausted,
     RationalRatio,
-    UnsupportedLevel,
 )
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import QuadExact
@@ -577,16 +578,17 @@ class LinearFormSystem:
         return len(self.forms)
 
 
+def _by_value(ctx: PrecisionContext):
+    """Sort key ordering certified values; an unresolved compare is a tie,
+    so min and max keep the first of tied values."""
+    return cmp_to_key(lambda x, y: x.compare(y, ctx) or 0)
+
+
 def _dist_to_int_cr(ip: CertifiedReal, ctx: PrecisionContext) -> CertifiedReal:
     """Distance to the nearest integer as a certified value."""
     lo, hi = ip.enclosure(ctx.working_digits)
     candidates = {math.floor(lo + Fraction(1, 2)), math.floor(hi + Fraction(1, 2))}
-    best = None
-    for m in sorted(candidates):
-        v = abs(ip - m)
-        if best is None or (v.compare(best, ctx) or 0) < 0:
-            best = v
-    return best
+    return min((abs(ip - m) for m in sorted(candidates)), key=_by_value(ctx))
 
 
 @dataclass
@@ -657,10 +659,7 @@ def system_lattice_min(S: LinearFormSystem, R: int,
                 if v.sign(ctx) != 0:
                     zero_all = False
                 parts.append(v)
-            m = parts[0]
-            for v in parts[1:]:
-                if (v.compare(m, ctx) or 0) > 0:
-                    m = v
+            m = max(parts, key=_by_value(ctx))
             return None if zero_all else m * freq_norm_cr(x, exponent, "max")
 
         return _running_min(X[_shell_order(X, shell)], certify, ctx)[-1][1:]
@@ -694,15 +693,21 @@ def delta_from_sigma(sigma) -> tuple[Fraction, Fraction]:
 
 
 def markov_bounds(level: int) -> CertifiedReal:
-    """The first three Lagrange/Markov constants sqrt5, sqrt8, sqrt221/5 as
-    exact quadratic values; c_alpha <= |alpha| / L(level) for directions
-    outside the corresponding exceptional classes."""
-    table = {
-        1: QuadExact(0, 1, 5),
-        2: QuadExact(0, 1, 8),
-        3: QuadExact(0, Fraction(1, 5), 221),
-    }
-    if level not in table:
-        raise UnsupportedLevel(f"only levels 1..3 are known here, got {level}")
-    return CertifiedReal.from_quad(table[level])
-
+    """The level-th Lagrange/Markov constant sqrt(9m^2 - 4)/m, exactly, for
+    the level-th Markov number m = 1, 2, 5, 13, 29, ...; c_alpha <= |alpha| / L
+    outside the corresponding exceptional classes.  In the Markov tree of the
+    triples a <= b <= c with a^2 + b^2 + c^2 = 3abc, rooted at (1, 1, 1),
+    (a, b, c) has the children (b, c, 3bc - a) and, if a != b, (a, c, 3ac - b),
+    each with a larger c, so a heap keyed by c pops each m in increasing order."""
+    level = operator.index(level)
+    if level < 1:
+        raise ValueError(f"need level >= 1, got {level}")
+    heap, m = [(1, 1, 1)], 0  # (c, b, a)
+    while level:
+        c, b, a = heapq.heappop(heap)
+        if c != m:
+            level, m = level - 1, c
+        heapq.heappush(heap, (3 * b * c - a, c, b))
+        if a != b:
+            heapq.heappush(heap, (3 * a * c - b, c, a))
+    return CertifiedReal.from_quad(QuadExact(0, Fraction(1, m), 9 * m * m - 4))

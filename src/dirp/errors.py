@@ -34,10 +34,6 @@ class RationalRatio(DirpError):
     """A convergent walk needs an irrational slope."""
 
 
-class UnsupportedLevel(DirpError):
-    """Markov-spectrum constant requested beyond the three shipped levels."""
-
-
 class NonpositiveSigma(DirpError):
     """delta exponents need sigma > 0."""
 

@@ -9,6 +9,7 @@ two runs with the same config produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .certified import CertifiedReal
+from .constants import e_cr
 from .diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec, apply_markov,
                         cesaro_average, convolution_power, density_floor_check,
                         scaling_fit, taylor_limit_check)
@@ -211,10 +213,11 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
     draw = _Integers(seed)
     # running-minimum records cover every cutoff radius R_f <= 2*128*sqrt2
     records = lattice_min_profile(_PHI, 363, 1, ctx=ctx)
-    rec = []
+    shells, rec = [], []
     for ns, k, _ in records:
         ip = inner_product(k, _PHI).exact
-        rec.append((ns, ip * ip * ns))    # (shell, lattice-min value squared)
+        shells.append(ns)
+        rec.append(ip * ip * ns)    # the lattice-min value squared
     half_fail = 0
     chain_fail = 0
     for _ in range(samples):
@@ -227,12 +230,8 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
             half_fail += 1
         # chain: ratio^2 = sg*sd/s0^2 >= minsq/8 with minsq at shells <= R_f^2
         thr = math.ceil(Fraction(4) * sg / s0)
-        minsq = None
-        for ns, msq in rec:
-            if ns <= thr:
-                minsq = msq
-            else:
-                break
+        i = bisect.bisect_right(shells, thr)
+        minsq = rec[i - 1] if i else None
         lhs = sd * (sg / (s0 * s0))
         if minsq is None or (lhs - minsq * Fraction(1, 8)).sign() < 0:
             chain_fail += 1
@@ -295,10 +294,7 @@ def criterion_9(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     s2_ok = (cf_s2.exact and cf_s2.quotients[0] == 1
              and all(q == 2 for q in cf_s2.quotients[1:])
              and cf_s2.period is not None)
-    # e frozen at 60 digits: this row expands a finite literal, not e_cr()
-    e60 = CertifiedReal.from_decimal_literal(
-        "2.71828182845904523536028747135266249775724709369995957496696")
-    cf_e = cf_expand(e60, 25, ctx)
+    cf_e = cf_expand(e_cr(), 25, ctx)
     mq, idx = cf_e.max_quotient()
     e_ok = cf_e.certified_depth >= 20 and mq >= 10
     return {

@@ -24,7 +24,7 @@ from dirp.diophantine import (CFExpansion, LinearFormSystem, bounded_quotient_re
                               system_lattice_min)
 from dirp.directions import (liouville_constant, make_direction, parse_direction,
                              parse_entry)
-from dirp.errors import NonpositiveSigma, PrecisionExhausted, UnsupportedLevel
+from dirp.errors import NonpositiveSigma, PrecisionExhausted
 from dirp.precision import DEFAULT_CONTEXT, PrecisionContext
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
@@ -927,7 +927,31 @@ class TestExponentTables:
         mpmath.mp.dps = 60
         assert abs(float(markov_bounds(3)) - float(mpmath.sqrt(221) / 5)) < 1e-12
 
-    def test_markov_unsupported(self):
-        with pytest.raises(UnsupportedLevel):
-            markov_bounds(4)
+    def test_markov_constants_against_brute_force(self):
+        # Markov numbers <= 610 from a^2 + b^2 + c^2 = 3abc by brute force
+        # over a <= b, with no Markov tree: for fixed a, b the equation is a
+        # quadratic in c with roots (3ab -+ r)/2, r^2 its discriminant
+        found = set()
+        for a in range(1, 611):
+            for b in range(a, 611):
+                disc = 9 * a * a * b * b - 4 * (a * a + b * b)
+                r = math.isqrt(disc)
+                if r * r == disc and (3 * a * b + r) % 2 == 0:
+                    found.update(c for c in ((3 * a * b - r) // 2, (3 * a * b + r) // 2)
+                                 if b <= c <= 610)
+        markov = sorted(found)
+        assert markov == [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610]
+        with mpmath.workdps(60):
+            for level, m in enumerate(markov, start=1):
+                value = markov_bounds(level)
+                assert value.exact == QuadExact(0, Fraction(1, m), 9 * m * m - 4)
+                mid = value.midpoint(55)
+                ref = mpmath.sqrt(9 * m * m - 4) / m
+                assert abs(mpmath.mpf(mid.numerator) / mid.denominator - ref) < mpmath.mpf(10) ** -50
+
+    def test_markov_level_rejections(self):
+        with pytest.raises(ValueError):
+            markov_bounds(0)
+        with pytest.raises(TypeError):
+            markov_bounds(2.5)
 
