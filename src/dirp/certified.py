@@ -24,6 +24,7 @@ from .precision import (
     PrecisionContext,
     fraction_to_decimal_str,
     fraction_to_decimal_str_up,
+    iroot,
     mul_interval,
     pow_interval,
     round_out,
@@ -249,8 +250,9 @@ class CertifiedReal:
 
     def pow_frac(self, exponent) -> "CertifiedReal":
         """self ** exponent for nonnegative self and exponent >= 0; exact for
-        an integer power of an exact value and for a half-integer power p/2
-        of an exact rational v, which is sqrt(v^p) in Q(sqrt(num*den))."""
+        an integer power of an exact value, and for p/q of an exact rational
+        x when v = x^p has a rational h-th root r, h = q/2 for even q else
+        q: the value is r, or sqrt(r) in Q(sqrt(num*den)) for even q."""
         exponent = Fraction(exponent)
         if exponent < 0:
             raise ValueError("pow_frac needs exponent >= 0")
@@ -263,12 +265,17 @@ class CertifiedReal:
         def exact_op(x):
             if q == 1:
                 return reduce(QuadExact.__mul__, [x] * p, QuadExact(1))
-            if q != 2 or not x.is_rational:
+            if not x.is_rational:
                 return NotImplemented
             v = x.as_fraction() ** p
-            if v < 0:
+            h = q // 2 if q % 2 == 0 else q
+            if v < 0 and h < q:  # for odd q, iroot raises on v < 0
                 raise ValueError("sqrt of negative exact value")
-            return QuadExact(0, Fraction(1, v.denominator), v.numerator * v.denominator)
+            r = Fraction(iroot(v.numerator, h), iroot(v.denominator, h))
+            if r ** h != v:
+                return NotImplemented
+            return QuadExact(r) if h == q else QuadExact(0, Fraction(1, r.denominator),
+                                                         r.numerator * r.denominator)
 
         def op(ivs, digits):
             return round_out(*pow_interval(*ivs[0], exponent, digits + GUARD), digits)

@@ -36,10 +36,11 @@ EXIT_INPUT = 2
 EXIT_PRECISION = 3
 EXIT_UNRESOLVED = 4
 _CONFIG_KEYS = ("digits", "max_digits", "radius", "grid", "seed", "out", "format")
+_FORMATS = ("json", "csv", "both")
 
 
 def _read_config(path: str) -> dict:
-    """Single key=value per line; # comments; a key not in _CONFIG_KEYS raises."""
+    """Single key=value per line; # comments; an unknown key or format raises."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -52,6 +53,9 @@ def _read_config(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"expected one of {', '.join(_CONFIG_KEYS)}")
+            if key == "format" and value not in _FORMATS:  # checked like --format
+                raise ParseError(f"{path}:{lineno}: unknown format {value!r}; "
+                                 f"expected one of {', '.join(_FORMATS)}")
             out[key] = value
     return out
 
@@ -254,7 +258,7 @@ def _global_flags(default) -> argparse.ArgumentParser:
     flags.add_argument("--grid", type=int, help="default grid size M")
     flags.add_argument("--seed", type=int)
     flags.add_argument("--out", help="write output to this path (atomically)")
-    flags.add_argument("--format", choices=("json", "csv", "both"))
+    flags.add_argument("--format", choices=_FORMATS)
     flags.add_argument("--config", help="key=value config file")
     return flags
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .certified import CertifiedReal
 from .diophantine import convergent_frequencies
-from .directions import Direction, inner_product
+from .directions import Direction, inner_product, make_direction
 from .errors import DepthNotCertified, ParseError, PrecisionCapExceeded
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .quadratic import GOLDEN_RATIO, QuadExact
@@ -40,38 +40,36 @@ def _sine_wave(k: tuple[int, int]) -> TrigPoly:
     return TrigPoly(2, {k: (0, Fraction(-1, 2)), neg: (0, Fraction(1, 2))})
 
 
-def fibonacci_numbers(n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) with F_1 = F_2 = 1."""
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a, b
+PHI = make_direction([1, GOLDEN_RATIO])
 
 
-def fibonacci_family(n: int) -> FamilyMember:
-    """sin(F_{n+1} x - F_n y): near-extremizers for the direction (1, phi).
+def fibonacci_waves(ns: range, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[FamilyMember]:
+    """sin(F_{n+1} x - F_n y) for n in ns, near-extremizers for (1, phi): the
+    convergent waves of PHI, whose n-th convergent is F_{n+1}/F_n.
 
     The weighted product |k| * |<k, alpha>| has the closed form
     sqrt(F_{n+1}^2/F_n^2 + 1) * |F_{n+1}/F_n - phi| * F_n^2 and converges
     to |alpha|/sqrt5 = sqrt((5+sqrt5)/10).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fn, fn1 = fibonacci_numbers(n)
-    k = (fn1, -fn)
-    phi = CertifiedReal.from_quad(GOLDEN_RATIO)
-    ratio = Fraction(fn1, fn)
-    closed_form = (CertifiedReal.from_rational(ratio * ratio + 1).sqrt()
-                   * abs(CertifiedReal.from_rational(ratio) - phi)
-                   * (fn * fn))
-    # sqrt((1 + phi^2)/5) = sqrt((5 + sqrt5)/10)
-    limit = (CertifiedReal.from_quad(QuadExact(Fraction(5, 2), Fraction(1, 2), 5))
-             / 5).sqrt()
-    return FamilyMember(_sine_wave(k), n, "fibonacci", {
-        "k": k,
-        "closed_form_ratio": closed_form,
-        "expected_limit": limit,
-    })
+    members = []
+    for wave in convergent_waves(PHI, ns, ctx):
+        fn1, fn = wave.metadata["convergent"]
+        phi = CertifiedReal.from_quad(GOLDEN_RATIO)
+        ratio = Fraction(fn1, fn)
+        closed_form = (CertifiedReal.from_rational(ratio * ratio + 1).sqrt()
+                       * abs(CertifiedReal.from_rational(ratio) - phi)
+                       * (fn * fn))
+        # sqrt((1 + phi^2)/5) = sqrt((5 + sqrt5)/10)
+        limit = (CertifiedReal.from_quad(QuadExact(Fraction(5, 2), Fraction(1, 2), 5))
+                 / 5).sqrt()
+        members.append(FamilyMember(wave.poly, wave.index, "fibonacci", {
+            "k": wave.frequency, "closed_form_ratio": closed_form, "expected_limit": limit}))
+    return members
+
+
+def fibonacci_family(n: int) -> FamilyMember:
+    """The n-th Fibonacci wave, sin(F_{n+1} x - F_n y)."""
+    return fibonacci_waves(range(n, n + 1))[0]
 
 
 def liouville_cap(base: int = 10, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
@@ -131,7 +129,7 @@ def convergent_waves(a: Direction, ns: range,
 
 # family -> (token tag, its members n in a range against a direction)
 _FAMILIES = {
-    "fibonacci": ("fib", lambda a, ns, ctx: [fibonacci_family(n) for n in ns]),
+    "fibonacci": ("fib", lambda a, ns, ctx: fibonacci_waves(ns, ctx)),
     "liouville": ("liouville",
                   lambda a, ns, ctx, base=10: [liouville_family(N, base, ctx) for N in ns]),
     "convergent_wave": ("cwave", convergent_waves),

@@ -190,11 +190,14 @@ GOLDEN_RATIO = QuadExact(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = QuadExact(0, 1, 2)
 
 
-def common_field(values) -> tuple[int, list[tuple[Fraction, Fraction]]] | None:
-    """(D, [(a, b), ...]) with each value = a + b sqrt(D), D the smallest
-    radicand among them; None unless all values lie in one field."""
-    unit = QuadExact(0, 1, min((q.d for q in values if q.d), default=0))
-    pairs = [unit._pair(q) for q in values]
+def common_field(values) -> tuple[int, int, list[int], list[int]] | None:
+    """(D, Q, x, y) with integers and value_i = (x_i + y_i sqrt D) / Q, D the
+    smallest radicand among them; None unless every value is a QuadExact
+    (an entry may be None) and all lie in one field."""
+    unit = QuadExact(0, 1, min((q.d for q in values if q is not None and q.d), default=0))
+    pairs = [unit._pair(q) for q in values]  # None for a None entry or another field
     if any(p is None for p in pairs):
         return None
-    return unit.d, [(a, b) for _, _, _, a, b in pairs]
+    coords = [(a, b) for _, _, _, a, b in pairs]
+    Q = math.lcm(*(c.denominator for ab in coords for c in ab))
+    return unit.d, Q, [int(a * Q) for a, _ in coords], [int(b * Q) for _, b in coords]

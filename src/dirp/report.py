@@ -25,13 +25,11 @@ from .diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec, apply_m
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
                           lattice_min_profile, markov_bounds)
 from .directions import inner_product, make_direction
-from .extremizers import fibonacci_family, liouville_family, sharpness_table
+from .extremizers import PHI, fibonacci_waves, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
                        parseval_sums)
-
-_PHI = make_direction([1, GOLDEN_RATIO])
 
 
 def _dec(x: CertifiedReal, digits: int = 40) -> str:
@@ -53,14 +51,15 @@ def _abs_leq(x: CertifiedReal, bound, digits: int = 120) -> bool:
 def criterion_1(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     """Fibonacci waves against (1, phi): ratios converge to |alpha|/sqrt5,
     and the closed-form and direct evaluations agree to 1e-30."""
-    table = sharpness_table(_PHI, "fibonacci", 20, ctx=ctx)
+    table = sharpness_table(PHI, "fibonacci", 20, ctx=ctx)
     r20 = table.rows[-1].ratio
-    limit = fibonacci_family(20).metadata["expected_limit"]
+    members = fibonacci_waves(range(1, 21), ctx)
+    limit = members[-1].metadata["expected_limit"]
     close = _abs_leq(r20 - limit, Fraction(1, 10 ** 6))
     agree = True
     worst = Fraction(0)
     for n in (1, 5, 10, 20):
-        member = fibonacci_family(n)
+        member = members[n - 1]
         direct = table.rows[n - 1].ratio
         diff = direct - member.metadata["closed_form_ratio"]
         lo, hi = diff.enclosure(max(80, ctx.working_digits))
@@ -81,7 +80,7 @@ def criterion_1(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
 def criterion_2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     """Lattice minimum for (1, phi) at sigma = 1: value window at R = 1000
     and monotonicity in R."""
-    mins = {R: lattice_min(_PHI, R, 1, ctx=ctx).minimum for R in (10, 100, 1000)}
+    mins = {R: lattice_min(PHI, R, 1, ctx=ctx).minimum for R in (10, 100, 1000)}
     lo, hi = mins[1000].enclosure(60)
     in_window = Fraction("0.8506508") <= lo and hi <= Fraction("0.8507")
     monotone = all((mins[a] - mins[b]).sign_soft(ctx) in (1, 0)
@@ -212,17 +211,17 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
     samples = 1000
     draw = _Integers(seed)
     # running-minimum records cover every cutoff radius R_f <= 2*128*sqrt2
-    records = lattice_min_profile(_PHI, 363, 1, ctx=ctx)
+    records = lattice_min_profile(PHI, 363, 1, ctx=ctx)
     shells, rec = [], []
     for ns, k, _ in records:
-        ip = inner_product(k, _PHI).exact
+        ip = inner_product(k, PHI).exact
         shells.append(ns)
         rec.append(ip * ip * ns)    # the lattice-min value squared
     half_fail = 0
     chain_fail = 0
     for _ in range(samples):
         p = _random_poly(draw)
-        s0, sg, sd = (x.exact for x in parseval_sums(p, _PHI))
+        s0, sg, sd = (x.exact for x in parseval_sums(p, PHI))
         s0, sg = s0.as_fraction(), sg.as_fraction()
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
         _, tail = half_mass_cutoff(p)

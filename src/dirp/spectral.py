@@ -190,19 +190,6 @@ class TrigPoly:
 # enclosures, refined by whoever prints or compares them.
 
 
-def _quadratic_field(entries: Sequence[CertifiedReal]
-                     ) -> tuple[int, int, list[int], list[int]] | None:
-    """(D, Q, x, y) with integers and alpha_i = (x_i + y_i sqrt D) / Q;
-    None unless every entry is exact and all lie in one field."""
-    qs = [e.exact for e in entries]
-    field = None if any(q is None for q in qs) else common_field(qs)
-    if field is None:
-        return None
-    D, coords = field
-    Q = math.lcm(*(c.denominator for ab in coords for c in ab))
-    return D, Q, [int(x * Q) for x, _ in coords], [int(y * Q) for _, y in coords]
-
-
 def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
@@ -211,7 +198,7 @@ def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     # the sum from being exact nor is asked for an enclosure
     entries = [e if any(k[i] for k, _ in terms) else CertifiedReal.from_rational(0)
                for i, e in enumerate(a.entries)]
-    field = _quadratic_field(entries)
+    field = common_field([e.exact for e in entries])
     if field is not None:
         # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
         D, Q, x, y = field

@@ -133,9 +133,11 @@ class TestQuadExact:
         assert (sqrt18 - sqrt8 - SQRT2).sign() == 0
         assert (sqrt18 - QuadExact(Fraction(42426, 10 ** 4))).sign() == 1
         assert len({sqrt8, QuadExact(0, 2, 2), QuadExact(0, -2, 2)}) == 2
+        # 1, sqrt18 = (3/2) sqrt8 and 3 + 5 sqrt8, over the common denominator 2
         assert common_field([QuadExact(1), sqrt18, QuadExact(3, 5, 8)]) == (
-            8, [(1, 0), (0, Fraction(3, 2)), (3, 5)])
+            8, 2, [2, 0, 6], [0, 3, 10])
         assert common_field([sqrt8, QuadExact(0, 1, 12)]) is None
+        assert common_field([SQRT2, None]) is None and common_field([None]) is None
         with pytest.raises(ValueError):
             QuadExact(0, 1, -2)
 
@@ -193,6 +195,21 @@ class TestCertifiedReal:
     def test_integer_power_exact(self):
         v = CertifiedReal.from_quad(SQRT2).pow_frac(4)
         assert v.exact == QuadExact(4)
+
+    @given(r=st.fractions(min_value=Fraction(0), max_value=Fraction(50), max_denominator=50),
+           p=st.integers(0, 5), q=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_root_of_a_perfect_power_is_exact(self, r, p, q):
+        assert CertifiedReal.from_rational(r ** q).pow_frac(Fraction(p, q)).exact == r ** p
+
+    def test_higher_roots_exact_only_when_rational_or_quadratic(self):
+        def root(x, exponent):
+            return CertifiedReal.from_rational(x).pow_frac(exponent).exact
+        assert root(16, Fraction(1, 4)) == 2 and root(1, Fraction(1, 4)) == 1
+        assert root(4, Fraction(1, 4)) == SQRT2
+        assert root(Fraction(27, 8), Fraction(2, 3)) == Fraction(9, 4)
+        assert root(2, Fraction(1, 3)) is None
+        assert root(Fraction(1, 2), Fraction(1, 4)) is None  # sqrt(1/sqrt2) is not quadratic
 
     def test_sign_refinement_resolves_tiny_values(self):
         tiny = Fraction(1, 10 ** 50)

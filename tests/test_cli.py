@@ -291,6 +291,16 @@ class TestConfigPrecedence:
         assert code == 2 and out == ""
         assert "typo.cfg:1: unknown key 'digit'" in err
 
+    def test_unknown_config_format_is_input_error(self, tmp_path, capsys):
+        # checked like --format, so nothing is written or echoed
+        out = tmp_path / "out.json"
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("format = xml\n")
+        for extra in ((), ("--out", str(out))):
+            code, printed, err = run(capsys, "cf", "rat:22/7", "--config", str(cfg), *extra)
+            assert code == 2 and printed == "" and "unknown format 'xml'" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_every_config_key_is_read(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         cfg = tmp_path / "dirp.cfg"

@@ -456,6 +456,16 @@ class TestLatticeMin:
             # refined it, so the values are compared as certified digits
             assert last[1].significant(40) == direct.minimum.significant(40)
 
+    def test_exact_tie_under_a_quarter_power_weight(self):
+        # |k|^(1/2) = (k.k)^(1/4) is exactly 1 at k = (0, 1) and (1, 0), so the
+        # two values are exactly sqrt2 and compare without refining to max_digits
+        a = parse_direction("dir:[quad:sqrt2, quad:sqrt2]")
+        values = [diophantine._certified_value(k, a, Fraction(1, 2), "euclidean",
+                                               DEFAULT_CONTEXT) for k in ((0, 1), (1, 0))]
+        assert values[0].compare(values[1], PrecisionContext(max_digits=1000)) == 0
+        records = lattice_min_profile(a, 2, Fraction(1, 2))
+        assert [(ns, k) for ns, k, _ in records] == [(1, (0, 1)), (2, (1, -1))]
+
     def test_unresolvable_direction_raises(self):
         # a frozen 1-ulp literal cannot separate <(1,-2), (1, 0.5)> from 0
         a = make_direction([1, "dec:0.5000"])

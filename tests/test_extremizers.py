@@ -8,9 +8,8 @@ import pytest
 
 from dirp.directions import inner_product, make_direction
 from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
-from dirp.extremizers import (convergent_waves, fibonacci_family,
-                              fibonacci_numbers, liouville_cap, liouville_family,
-                              parse_family_token, sharpness_table)
+from dirp.extremizers import (convergent_waves, fibonacci_family, liouville_cap,
+                              liouville_family, parse_family_token, sharpness_table)
 from dirp.precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from dirp.quadratic import GOLDEN_RATIO, SQRT2
 from dirp.spectral import poincare_ratio
@@ -21,10 +20,27 @@ mpmath.mp.dps = 80
 PHI = make_direction([1, GOLDEN_RATIO])
 
 
+def fibonacci_numbers(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) with F_1 = F_2 = 1, by the recurrence: the oracle for
+    fibonacci_family, which reads them off the convergents of phi."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a, b
+
+
 class TestFibonacci:
     def test_numbers(self):
         assert fibonacci_numbers(1) == (1, 1)
         assert fibonacci_numbers(10) == (55, 89)
+
+    def test_family_follows_the_recurrence(self):
+        for n in range(1, 31):
+            fn, fn1 = fibonacci_numbers(n)
+            m = fibonacci_family(n)
+            assert (m.index, m.family, m.frequency) == (n, "fibonacci", (fn1, -fn))
+            assert dict(m.poly.terms) == {(fn1, -fn): (0, Fraction(-1, 2)),
+                                          (-fn1, fn): (0, Fraction(1, 2))}
 
     def test_frequencies(self):
         assert fibonacci_family(1).frequency == (1, -1)

@@ -18,8 +18,8 @@ from dirp.diophantine import delta_from_sigma
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_family, liouville_family
-from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
-from dirp.spectral import (TrigPoly, _coerce_ratio, _quadratic_field, directional_norm,
+from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
+from dirp.spectral import (TrigPoly, _coerce_ratio, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
@@ -362,7 +362,7 @@ class TestExactKernel:
     def test_square_factor_above_trial_division_shares_the_field(self):
         # 200280098 = 2 * 10007^2, so the second entry is 10007 sqrt2
         a = parse_direction("dir:[quad:sqrt2, quad:sqrt200280098]")
-        assert _quadratic_field(a.entries) == (2, 1, [0, 0], [1, 10007])
+        assert common_field([e.exact for e in a.entries]) == (2, 1, [0, 0], [1, 10007])
         rng = random.Random(10007)
         for _ in range(10):
             p = TrigPoly(2, _dyadic_terms(rng))
