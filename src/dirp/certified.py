@@ -251,8 +251,8 @@ class CertifiedReal:
     def pow_frac(self, exponent) -> "CertifiedReal":
         """self ** exponent for nonnegative self and exponent >= 0; exact for
         an integer power of an exact value, and for p/q of an exact rational
-        x when v = x^p has a rational h-th root r, h = q/2 for even q else
-        q: the value is r, or sqrt(r) in Q(sqrt(num*den)) for even q."""
+        x >= 0 with a rational h-th root, h = q/2 for even q else q: with
+        r = x^(p/h) the value is r, or sqrt(r) in Q(sqrt(num*den)) for even q."""
         exponent = Fraction(exponent)
         if exponent < 0:
             raise ValueError("pow_frac needs exponent >= 0")
@@ -267,13 +267,15 @@ class CertifiedReal:
                 return reduce(QuadExact.__mul__, [x] * p, QuadExact(1))
             if not x.is_rational:
                 return NotImplemented
-            v = x.as_fraction() ** p
+            v = x.as_fraction()
             h = q // 2 if q % 2 == 0 else q
             if v < 0 and h < q:  # for odd q, iroot raises on v < 0
                 raise ValueError("sqrt of negative exact value")
+            # gcd(p, h) = 1: v^p has a rational h-th root iff v has one
             r = Fraction(iroot(v.numerator, h), iroot(v.denominator, h))
             if r ** h != v:
                 return NotImplemented
+            r **= p
             return QuadExact(r) if h == q else QuadExact(0, Fraction(1, r.denominator),
                                                          r.numerator * r.denominator)
 

@@ -177,11 +177,12 @@ def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpan
 
 
 def convergent_frequencies(a: Direction, depth: int,
-                           ctx: PrecisionContext = DEFAULT_CONTEXT
+                           ctx: PrecisionContext = DEFAULT_CONTEXT, start: int = 1
                            ) -> Iterator[tuple[tuple[int, int], tuple[int, int], CertifiedReal]]:
     """The certified convergents p/q of the slope x = a_2 / a_1 of a d = 2
     direction a, from one cf_expand(x, depth, ctx) call, as an iterator of
-    ((p, q), k, <k, alpha>) with k = (p, -q).  Then
+    ((p, q), k, <k, alpha>) with k = (p, -q), from the start-th convergent
+    on; the ones before it cost no inner product.  Then
     <k, alpha> = a_1 p - a_2 q = -a_1 (q x - p) is the small quantity.
     Raises at the call, not at the first step: ValueError unless d = 2 and
     a_1 is nonzero, RationalRatio when x is rational or its expansion
@@ -196,7 +197,8 @@ def convergent_frequencies(a: Direction, depth: int,
     cf = cf_expand(x, depth, ctx)
     if cf.finite:
         raise RationalRatio("a2/a1 terminated as a rational expansion")
-    return (((p, q), (p, -q), inner_product((p, -q), a)) for p, q in cf.convergents)
+    return (((p, q), (p, -q), inner_product((p, -q), a))
+            for p, q in cf.convergents[start - 1:])
 
 
 @dataclass

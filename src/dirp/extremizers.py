@@ -67,11 +67,6 @@ def fibonacci_waves(ns: range, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[
     return members
 
 
-def fibonacci_family(n: int) -> FamilyMember:
-    """The n-th Fibonacci wave, sin(F_{n+1} x - F_n y)."""
-    return fibonacci_waves(range(n, n + 1))[0]
-
-
 def liouville_cap(base: int = 10, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
     """Largest N whose wave ctx can evaluate against (1, sum_n b^{-n!}).
     The inner product is about b^{N! - (N+1)!} with |k| about b^{N!}, so
@@ -119,12 +114,13 @@ def convergent_waves(a: Direction, ns: range,
     max(ns) + 1."""
     if ns.start < 1:
         raise ValueError("n must be >= 1")
-    walk = list(itertools.islice(convergent_frequencies(a, ns.stop, ctx), ns.stop - 1))
-    if len(walk) < ns.stop - 1:
-        raise DepthNotCertified(f"only {len(walk)} convergents certified, need {ns.stop - 1}")
+    walk = list(itertools.islice(convergent_frequencies(a, ns.stop, ctx, ns.start), len(ns)))
+    if len(walk) < len(ns):
+        raise DepthNotCertified(
+            f"only {ns.start - 1 + len(walk)} convergents certified, need {ns.stop - 1}")
     return [FamilyMember(_sine_wave(k), n, "convergent_wave", {
         "k": k, "convergent": pq, "abs_k": freq_norm_cr(k), "abs_inner": abs(ip)})
-        for n, (pq, k, ip) in zip(ns, walk[ns.start - 1:])]
+        for n, (pq, k, ip) in zip(ns, walk)]
 
 
 # family -> (token tag, its members n in a range against a direction)

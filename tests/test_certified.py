@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirp import certified
 from dirp.certified import GUARD, CertifiedReal
 from dirp.constants import e_cr
 from dirp.diophantine import cf_expand
 from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
-from dirp.precision import PrecisionContext, pow_interval, round_out
+from dirp.precision import PrecisionContext, iroot, pow_interval, round_out
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
-from dirp.spectral import TrigPoly, multiplier_norm, poincare_ratio
+from dirp.spectral import TrigPoly, freq_norm_cr, multiplier_norm, poincare_ratio
 
 POLY60 = Path(__file__).resolve().parent / "data" / "poly60.json"
 
@@ -210,6 +211,14 @@ class TestCertifiedReal:
         assert root(Fraction(27, 8), Fraction(2, 3)) == Fraction(9, 4)
         assert root(2, Fraction(1, 3)) is None
         assert root(Fraction(1, 2), Fraction(1, 4)) is None  # sqrt(1/sqrt2) is not quadratic
+
+    def test_root_test_takes_the_root_of_the_base_not_of_its_power(self, monkeypatch):
+        # |(30, 40)|^(9999/10000) = 2500^(9999/20000): the 10000th root is
+        # taken of 2500, never of 2500^9999, a number of some 34000 digits
+        seen = []
+        monkeypatch.setattr(certified, "iroot", lambda n, k: seen.append(n) or iroot(n, k))
+        assert freq_norm_cr((30, 40), Fraction(9999, 10000)).exact is None
+        assert seen and max(seen) == 2500
 
     def test_sign_refinement_resolves_tiny_values(self):
         tiny = Fraction(1, 10 ** 50)

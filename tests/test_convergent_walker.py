@@ -147,3 +147,17 @@ def test_sharpness_table_expands_once(monkeypatch):
     table = sharpness_table(parse_direction("dir:[1, const:e]"), "convergent_wave", 20)
     assert len(table.rows) == 20
     assert calls == [21]
+
+
+def test_convergents_before_the_range_cost_no_inner_product(monkeypatch):
+    calls = []
+
+    def counted(k, a):
+        calls.append(k)
+        return inner_product(k, a)
+
+    monkeypatch.setattr(diophantine, "inner_product", counted)
+    a = parse_direction("dir:[1, quad:(1+sqrt5)/2]")
+    (wave,) = convergent_waves(a, range(30, 31))
+    assert calls == [wave.frequency] == [(1346269, -832040)]
+    assert [k for _, k, _ in convergent_frequencies(a, 6, start=4)] == [(5, -3), (8, -5), (13, -8)]

@@ -8,7 +8,7 @@ import pytest
 
 from dirp.directions import inner_product, make_direction
 from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
-from dirp.extremizers import (convergent_waves, fibonacci_family, liouville_cap,
+from dirp.extremizers import (convergent_waves, fibonacci_waves, liouville_cap,
                               liouville_family, parse_family_token, sharpness_table)
 from dirp.precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from dirp.quadratic import GOLDEN_RATIO, SQRT2
@@ -22,7 +22,7 @@ PHI = make_direction([1, GOLDEN_RATIO])
 
 def fibonacci_numbers(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) with F_1 = F_2 = 1, by the recurrence: the oracle for
-    fibonacci_family, which reads them off the convergents of phi."""
+    fibonacci_waves, which reads them off the convergents of phi."""
     a, b = 1, 1
     for _ in range(n - 1):
         a, b = b, a + b
@@ -34,17 +34,9 @@ class TestFibonacci:
         assert fibonacci_numbers(1) == (1, 1)
         assert fibonacci_numbers(10) == (55, 89)
 
-    def test_family_follows_the_recurrence(self):
-        for n in range(1, 31):
-            fn, fn1 = fibonacci_numbers(n)
-            m = fibonacci_family(n)
-            assert (m.index, m.family, m.frequency) == (n, "fibonacci", (fn1, -fn))
-            assert dict(m.poly.terms) == {(fn1, -fn): (0, Fraction(-1, 2)),
-                                          (-fn1, fn): (0, Fraction(1, 2))}
-
     def test_frequencies(self):
-        assert fibonacci_family(1).frequency == (1, -1)
-        assert fibonacci_family(10).frequency == (89, -55)
+        assert parse_family_token("fib:1").frequency == (1, -1)
+        assert parse_family_token("fib:10").frequency == (89, -55)
 
     def test_ratio_matches_independent_oracle(self):
         # sqrt(r^2+1) |r - phi| F^2 recomputed with mpmath from scratch
@@ -53,24 +45,24 @@ class TestFibonacci:
             fn, fn1 = fibonacci_numbers(n)
             r = mpmath.mpf(fn1) / fn
             ref = mpmath.sqrt(r * r + 1) * abs(r - phi) * fn * fn
-            m = fibonacci_family(n)
+            m = parse_family_token(f"fib:{n}")
             direct = poincare_ratio(m.poly, PHI, 1, 1)
             assert abs(float(direct) - float(ref)) < 1e-12
             closed = m.metadata["closed_form_ratio"]
             assert abs(float(closed) - float(ref)) < 1e-12
 
     def test_value_at_n10(self):
-        m = fibonacci_family(10)
+        m = parse_family_token("fib:10")
         assert abs(float(m.metadata["closed_form_ratio"]) - 0.8506508090620) < 1e-12
 
     def test_limit_value(self):
-        limit = fibonacci_family(1).metadata["expected_limit"]
+        limit = parse_family_token("fib:1").metadata["expected_limit"]
         ref = mpmath.sqrt((5 + mpmath.sqrt(5)) / 10)
         assert abs(float(limit) - float(ref)) < 1e-15
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            fibonacci_family(0)
+            fibonacci_waves(range(0, 1))
 
 
 class TestLiouville:
@@ -150,11 +142,17 @@ class TestConvergentWave:
         assert running < 0.2  # strictly below the golden floor 0.85
 
     def test_is_the_fibonacci_wave_on_golden_direction(self):
-        # k_n = (p_n, -q_n) with p_n/q_n = F_{n+1}/F_n, the n-th convergent of phi
+        # k_n = (p_n, -q_n) with p_n/q_n = F_{n+1}/F_n, the n-th convergent of
+        # phi: the fib:n wave, checked against the recurrence
         for n in range(1, 41):
+            fn, fn1 = fibonacci_numbers(n)
+            fib = parse_family_token(f"fib:{n}")
+            assert (fib.index, fib.family, fib.frequency) == (n, "fibonacci", (fn1, -fn))
+            assert dict(fib.poly.terms) == {(fn1, -fn): (0, Fraction(-1, 2)),
+                                            (-fn1, fn): (0, Fraction(1, 2))}
             cwave = parse_family_token(f"cwave:{n}", PHI)
-            assert cwave.frequency == parse_family_token(f"fib:{n}").frequency
-            assert dict(cwave.poly.terms) == dict(fibonacci_family(n).poly.terms)
+            assert (cwave.frequency, cwave.metadata["convergent"]) == ((fn1, -fn), (fn1, fn))
+            assert dict(cwave.poly.terms) == dict(fib.poly.terms)
 
     def test_rational_slope_rejected(self):
         with pytest.raises(RationalRatio):

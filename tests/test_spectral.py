@@ -17,7 +17,7 @@ from dirp.constants import e_cr
 from dirp.diophantine import delta_from_sigma
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
-from dirp.extremizers import fibonacci_family, liouville_family
+from dirp.extremizers import fibonacci_waves, liouville_family
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
 from dirp.spectral import (TrigPoly, _coerce_ratio, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
@@ -110,7 +110,7 @@ class TestNorms:
         assert_close_mp(l2_norm(p), 2 * mpmath.pi, 60)
 
     def test_two_term_sine_norm_is_pi_sqrt2(self):
-        f = fibonacci_family(5).poly
+        f = fibonacci_waves(range(5, 6))[0].poly
         assert_close_mp(l2_norm(f), mpmath.pi * mpmath.sqrt(2), 60)
 
     @given(k=frequencies)
@@ -131,7 +131,7 @@ class TestNorms:
         assert -Fraction(1, 10 ** 40) <= lo and hi <= Fraction(1, 10 ** 40)
 
     def test_fibonacci_gradient_ratio(self):
-        f = fibonacci_family(10).poly  # sin(89 x - 55 y)
+        f = fibonacci_waves(range(10, 11))[0].poly  # sin(89 x - 55 y)
         ratio = grad_norm(f) / l2_norm(f)
         assert_close_mp(ratio, mpmath.sqrt(10946), 40)
 
@@ -196,7 +196,7 @@ class TestMultiplier:
         phi = (1 + mpmath.sqrt(5)) / 2
         limit = mpmath.sqrt(1 + phi * phi) / mpmath.sqrt(5)
         for n, tol in ((10, 1e-3), (15, 1e-5)):
-            m = fibonacci_family(n)
+            m = fibonacci_waves(range(n, n + 1))[0]
             p = TrigPoly(2, {m.frequency: 1})
             val = multiplier_norm(p, sym) / l2_norm(p)
             assert abs(float(val) - float(limit)) < tol
