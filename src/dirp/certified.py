@@ -26,7 +26,7 @@ from .precision import (
     fraction_to_decimal_str_up,
     iroot,
     mul_interval,
-    pow_interval,
+    nth_root_interval,
     round_out,
     sum_interval,
 )
@@ -280,7 +280,9 @@ class CertifiedReal:
                                                          r.numerator * r.denominator)
 
         def op(ivs, digits):
-            return round_out(*pow_interval(*ivs[0], exponent, digits + GUARD), digits)
+            lo, hi = ivs[0]
+            lo, hi = max(lo, 0) ** p, hi ** p  # the true value is >= 0
+            return round_out(lo, hi, digits) if q == 1 else nth_root_interval(lo, hi, q, digits)
 
         return CertifiedReal.node((self,), GUARD, op, exact_op)
 

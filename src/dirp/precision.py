@@ -59,7 +59,12 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # >= true root
+    # start just above the float root; Newton from above returns the floor
+    t = math.log2(n) / k
+    e = max(0, math.floor(t) - 52)
+    x = (int(math.exp2(t - e) * (1 + 2 ** -30)) + 1) << e
+    if x ** k <= n:
+        x = 1 << -(-n.bit_length() // k)  # > true root
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -71,9 +76,8 @@ def iroot(n: int, k: int) -> int:
 
 
 def nth_root_interval(lo: Fraction, hi: Fraction, k: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of [lo, hi] ** (1/k) for 0 <= lo <= hi."""
-    if lo < 0:
-        lo = Fraction(0)  # clip: caller guarantees the true value is >= 0
+    """Enclosure of [lo, hi] ** (1/k) for 0 <= lo <= hi, rounded outward
+    onto the 10^-digits grid."""
     s = 10 ** digits
     sk = s ** k
     a = iroot((lo.numerator * sk) // lo.denominator, k)
@@ -82,21 +86,6 @@ def nth_root_interval(lo: Fraction, hi: Fraction, k: int, digits: int) -> tuple[
     if b ** k < t:
         b += 1
     return (Fraction(a, s), Fraction(b, s))
-
-
-def pow_interval(lo: Fraction, hi: Fraction, exponent: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of [lo, hi] ** exponent for nonnegative base and exponent."""
-    if exponent < 0:
-        raise ValueError("pow_interval needs exponent >= 0")
-    p, q = exponent.numerator, exponent.denominator
-    if p == 0:
-        return (Fraction(1), Fraction(1))
-    if lo < 0:
-        lo = Fraction(0)
-    plo, phi = lo ** p, hi ** p
-    if q == 1:
-        return (plo, phi)
-    return nth_root_interval(plo, phi, q, digits)
 
 
 def mul_interval(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction],

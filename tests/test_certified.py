@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from dirp.constants import e_cr
 from dirp.diophantine import cf_expand
 from dirp.directions import liouville_constant, parse_direction
 from dirp.errors import PrecisionExhausted
-from dirp.precision import PrecisionContext, iroot, pow_interval, round_out
+from dirp.precision import PrecisionContext, iroot, nth_root_interval, round_out
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
 from dirp.spectral import TrigPoly, freq_norm_cr, multiplier_norm, poincare_ratio
 
@@ -219,6 +220,16 @@ class TestCertifiedReal:
         monkeypatch.setattr(certified, "iroot", lambda n, k: seen.append(n) or iroot(n, k))
         assert freq_norm_cr((30, 40), Fraction(9999, 10000)).exact is None
         assert seen and max(seen) == 2500
+
+    def test_high_order_root_takes_a_few_newton_steps(self):
+        # 25^(999/2000) roots an 80000-digit integer at order 1000; Newton
+        # from a power of two above the root took some 26 s, from the float
+        # root a fraction of a second
+        start = time.perf_counter()
+        value = freq_norm_cr((3, 4), Fraction(999, 1000)).to_json(80)
+        assert time.perf_counter() - start < 2
+        mpmath.mp.dps = 100
+        assert abs(mpmath.mpf(value["value"]) - mpmath.mpf(5) ** (mpmath.mpf(999) / 1000)) < 1e-79
 
     def test_sign_refinement_resolves_tiny_values(self):
         tiny = Fraction(1, 10 ** 50)
@@ -454,9 +465,16 @@ def div_oracle(a, b):
 
 
 def pow_oracle(a, exponent):
+    # the power and its root onto the digits + GUARD grid, then rounded
+    # again to digits: the same endpoints as one rounding to digits
+    p, q = exponent.numerator, exponent.denominator
+
     def fn(digits):
         lo, hi = a.enclosure(digits + GUARD)
-        return round_out(*pow_interval(lo, hi, exponent, digits + GUARD), digits)
+        lo, hi = max(lo, 0) ** p, hi ** p
+        if q > 1:
+            lo, hi = nth_root_interval(lo, hi, q, digits + GUARD)
+        return round_out(lo, hi, digits)
     return _closure(fn, a)
 
 
@@ -512,6 +530,13 @@ EXACT_POWER_BASES = (QuadExact(Fraction(-7, 3)), QuadExact(Fraction(1, 3), -2, 5
                      GOLDEN_RATIO, SQRT2, QuadExact(0), TINY)
 INEXACT = sorted(set(OPERANDS) - EXACT)
 NODE_DIGITS = (30, 80, 150)
+POWERS = [Fraction(2), Fraction(3, 2), Fraction(1, 3), Fraction(7, 2),
+          Fraction(1, 4), Fraction(5, 6), Fraction(999, 1000)]
+# an order-1000 root at 150 digits divides integers of 300000 digits, a
+# second or two a side, so 999/1000 runs on a refinable constant and on a
+# leaf across 0 (the clip) only
+POWER_CASES = [(a, x) for a in ("leaf", "e", "liouville", "decimal across 0", "leaf across 0")
+               for x in POWERS if x.denominator < 1000 or a in ("e", "leaf across 0")]
 
 
 def _assert_same(node, oracle):
@@ -560,10 +585,8 @@ class TestNodeOperators:
             return CertifiedReal.from_quad(TINY) if b == "tiny" else OPERANDS[b]()
         _assert_same(OPERANDS[a]() / divisor(), div_oracle(OPERANDS[a](), divisor()))
 
-    @pytest.mark.parametrize("exponent", [Fraction(2), Fraction(3, 2), Fraction(1, 3),
-                                          Fraction(7, 2)])
-    @pytest.mark.parametrize("a", ["leaf", "e", "liouville", "decimal across 0",
-                                   "leaf across 0"])
+    @pytest.mark.parametrize("a, exponent", POWER_CASES,
+                             ids=[f"{a}-exponent{POWERS.index(x)}" for a, x in POWER_CASES])
     def test_inexact_power(self, a, exponent):
         _assert_same(OPERANDS[a]().pow_frac(exponent), pow_oracle(OPERANDS[a](), exponent))
 

@@ -2,11 +2,17 @@
 
 import json
 import sys
+import time
 import warnings
 
+import mpmath
 import pytest
 
+from dirp import cli
 from dirp.cli import _emit, main
+from dirp.directions import parse_direction
+from dirp.report import report_to_bytes
+from dirp.spectral import TrigPoly, multi_directional_functional
 
 
 def run(capsys, *argv):
@@ -60,6 +66,20 @@ class TestRatio:
                        "dir:[1, quad:(1+sqrt5)/2]", "--preset", "delta:1")
         assert doc["result"]["exponents"] == ["1/2", "1/2"]
 
+    def test_improved_preset_weighs_by_d_minus_ell_and_ell(self, tmp_path, capsys):
+        terms = [{"k": [1, 2, 0], "re": "1", "im": "0"},
+                 {"k": [0, 1, -3], "re": "2", "im": "1/2"}]
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"dim": 3, "terms": terms}))
+        dirs = ["dir:[1, quad:sqrt2, 0]", "dir:[0, 1, const:e]"]
+        doc = run_json(capsys, "ratio", f"@{poly}", "--direction", dirs[0],
+                       "--direction", dirs[1], "--preset", "improved")
+        res = doc["result"]
+        assert res["exponents"] == ["1", "2"] and res["directions"] == dirs
+        want = multi_directional_functional(TrigPoly.from_json(poly.read_text()),
+                                            [parse_direction(d) for d in dirs], 1, 2)
+        assert res["ratio"] == want.to_json(80)
+
     @pytest.mark.parametrize("preset", ["thm1", "delta:2"])
     def test_one_direction_presets_refuse_two(self, capsys, preset):
         # the value would be the first direction's ratio alone
@@ -87,6 +107,19 @@ class TestLattice:
         res = doc["result"]
         assert res["minimum"]["value"].startswith("0.58578643762690495")
         assert res["argmin"] == [1, -1]
+
+    def test_order_1000_weight_answers_promptly(self, capsys):
+        # |k|^(999/1000) roots at order 1000; Newton from a power of two
+        # above the root took some 17 s here, from the float root under 1 s
+        start = time.perf_counter()
+        doc = run_json(capsys, "lattice", "--direction", "dir:[1, quad:sqrt2]",
+                       "--radius", "5", "--sigma", "999/1000")
+        assert time.perf_counter() - start < 2
+        res = doc["result"]
+        assert res["argmin"] == [1, -1] and res["weight_exponent"] == "999/1000"
+        mpmath.mp.dps = 100
+        want = (mpmath.sqrt(2) - 1) * mpmath.mpf(2) ** (mpmath.mpf(999) / 2000)
+        assert abs(mpmath.mpf(res["minimum"]["value"]) - want) < mpmath.mpf(10) ** -79
 
     def test_zero_witness(self, capsys):
         doc = run_json(capsys, "lattice", "--direction", "dir:[1, 0]",
@@ -161,6 +194,37 @@ class TestCf:
         doc = run_json(capsys, "cf", f"liouville:{base}", "--depth", str(depth))
         assert doc["result"]["certified_depth"] == depth
         assert len(doc["result"]["convergents"]) == depth
+
+
+def _stub_report(seed, ctx):
+    rows = [{"criterion": 1, "name": "first", "pass": True},
+            {"criterion": 12, "name": "twelfth", "pass": seed != 7}]
+    return {"seed": seed, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
+
+
+class TestReport:
+    def test_each_row_prints_its_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", _stub_report)
+        code, out, err = run(capsys, "report")
+        assert code == 0 and json.loads(out)["result"] == _stub_report(1234, None)
+        assert err == (f"criterion  1 {'first':<28} PASS\n"
+                       f"criterion 12 {'twelfth':<28} PASS\n")
+
+    def test_a_failed_row_is_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", _stub_report)
+        code, out, err = run(capsys, "report", "--seed", "7")
+        assert code == 4 and json.loads(out)["result"]["all_pass"] is False
+        assert err.splitlines()[1:] == [f"criterion 12 {'twelfth':<28} FAIL",
+                                        "unresolved: one or more report rows failed"]
+
+    def test_out_writes_the_canonical_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", _stub_report)
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, "report", "--out", str(target))
+        assert code == 0 and out == ""
+        doc = json.loads(target.read_bytes())
+        assert target.read_bytes() == report_to_bytes(doc)
+        assert doc["result"] == _stub_report(1234, None)
 
 
 class TestEmit:

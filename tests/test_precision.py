@@ -4,7 +4,8 @@ round_out rounds from integer numerators and denominators, mul_interval
 takes the least floor and the greatest ceiling of the four endpoint products
 on the grid, and sum_interval rounds the exact sum once.  The oracles below
 round the exact Fraction result instead: every endpoint must be the same
-rational, so every printed digit stays put.
+rational, so every printed digit stays put.  iroot starts Newton at a float
+estimate of the root; its oracle starts at a power of two above the root.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.precision import mul_interval, round_out, sum_interval
+from dirp.precision import iroot, mul_interval, nth_root_interval, round_out, sum_interval
 
 
 def round_out_oracle(lo, hi, digits):
@@ -33,6 +34,21 @@ def sum_oracle(intervals, digits):
         lo += tlo
         hi += thi
     return round_out_oracle(lo, hi, digits)
+
+
+def iroot_oracle(n, k):
+    """floor(n ** (1/k)) by Newton from 2^ceil(bits/k), above the root."""
+    if n == 0 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x ** k > n:
+        x -= 1
+    return x
 
 
 def _same(got, want):
@@ -56,6 +72,18 @@ intervals = st.one_of(
 )
 digit_counts = st.integers(0, 120)
 
+# n below 2^20000 at root orders up to 1000, and the neighbours r^k - 1,
+# r^k, r^k + 1 of perfect powers, where the float root lands closest to
+# an integer
+perfect_powers = st.integers(1, 60).flatmap(lambda k: st.tuples(
+    st.integers(0, 2 ** (20000 // k)).map(lambda r: r ** k), st.just(k)))
+root_cases = st.one_of(
+    st.tuples(st.integers(0, 20000).flatmap(lambda bits: st.integers(0, 2 ** bits)),
+              st.integers(1, 1000)),
+    st.tuples(perfect_powers, st.sampled_from([-1, 0, 1])).map(
+        lambda c: (max(c[0][0] + c[1], 0), c[0][1])),
+)
+
 
 class TestOracles:
     @given(a=intervals, digits=digit_counts)
@@ -72,6 +100,33 @@ class TestOracles:
     @settings(max_examples=200, deadline=None)
     def test_sum_interval(self, terms, digits):
         _same(sum_interval(terms, digits), sum_oracle(terms, digits))
+
+    @given(case=root_cases)
+    @settings(max_examples=300, deadline=None)
+    def test_iroot(self, case):
+        assert iroot(*case) == iroot_oracle(*case)
+
+    @given(a=st.tuples(endpoints, endpoints).map(lambda p: tuple(sorted(map(abs, p)))),
+           k=st.integers(1, 12), digits=st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_nth_root_interval(self, a, k, digits):
+        # the greatest grid point whose k-th power is <= lo and the least
+        # whose k-th power is >= hi
+        lo, hi = nth_root_interval(*a, k, digits)
+        ulp = Fraction(1, 10 ** digits)
+        assert (lo / ulp).denominator == 1 and (hi / ulp).denominator == 1
+        assert lo ** k <= a[0] < (lo + ulp) ** k
+        assert a[1] <= hi ** k and (hi == 0 or (hi - ulp) ** k < a[1])
+
+
+def test_a_low_float_start_falls_back_to_the_power_of_two(monkeypatch):
+    # math.log2 reading 0 puts the float start at 2, at or below each root
+    cases = [(3 ** 300, 3), (10 ** 500 + 7, 7), (2 ** 20000 - 1, 1000),
+             (12345678901234567890 ** 5, 5), (12345678901234567890 ** 5 - 1, 5)]
+    assert all(2 ** k <= n for n, k in cases)
+    monkeypatch.setattr(math, "log2", lambda n: 0.0)
+    for n, k in cases:
+        assert iroot(n, k) == iroot_oracle(n, k)
 
 
 F = Fraction
