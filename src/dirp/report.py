@@ -150,18 +150,28 @@ class _Integers:
     numpy draws from 32-bit words, which PCG64 hands out low half first from
     each raw 64-bit output, by Lemire's method (ACM TOMACS 29(1), 2019); a
     range of one value draws nothing.  NEP 19 pins PCG64's raw words, not
-    this algorithm, which tests/test_report_stream.py pins."""
+    this algorithm, which tests/test_report_stream.py pins.  Words are read
+    a block at a time, the next at `pos`; lemire[j][i] is the draw from
+    [0, RANGES[j]) that words[i] alone gives, -1 where Lemire rejects
+    words[i] and at the LOOKAHEAD places past the block's end."""
 
     _BLOCK = 512    # raw words read at a time
+    RANGES = (257, 17, 4)
+    LOOKAHEAD = 3
 
     def __init__(self, seed: int):
-        self._words = self._uint32s(np.random.PCG64(seed))
+        self._bits = np.random.PCG64(seed)
+        self._refill()
 
-    @classmethod
-    def _uint32s(cls, bits: np.random.PCG64):
-        while True:
-            raw = bits.random_raw(cls._BLOCK)
-            yield from np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
+    def _refill(self) -> None:
+        raw = self._bits.random_raw(self._BLOCK)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        self.words, self.pos, self.lemire = words.tolist(), 0, []
+        for n in self.RANGES:
+            m = words * n   # < 2**41: no uint64 wraps
+            draws = (m >> 32).astype(np.int64)  # -1 as uint64 would wrap to 2**64 - 1
+            draws[(m & 0xFFFFFFFF) < ((1 << 32) - n) % n] = -1
+            self.lemire.append(draws.tolist() + [-1] * self.LOOKAHEAD)
 
     def __call__(self, lo: int, hi: int) -> int:
         n = hi - lo
@@ -169,12 +179,14 @@ class _Integers:
             if n == 1:
                 return lo
             raise ValueError(f"range size {n} is outside [1, 2**32)")
-        m = next(self._words) * n
-        if m & 0xFFFFFFFF < n:     # n bounds the rejection threshold
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next(self._words) * n
-        return lo + (m >> 32)
+        threshold = ((1 << 32) - n) % n
+        while True:
+            if self.pos == len(self.words):
+                self._refill()
+            m = self.words[self.pos] * n
+            self.pos += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return lo + (m >> 32)
 
 
 # every coefficient _random_poly can draw: num / 2**e, at [e][num + 8]
@@ -183,19 +195,32 @@ _COEFFS = [[Fraction(num, 2 ** e) for num in range(-8, 9)] for e in range(4)]
 
 def _random_poly(draw: _Integers) -> TrigPoly:
     """<= 100 terms, d = 2, |k| <= 128 (euclidean), dyadic rational coeffs;
-    every term kept is nonzero, so the polynomial is never zero."""
+    every term kept is nonzero, so the polynomial is never zero; the draws
+    come off draw.lemire where no -1 stands, else from draw itself."""
     n_terms = draw(1, 101)
     terms = {}
+    i, (d257, d17, d4) = draw.pos, draw.lemire
     while len(terms) < n_terms:
-        k = (draw(-128, 129), draw(-128, 129))
+        if d257[i] >= 0 and d257[i + 1] >= 0:
+            k = (d257[i] - 128, d257[i + 1] - 128)
+            i += 2
+        else:   # the block ends or a word is rejected
+            draw.pos = i
+            k = (draw(-128, 129), draw(-128, 129))
+            i, (d257, d17, d4) = draw.pos, draw.lemire
         if k == (0, 0) or k[0] * k[0] + k[1] * k[1] > 128 * 128:
             continue
-        num_re = draw(-8, 9)
-        num_im = draw(-8, 9)
-        coeffs = _COEFFS[draw(0, 4)]
+        if d17[i] >= 0 and d17[i + 1] >= 0 and d4[i + 2] >= 0:
+            num_re, num_im, coeffs = d17[i] - 8, d17[i + 1] - 8, _COEFFS[d4[i + 2]]
+            i += 3
+        else:
+            draw.pos = i
+            num_re, num_im, coeffs = draw(-8, 9), draw(-8, 9), _COEFFS[draw(0, 4)]
+            i, (d257, d17, d4) = draw.pos, draw.lemire
         if num_re == 0 and num_im == 0:
             continue
         terms[k] = (coeffs[num_re + 8], coeffs[num_im + 8])
+    draw.pos = i
     return TrigPoly(2, terms)
 
 
@@ -227,12 +252,11 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
         _, tail = half_mass_cutoff(p)
         if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
             half_fail += 1
-        # chain: ratio^2 = sg*sd/s0^2 >= minsq/8 with minsq at shells <= R_f^2
-        thr = math.ceil(Fraction(4) * sg / s0)
+        # chain: 8 ratio^2 = 8 sg sd / s0^2 >= minsq with minsq at shells <= R_f^2
+        thr = math.ceil(4 * sg / s0)
         i = bisect.bisect_right(shells, thr)
         minsq = rec[i - 1] if i else None
-        lhs = sd * (sg / (s0 * s0))
-        if minsq is None or (lhs - minsq * Fraction(1, 8)).sign() < 0:
+        if minsq is None or (sd * (8 * sg / (s0 * s0)) - minsq).sign() < 0:
             chain_fail += 1
     c5 = {
         "criterion": 5,

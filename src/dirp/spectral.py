@@ -54,11 +54,14 @@ _PLAIN = _re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 def _coerce_ratio(x) -> tuple[int, int]:
     """A coefficient part as (numerator, denominator) in lowest terms.  A
-    Fraction is taken as it is and the shapes to_json writes are read in
-    integers; anything else goes through Fraction(x), with its grammar and
-    errors, except that a float or a CertifiedReal raises TypeError."""
+    Fraction or an int is taken as it is, the shapes to_json writes are read
+    in integers, and anything else (a bool too) goes through Fraction(x),
+    with its grammar and errors, except that a float or a CertifiedReal
+    raises TypeError."""
     if type(x) is Fraction:     # already in lowest terms
         return x.numerator, x.denominator
+    if type(x) is int:
+        return x, 1
     m = _PLAIN.fullmatch(x) if type(x) is str else None
     if m is None:
         if isinstance(x, (float, CertifiedReal)):
@@ -100,7 +103,8 @@ class TrigPoly:
     first read.  `masses` holds the
     IntegerMasses: A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the
     coefficient denominators; `mass_totals` holds the integers sum A_k and
-    sum A_k |k|^2.
+    sum A_k |k|^2, and `moments` the d x d integer matrix M = sum A_k k k',
+    whose trace is the second total.
 
     The zero frequency is always rejected: every polynomial is mean zero.
     """
@@ -129,16 +133,12 @@ class TrigPoly:
                 rows[kt] = row
         self._rows, self._terms = rows, None
         L = math.lcm(*(row[1] for row in rows.values()), *(row[3] for row in rows.values()))
-        masses, S0, SG = [], 0, 0
-        for k, (rn, rd, jn, jd) in rows.items():
-            rn *= L // rd
-            jn *= L // jd
-            A = rn * rn + jn * jn
-            masses.append((k, A))
-            S0 += A
-            SG += A * sum(map(mul, k, k))
-        self.masses: IntegerMasses = (L * L, tuple(masses))
-        self.mass_totals = (S0, SG)
+        As = [(rn * (L // rd)) ** 2 + (jn * (L // jd)) ** 2 for rn, rd, jn, jd in rows.values()]
+        self.masses: IntegerMasses = (L * L, tuple(zip(rows, As)))
+        cols = list(zip(*rows)) or [()] * dim     # cols[i][t] = k_i of term t
+        weighted = [list(map(mul, As, c)) for c in cols]
+        self.moments = tuple(tuple(sum(map(mul, w, c)) for c in cols) for w in weighted)
+        self.mass_totals = (sum(As), sum(self.moments[i][i] for i in range(dim)))
 
     @property
     def terms(self) -> Mapping[FreqVector, tuple[Fraction, Fraction]]:
@@ -181,35 +181,34 @@ class TrigPoly:
 # -- coefficient sums ------------------------------------------------------
 #
 # The three Parseval sums s0 = sum |a_k|^2, sg = sum |a_k|^2 |k|^2 and
-# sd = sum |a_k|^2 <k,alpha>^2 are accumulated as Python integers from
-# TrigPoly.masses (the exact kernel below); sd too, when the entries of alpha
-# share one field Q(sqrt D).  For other directions sd is one CertifiedReal
-# node over the entries alpha_i that the frequencies use: it bounds each
-# <k,alpha> in integers on one decimal grid and rounds the weighted sum of
-# squares once.  Nothing here decides a precision: inexact sums are lazy
-# enclosures, refined by whoever prints or compares them.
+# sd = sum |a_k|^2 <k,alpha>^2 are integers over L^2 from TrigPoly's
+# mass_totals and moments: sd = alpha' M alpha, quadratic forms in integers,
+# when the entries of alpha share one field Q(sqrt D).  For other directions
+# sd is one CertifiedReal node over the entries alpha_i that the frequencies
+# use: it bounds each <k,alpha> in integers on one decimal grid and rounds
+# the weighted sum of squares once.  Nothing here decides a precision:
+# inexact sums are lazy enclosures, refined by whoever prints or compares them.
+
+
+def _form(M, u, v) -> int:
+    """u'Mv in integers."""
+    return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, M))
 
 
 def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
-    scale, terms = f.masses
-    # an entry that no frequency uses counts as an exact 0: it neither keeps
-    # the sum from being exact nor is asked for an enclosure
-    entries = [e if any(k[i] for k, _ in terms) else CertifiedReal.from_rational(0)
-               for i, e in enumerate(a.entries)]
+    (scale, terms), M = f.masses, f.moments
+    # an entry that no frequency uses (M_ii = 0) counts as an exact 0: it
+    # neither keeps the sum from being exact nor is asked for an enclosure
+    entries = [e if M[i][i] else CertifiedReal.from_rational(0) for i, e in enumerate(a.entries)]
     field = common_field([e.exact for e in entries])
     if field is not None:
-        # <k,alpha> Q = P + R sqrt D, so <k,alpha>^2 Q^2 = P^2 + R^2 D + 2 P R sqrt D
+        # alpha Q = x + y sqrt D, so sum A_k <k,alpha>^2 Q^2 = x'Mx + D y'My + 2 x'My sqrt D
         D, Q, x, y = field
-        rat = irr = 0
-        for k, A in terms:
-            P = sum(map(mul, k, x))
-            R = sum(map(mul, k, y))
-            rat += A * (P * P + R * R * D)
-            irr += A * P * R
+        rat, irr = _form(M, x, x) + D * _form(M, y, y), 2 * _form(M, x, y)
         den = scale * Q * Q
-        return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D))
+        return CertifiedReal.from_quad(QuadExact(Fraction(rat, den), Fraction(irr, den), D))
     # One node over the entries: their enclosures on the 10^-(digits+guard) grid
     # as integers, each <k,alpha> bounded by the signs of k_i and squared as
     # ip * ip would be, one rounding.  The guard is what a tree of per-term sum
@@ -336,7 +335,8 @@ def half_mass_cutoff(f: TrigPoly) -> tuple[CertifiedReal, CertifiedReal]:
     The tail fraction is <= 1/2 for every nonzero polynomial."""
     _require_nonzero(f)
     S0, SG = f.mass_totals
-    radius = CertifiedReal.from_rational(Fraction(SG, S0)).sqrt() * 2
+    SG4 = 4 * SG
+    radius = CertifiedReal.from_rational(Fraction(SG4, S0)).sqrt()
     # |k| >= radius  <=>  |k|^2 * S0 >= 4 * SG, all in integers
-    tail = sum(A for k, A in f.masses[1] if sum(map(mul, k, k)) * S0 >= 4 * SG)
+    tail = sum(A for k, A in f.masses[1] if sum(map(mul, k, k)) * S0 >= SG4)
     return radius, CertifiedReal.from_rational(Fraction(tail, S0))

@@ -430,6 +430,61 @@ class TestExactKernel:
             poincare_ratio(p, PHI, 1, 1)
 
 
+# -- the moment matrix against brute force and the per-term loop it replaced --
+
+def _loop_sd(p: TrigPoly, a) -> QuadExact:
+    """Oracle: sd as _sd's exact branch summed it before TrigPoly.moments,
+    one pair of inner products per term; an entry no frequency uses is 0."""
+    scale, terms = p.masses
+    entries = [e.exact if any(k[i] for k, _ in terms) else QuadExact(0)
+               for i, e in enumerate(a.entries)]
+    D, Q, x, y = common_field(entries)
+    rat = irr = 0
+    for k, A in terms:
+        P = sum(c * xi for c, xi in zip(k, x))
+        R = sum(c * yi for c, yi in zip(k, y))
+        rat += A * (P * P + R * R * D)
+        irr += A * P * R
+    den = scale * Q * Q
+    return QuadExact(Fraction(rat, den), Fraction(2 * irr, den), D)
+
+
+SQRT5_FIELD = [1, Fraction(-2, 3), "quad:sqrt5", "quad:(1+sqrt5)/2", "quad:(3-sqrt20)/7"]
+ELSEWHERE = ["quad:sqrt2", "quad:sqrt3", "const:e"]     # only at a coordinate no k uses
+
+
+@st.composite
+def moment_cases(draw):
+    d = draw(st.integers(1, 3))
+    unused = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    entries = [draw(st.sampled_from(SQRT5_FIELD + ELSEWHERE if i in unused else SQRT5_FIELD))
+               for i in range(d)]
+    freqs = st.tuples(*[st.just(0) if i in unused else st.integers(-40, 40)
+                        for i in range(d)]).filter(any)
+    return d, entries, draw(st.dictionaries(freqs, coefficients, min_size=1, max_size=12))
+
+
+class TestMoments:
+    @given(case=moment_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_moments_trace_and_exact_sd(self, case):
+        d, entries, terms = case
+        p = TrigPoly(d, terms)
+        masses = p.masses[1]
+        assert p.moments == tuple(tuple(sum(A * k[i] * k[j] for k, A in masses)
+                                        for j in range(d)) for i in range(d))
+        assert sum(p.moments[i][i] for i in range(d)) == p.mass_totals[1]
+        a = make_direction(entries)
+        sd = parseval_sums(p, a)[2]
+        want = _loop_sd(p, a)
+        assert sd.exact is not None
+        assert _state(sd) == (want.a, want.b, want.d)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_polynomial_has_zero_moments(self, dim):
+        assert TrigPoly(dim, {}).moments == ((0,) * dim,) * dim
+
+
 # -- the Parseval node against the CertifiedReal tree it replaced -------------
 #
 # Off one quadratic field, sd is one node over the direction's entries.  Its
@@ -918,7 +973,7 @@ def _matches_oracle(p, data):
 
 def _same_poly(p, q):
     assert p.dim == q.dim
-    assert p.masses == q.masses and p.mass_totals == q.mass_totals
+    assert p.masses == q.masses and p.mass_totals == q.mass_totals and p.moments == q.moments
     assert list(p.terms.items()) == list(q.terms.items())
     assert json.dumps(p.to_json()) == json.dumps(q.to_json())
 
@@ -954,6 +1009,16 @@ class TestJsonIngestion:
     def test_non_text_coefficients_are_read_as_given(self, value):
         f = Fraction(value)
         assert _coerce_ratio(value) == (f.numerator, f.denominator)
+
+    @given(terms=st.dictionaries(frequencies, st.tuples(st.integers(-10 ** 30, 10 ** 30),
+                                                         st.integers(-9, 9)), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_int_parts_give_the_rows_of_fraction_parts(self, terms):
+        p = TrigPoly(2, terms)
+        q = TrigPoly(2, {k: (Fraction(re), Fraction(im)) for k, (re, im) in terms.items()})
+        assert p._rows == q._rows
+        assert all(type(x) is int for row in p._rows.values() for x in row)
+        _same_poly(p, q)
 
     @pytest.mark.parametrize("value", [0.5, 1.0, float("nan"), e_cr(), None, [1]])
     def test_rejected_coefficients_keep_their_errors(self, value):
