@@ -45,25 +45,23 @@ PHI = make_direction([1, GOLDEN_RATIO])
 
 def fibonacci_waves(ns: range, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[FamilyMember]:
     """sin(F_{n+1} x - F_n y) for n in ns, near-extremizers for (1, phi): the
-    convergent waves of PHI, whose n-th convergent is F_{n+1}/F_n.
+    convergent waves of PHI, whose n-th convergent is F_{n+1}/F_n, relabelled
+    "fibonacci" with two more metadata entries.
 
     The weighted product |k| * |<k, alpha>| has the closed form
     sqrt(F_{n+1}^2/F_n^2 + 1) * |F_{n+1}/F_n - phi| * F_n^2 and converges
-    to |alpha|/sqrt5 = sqrt((5+sqrt5)/10).
+    to |alpha|/sqrt5 = sqrt((5+sqrt5)/10), one object for all members.
     """
-    members = []
-    for wave in convergent_waves(PHI, ns, ctx):
-        fn1, fn = wave.metadata["convergent"]
-        phi = CertifiedReal.from_quad(GOLDEN_RATIO)
-        ratio = Fraction(fn1, fn)
-        closed_form = (CertifiedReal.from_rational(ratio * ratio + 1).sqrt()
-                       * abs(CertifiedReal.from_rational(ratio) - phi)
-                       * (fn * fn))
-        # sqrt((1 + phi^2)/5) = sqrt((5 + sqrt5)/10)
-        limit = (CertifiedReal.from_quad(QuadExact(Fraction(5, 2), Fraction(1, 2), 5))
-                 / 5).sqrt()
-        members.append(FamilyMember(wave.poly, wave.index, "fibonacci", {
-            "k": wave.frequency, "closed_form_ratio": closed_form, "expected_limit": limit}))
+    phi = CertifiedReal.from_quad(GOLDEN_RATIO)
+    # sqrt((1 + phi^2)/5) = sqrt((5 + sqrt5)/10)
+    limit = (CertifiedReal.from_quad(QuadExact(Fraction(5, 2), Fraction(1, 2), 5)) / 5).sqrt()
+    members = convergent_waves(PHI, ns, ctx)
+    for m in members:
+        fn1, fn = m.metadata["convergent"]
+        x = CertifiedReal.from_rational(Fraction(fn1, fn))
+        m.family = "fibonacci"
+        m.metadata.update(closed_form_ratio=(x * x + 1).sqrt() * abs(x - phi) * (fn * fn),
+                          expected_limit=limit)
     return members
 
 
@@ -163,6 +161,7 @@ class SharpnessTable:
     family: str
     direction: str
     rows: list[SharpnessRow]
+    members: list[FamilyMember]  # one behind each row
     verdict: str
     annulus_note: str = ""
 
@@ -183,10 +182,11 @@ def sharpness_table(a: Direction, family: str, n_max: int,
     """
     if family not in _FAMILIES:
         raise ParseError(f"unknown family {family!r}")
+    members = _FAMILIES[family][1](a, range(1, n_max + 1), ctx)
     rows = [SharpnessRow(m.index, m.frequency, freq_norm_cr(m.frequency),
                          abs(inner_product(m.frequency, a)),
                          poincare_ratio(m.poly, a, Fraction(1), Fraction(1)))
-            for m in _FAMILIES[family][1](a, range(1, n_max + 1), ctx)]
+            for m in members]
     ratios = [Fraction(r.ratio.significant(20, ctx)) for r in rows]
     running = list(itertools.accumulate(ratios, min))
     base = running[max(1, len(running) // 4)]
@@ -208,4 +208,4 @@ def sharpness_table(a: Direction, family: str, n_max: int,
         ok = worst < 2
         annulus_note = (f"consecutive frequency-norm ratios max {worst:.6f} "
                         f"{'< 2: every dyadic annulus is hit' if ok else '>= 2'}")
-    return SharpnessTable(family, a.key(), rows, verdict, annulus_note)
+    return SharpnessTable(family, a.key(), rows, members, verdict, annulus_note)

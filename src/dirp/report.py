@@ -25,7 +25,7 @@ from .diffusion import (DEFAULT_SEED, GridFunction, GridMeasure, RVSpec, apply_m
 from .diophantine import (cf_expand, delta_from_sigma, lattice_min,
                           lattice_min_profile, markov_bounds)
 from .directions import inner_product, make_direction
-from .extremizers import PHI, fibonacci_waves, liouville_family, sharpness_table
+from .extremizers import PHI, liouville_family, sharpness_table
 from .precision import DEFAULT_CONTEXT, PrecisionContext, fraction_to_decimal_str
 from .quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 from .spectral import (TrigPoly, directional_norm, grad_norm, half_mass_cutoff, l2_norm,
@@ -53,15 +53,12 @@ def criterion_1(ctx: PrecisionContext = DEFAULT_CONTEXT) -> dict:
     and the closed-form and direct evaluations agree to 1e-30."""
     table = sharpness_table(PHI, "fibonacci", 20, ctx=ctx)
     r20 = table.rows[-1].ratio
-    members = fibonacci_waves(range(1, 21), ctx)
-    limit = members[-1].metadata["expected_limit"]
+    limit = table.members[-1].metadata["expected_limit"]
     close = _abs_leq(r20 - limit, Fraction(1, 10 ** 6))
     agree = True
     worst = Fraction(0)
     for n in (1, 5, 10, 20):
-        member = members[n - 1]
-        direct = table.rows[n - 1].ratio
-        diff = direct - member.metadata["closed_form_ratio"]
+        diff = table.rows[n - 1].ratio - table.members[n - 1].metadata["closed_form_ratio"]
         lo, hi = diff.enclosure(max(80, ctx.working_digits))
         worst = max(worst, abs(lo), abs(hi))
         agree = agree and max(abs(lo), abs(hi)) <= Fraction(1, 10 ** 30)
@@ -101,7 +98,8 @@ def criterion_3() -> dict:
     L = make_direction([1, "liouville:10"])
     l2 = l2_norm(m.poly)
     dir_ratio = directional_norm(m.poly, L) / l2
-    thm1 = (grad_norm(m.poly) / l2) * dir_ratio
+    grad_ratio = grad_norm(m.poly) / l2
+    thm1 = grad_ratio * dir_ratio
     # window [0.999e-18, 1.001e-18]
     lo, hi = dir_ratio.enclosure(80)
     window = (Fraction(999, 10 ** 3) / 10 ** 18 <= lo
@@ -110,7 +108,6 @@ def criterion_3() -> dict:
     # ||f_3|| = pi*sqrt2 exactly <=> raw coefficient mass is exactly 1/2
     mass, _, _ = parseval_sums(m.poly)
     l2_exact = mass.exact is not None and mass.exact == QuadExact(Fraction(1, 2))
-    grad_ratio = grad_norm(m.poly) / l2
     grad_ok = _leq(grad_ratio, 6 * 10 ** 6, 60)
     return {
         "criterion": 3,

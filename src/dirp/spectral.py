@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re as _re  # `re` names real parts here
+import sys
 from fractions import Fraction
 from operator import index, mul
 from types import MappingProxyType
@@ -50,6 +51,8 @@ def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> Certifie
 
 # the shapes to_json writes: an ASCII decimal without exponent, or p/q
 _PLAIN = _re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+# the exponent of an E-form, of which Fraction forms 10**|exponent|
+_EXPONENT = _re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 def _coerce_ratio(x) -> tuple[int, int]:
@@ -57,7 +60,8 @@ def _coerce_ratio(x) -> tuple[int, int]:
     Fraction or an int is taken as it is, the shapes to_json writes are read
     in integers, and anything else (a bool too) goes through Fraction(x),
     with its grammar and errors, except that a float or a CertifiedReal
-    raises TypeError."""
+    raises TypeError and an exponent above sys.get_int_max_str_digits()
+    raises ValueError."""
     if type(x) is Fraction:     # already in lowest terms
         return x.numerator, x.denominator
     if type(x) is int:
@@ -67,6 +71,10 @@ def _coerce_ratio(x) -> tuple[int, int]:
         if isinstance(x, (float, CertifiedReal)):
             raise TypeError(f"{type(x).__name__} coefficients are rejected; "
                             "pass int, Fraction or a decimal or p/q str")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        e = _EXPONENT.search(x) if limit and isinstance(x, str) else None
+        if e is not None and abs(int(e[1])) > limit:
+            raise ValueError(f"exponent magnitude exceeds the integer digit limit {limit}")
         f = Fraction(x)
         return f.numerator, f.denominator
     sign, whole, frac, den = m.groups()

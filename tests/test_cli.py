@@ -54,6 +54,16 @@ class TestNorms:
         assert code == 2 and "malformed TrigPoly JSON" in err
 
 
+    def test_exponent_beyond_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"dim": 2, "terms": [{"k": [1, 2], "re": "1e-3000000",
+                                                         "im": "0"}]}))
+        start = time.process_time()
+        code, out, err = run(capsys, "norms", f"@{poly}", "--direction", "dir:[1, 2]")
+        assert code == 2 and out == "" and "digit limit" in err
+        assert time.process_time() - start < 0.5
+
+
 class TestRatio:
     def test_liouville_collapse(self, capsys):
         doc = run_json(capsys, "ratio", "liouville:3", "--direction",

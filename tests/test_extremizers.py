@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from dirp import diophantine, directions, extremizers, report
+from dirp.certified import CertifiedReal
 from dirp.directions import inner_product, make_direction
 from dirp.errors import ParseError, PrecisionCapExceeded, RationalRatio
 from dirp.extremizers import (convergent_waves, fibonacci_waves, liouville_cap,
@@ -222,3 +224,56 @@ class TestSharpnessTable:
         table = sharpness_table(make_direction([1, e_cr()]),
                                 "convergent_wave", 20)
         assert table.verdict.startswith("inequality fails")
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls to module.name, which keeps working."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    return calls
+
+
+class TestOneWalk:
+    """Criterion 1 reads the Fibonacci waves, their closed forms and the limit
+    off the one convergent walk behind its sharpness table."""
+
+    def test_fibonacci_waves_extend_the_walks_members(self, monkeypatch):
+        made = _counting(monkeypatch, extremizers.FamilyMember, "__init__")
+        members = fibonacci_waves(range(1, 21))
+        assert len(made) == 20      # the walk's own members, none rebuilt
+        waves = convergent_waves(PHI, range(1, 21))
+        phi = CertifiedReal.from_quad(GOLDEN_RATIO)
+        for m, wave in zip(members, waves):
+            assert (m.index, m.family, m.frequency) == (wave.index, "fibonacci", wave.frequency)
+            assert m.metadata["convergent"] == wave.metadata["convergent"]
+            for key in ("abs_k", "abs_inner"):
+                assert m.metadata[key].enclosure(80) == wave.metadata[key].enclosure(80)
+            fn1, fn = m.metadata["convergent"]
+            r = Fraction(fn1, fn)    # the closed form as a rational-first expression
+            closed = (CertifiedReal.from_rational(r * r + 1).sqrt()
+                      * abs(CertifiedReal.from_rational(r) - phi) * (fn * fn))
+            assert m.metadata["closed_form_ratio"].enclosure(80) == closed.enclosure(80)
+        assert len({id(m.metadata["expected_limit"]) for m in members}) == 1
+        limit = members[0].metadata["expected_limit"]
+        assert abs(float(limit) - math.sqrt((5 + math.sqrt(5)) / 10)) < 1e-15
+
+    def test_sharpness_table_keeps_its_members(self):
+        table = sharpness_table(PHI, "fibonacci", 20)
+        assert [(m.index, m.frequency) for m in table.members] == \
+            [(r.index, r.k) for r in table.rows]
+        assert {m.family for m in table.members} == {"fibonacci"}
+
+    def test_criterion_1_walks_once(self, monkeypatch):
+        walks = _counting(monkeypatch, extremizers, "convergent_waves")
+        products = [_counting(monkeypatch, module, "inner_product")
+                    for module in (diophantine, directions, extremizers, report)]
+        assert report.criterion_1()["pass"]
+        assert len(walks) == 1
+        # 20 along the walk and 20 for the table's rows
+        assert sum(map(len, products)) == 40
+
+    def test_criterion_3_takes_the_gradient_norm_once(self, monkeypatch):
+        grads = _counting(monkeypatch, report, "grad_norm")
+        assert report.criterion_3()["pass"]
+        assert len(grads) == 1

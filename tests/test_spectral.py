@@ -1,8 +1,11 @@
 """Parseval norms, multipliers and weighted ratios on trigonometric polynomials."""
 
+import fractions
 import json
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -933,8 +936,14 @@ class TestSinglePassMasses:
 
 
 def _fraction_ratio(text):
-    """(numerator, denominator) of Fraction(text), or the type of its error."""
+    """(numerator, denominator) of Fraction(text), or the type of its error;
+    ValueError, without forming the power, for a text in Fraction's grammar
+    whose exponent exceeds the interpreter's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    m = fractions._RATIONAL_FORMAT.match(text)
     try:
+        if limit and m and m["exp"] and abs(int(m["exp"])) > limit:
+            raise ValueError("exponent beyond the digit limit")
         f = Fraction(text)
     except Exception as exc:
         return type(exc)
@@ -988,6 +997,7 @@ coefficient_texts = (
                      "\u0663/\u0664", "1e3", "1E-3", "-1.25E-3", "2.5e+2", "1e", "e1", "nan",
                      "-inf", "Infinity", "", "-", ".", "/", "1/", "/2", "1.2.3", "1/2/3",
                      "0.125", "-3.5", "8.470329472543003390683225006796419620513916015625E-22",
+                     "1e4300", "-2.5E-4300 ", "1e4301", "1e-3000000", "1e007007007", "0e1_0_000",
                      "1" * 4300, "1" * 4301, "1" * 3000 + "." + "1" * 3000,
                      "1" * 3000 + "/" + "7" * 3000, "1/0", "-0/0", "0.0/1", "1/00"])
     | st.lists(st.sampled_from(_TEXT_PIECES), max_size=6).map("".join)
@@ -1004,6 +1014,30 @@ class TestJsonIngestion:
     @settings(max_examples=400, deadline=None)
     def test_coefficient_parser_is_fractions_grammar(self, text):
         assert _ratio_or_error(text) == _fraction_ratio(text)
+
+    @pytest.mark.parametrize("text", ["1e10000000", "1e007007007", "1e-3000000", "-2.5E+4301"])
+    def test_exponent_beyond_the_digit_limit_is_rejected_at_once(self, text):
+        # Fraction(text) forms 10**|exponent|: seconds at these texts
+        start = time.process_time()
+        with pytest.raises(ValueError, match="digit limit"):
+            _coerce_ratio(text)
+        with pytest.raises(ParseError, match="digit limit"):
+            TrigPoly.from_json({"dim": 2, "terms": [{"k": [1, 0], "re": "1", "im": text}]})
+        assert time.process_time() - start < 0.25
+
+    def test_exponent_at_the_digit_limit_is_read(self):
+        limit = sys.get_int_max_str_digits()
+        assert _coerce_ratio(f"1e{limit}") == (10 ** limit, 1)
+        assert _coerce_ratio(f" -3E-{limit}") == (-3, 10 ** limit)
+        assert _coerce_ratio("8.470329472543003390683225006796419620513916015625E-22") == (1, 2 ** 70)
+
+    def test_no_digit_limit_sets_no_exponent_bound(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _coerce_ratio(f"1e-{limit + 1}") == (1, 10 ** (limit + 1))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("value", [0, 7, -12, True, Fraction(-3, 6), 10 ** 40])
     def test_non_text_coefficients_are_read_as_given(self, value):
