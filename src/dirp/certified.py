@@ -27,6 +27,7 @@ from .precision import (
     iroot,
     mul_interval,
     nth_root_interval,
+    read_ratio,
     round_out,
     sum_interval,
 )
@@ -79,10 +80,12 @@ class CertifiedReal:
     def from_decimal_literal(cls, text: str) -> "CertifiedReal":
         """Literal correctly rounded to its last digit; the interval is
         one unit in the last place on each side and never shrinks.  Text
-        that is not a finite decimal raises an ArithmeticError or ValueError."""
-        literal = Decimal(text)
-        value = Fraction(literal)
-        ulp = Fraction(10) ** literal.as_tuple().exponent
+        that is not a finite decimal raises an ArithmeticError or ValueError.
+        The value is read by read_ratio; Decimal gives only the last place."""
+        value = Fraction(*read_ratio(text))
+        if "/" in text:
+            raise ValueError("a decimal literal has no '/'")
+        ulp = Fraction(10) ** Decimal(text).as_tuple().exponent
         iv = (value - ulp, value + ulp)
         return cls(fn=lambda digits: iv, refinable=False)
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 precision exhaustion,
+Exit codes: 0 success, 2 input error (a value too large for float
+arithmetic too), 3 precision exhaustion,
 4 unresolved verdict (an indeterminate regime, an uncertified depth, or
 a failing report row).  Every output embeds the effective config, seed
 and tool version; serialization is deterministic so identical configs
@@ -26,7 +27,7 @@ from .directions import parse_direction
 from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, read_ratio
 from .report import build_report, report_to_bytes
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
@@ -164,7 +165,7 @@ def _cmd_ratio(args, settings, ctx) -> int:
         value = multi_directional_functional(f, dirs, d - ell, ell)
         exps = (d - ell, ell)
     elif preset.startswith("delta:"):
-        eg, ed = delta_from_sigma(Fraction(preset[6:]))
+        eg, ed = delta_from_sigma(Fraction(*read_ratio(preset[6:])))
         value = poincare_ratio(f, dirs[0], eg, ed)
         exps = (eg, ed)
     else:
@@ -191,7 +192,8 @@ def _cmd_lattice(args, settings, ctx) -> int:
         raise ParseError("lattice needs --direction or --system")
     else:
         a = parse_direction(args.direction)
-        res = lattice_min(a, settings["radius"], Fraction(args.sigma), args.norm, ctx)
+        res = lattice_min(a, settings["radius"],
+                          Fraction(*read_ratio(args.sigma)), args.norm, ctx)
     _emit(res.to_json(digits), settings)
     return EXIT_OK
 
@@ -216,7 +218,7 @@ def _cmd_cf(args, settings, ctx) -> int:
 def _cmd_diffusion(args, settings, ctx) -> int:
     Y = parse_rv(args.rv)
     p = math.inf if args.p == "inf" else int(args.p)
-    t_grid = [Fraction(t.strip()) for t in args.t_grid.split(",")]
+    t_grid = [Fraction(*read_ratio(t)) for t in args.t_grid.split(",")]
     M = settings["grid"]
     est = scaling_fit(Y, p, t_grid, M, seed=settings["seed"])
     rows = ["p,t,h,method,M,seed"]
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
     except (_Unresolved, DepthNotCertified) as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except (DirpError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (DirpError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .directions import split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
+from .precision import read_ratio
 
 _DIRECT_CONV_MAX = 4096   # direct sums, running Cesaro loops up to here; FFT, powering above
 _MASS_TOL = 1e-12
@@ -84,13 +85,6 @@ class RVSpec:
         return out + sum((p * m for p, m in self.atoms), Fraction(0))
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad number {text!r}") from exc
-
-
 def _parse_pairs(body: str) -> list[tuple[str, str]]:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
@@ -107,19 +101,21 @@ def _parse_pairs(body: str) -> list[tuple[str, str]]:
 
 def parse_rv(text: str) -> RVSpec:
     """Grammar: uniform:lo:hi | atoms:[(pos,mass),...] |
-    mix:[(weight,<spec-with-;-for-:>),...]."""
+    mix:[(weight,<spec-with-;-for-:>),...]; every number is read by
+    read_ratio."""
     text = text.strip()
     tag, _, body = text.partition(":")
     tag = tag.strip().lower()
     if tag == "uniform":
         lo, _, hi = body.partition(":")
-        return RVSpec.uniform(_frac(lo), _frac(hi))
+        return RVSpec.uniform(Fraction(*read_ratio(lo)), Fraction(*read_ratio(hi)))
     if tag == "atoms":
-        return RVSpec.from_atoms((_frac(p), _frac(m)) for p, m in _parse_pairs(body))
+        return RVSpec.from_atoms((Fraction(*read_ratio(p)), Fraction(*read_ratio(m)))
+                                 for p, m in _parse_pairs(body))
     if tag == "mix":
         parts = []
         for w, sub in _parse_pairs(body):
-            parts.append((_frac(w), parse_rv(sub.strip().replace(";", ":"))))
+            parts.append((Fraction(*read_ratio(w)), parse_rv(sub.strip().replace(";", ":"))))
         return RVSpec.mixture(parts)
     raise ParseError(f"unknown RV spec {text!r}")
 
@@ -214,9 +210,17 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
     for w, lo, hi in Y.uniforms:
         # in cell units, with cells centered on the grid points j/M (as in
         # the atom interpolation below) so symmetric laws stay spectrally
-        # symmetric; unwrapped cell c overlaps [a, b] and wraps to c mod M
+        # symmetric; unwrapped cell c overlaps [a, b] and wraps to c mod M.
+        # Each of the n whole turns in [a, b] gives every cell dens; the
+        # loop covers the rest, which is shorter than one turn
         a, b = t * lo * M + Fraction(1, 2), t * hi * M + Fraction(1, 2)
         dens = w / (b - a)
+        n = math.floor((b - a) / M)
+        if n:
+            whole = dens * n
+            for c in range(M):
+                mass[c] += whole
+            a += n * M
         for c in range(math.floor(a), math.ceil(b)):
             mass[c % M] += dens * (min(b, c + 1) - max(a, c))
     for p, m in Y.atoms:

@@ -22,6 +22,7 @@ from typing import Sequence
 from . import constants
 from .certified import CertifiedReal
 from .errors import DimensionMismatch, ParseError
+from .precision import read_ratio
 from .quadratic import QuadExact
 
 _QUAD_RE = re.compile(
@@ -65,12 +66,12 @@ def parse_quad(body: str) -> QuadExact:
     m = _QUAD_RE.match(body.strip())
     if not m:
         raise ParseError(f"cannot parse quadratic spec {body!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+    a = Fraction(*read_ratio(m.group("a"))) if m.group("a") else Fraction(0)
+    b = Fraction(*read_ratio(m.group("b"))) if m.group("b") else Fraction(1)
     if m.group("sign") == "-":
         b = -b
     d = int(m.group("d"))
-    c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+    c = int(m.group("c")) if m.group("c") else 1
     if c == 0:
         raise ParseError("quadratic spec with zero denominator")
     # (a+b*sqrtD)/c with square D collapses to a rational; allowed
@@ -81,15 +82,15 @@ def parse_entry(token: str) -> CertifiedReal:
     token = token.strip()
     if ":" not in token:
         try:
-            return CertifiedReal.from_rational(Fraction(token))
+            return CertifiedReal.from_rational(Fraction(*read_ratio(token)))
         except ValueError as exc:
-            raise ParseError(
-                f"bare entry {token!r} is not rational; use dec:/quad:/const:") from exc
+            raise ParseError(f"bare entry {token!r} is not rational ({exc}); "
+                             "use dec:/quad:/const:") from exc
     tag, _, body = token.partition(":")
     tag = tag.strip().lower()
     try:
         if tag == "rat":
-            return CertifiedReal.from_rational(Fraction(body))
+            return CertifiedReal.from_rational(Fraction(*read_ratio(body)))
         if tag == "quad":
             return CertifiedReal.from_quad(parse_quad(body))
         if tag == "dec":
@@ -99,7 +100,7 @@ def parse_entry(token: str) -> CertifiedReal:
         if tag == "liouville":
             return liouville_constant(int(body))
     except (ValueError, ArithmeticError) as exc:
-        raise ParseError(f"bad {tag}: entry {body!r}") from exc
+        raise ParseError(f"bad {tag}: entry {body!r} ({exc})") from exc
     if tag == "const":
         name = body.strip().lower()
         table = {"e": constants.e_cr, "pi": constants.pi_cr, "log2": constants.log2_cr}

@@ -3,11 +3,14 @@
 All rigorous enclosures in the toolkit are pairs of Fractions (lo, hi)
 with the true value guaranteed inside.  Endpoints are rounded outward to
 a decimal grid after each operation so denominators stay bounded.
+read_ratio is the one reader of rational text.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN, ROUND_CEILING
 from fractions import Fraction
@@ -123,3 +126,38 @@ def fraction_to_decimal_str_up(x: Fraction, sig: int) -> str:
     if x < 0:
         raise ValueError("radius must be nonnegative")
     return fraction_to_decimal_str(x, sig, rounding=ROUND_CEILING)
+
+
+# the shapes to_json writes: an ASCII decimal without exponent, or p/q
+_PLAIN = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+# the exponent of an E-form, of which Fraction forms 10**|exponent|
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def read_ratio(text: str) -> tuple[int, int]:
+    """Rational text as (numerator, denominator) in lowest terms, in the
+    grammar of Fraction(text) and with its errors.  The shapes to_json
+    writes are read in integers, and an exponent above
+    sys.get_int_max_str_digits() (0 sets no bound) raises ValueError before
+    any power of ten is formed."""
+    m = _PLAIN.fullmatch(text)
+    if m is None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        e = _EXPONENT.search(text) if limit else None
+        if e is not None and abs(int(e[1])) > limit:
+            raise ValueError(f"exponent magnitude exceeds the integer digit limit {limit}")
+        f = Fraction(text)
+        return f.numerator, f.denominator
+    sign, whole, frac, den = m.groups()
+    if den is not None:
+        n, d = int(whole), int(den)
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+    elif frac is not None:
+        d = 10 ** len(frac)
+        n = int(whole) * d + int(frac)
+    else:
+        n = int(whole)
+        return (-n if sign else n), 1
+    g = math.gcd(n, d)
+    return (-n if sign else n) // g, d // g

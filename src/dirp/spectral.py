@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re as _re  # `re` names real parts here
-import sys
 from fractions import Fraction
 from operator import index, mul
 from types import MappingProxyType
@@ -22,7 +20,7 @@ from .certified import GUARD, CertifiedReal
 from .constants import pi_cr
 from .directions import Direction
 from .errors import DimensionMismatch, ParseError, ZeroFunction
-from .precision import fraction_to_decimal_str, round_out
+from .precision import fraction_to_decimal_str, read_ratio, round_out
 from .quadratic import QuadExact, common_field
 
 FreqVector = tuple[int, ...]
@@ -49,47 +47,22 @@ def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> Certifie
     return CertifiedReal.from_rational(base).pow_frac(expo)
 
 
-# the shapes to_json writes: an ASCII decimal without exponent, or p/q
-_PLAIN = _re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
-# the exponent of an E-form, of which Fraction forms 10**|exponent|
-_EXPONENT = _re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
 def _coerce_ratio(x) -> tuple[int, int]:
     """A coefficient part as (numerator, denominator) in lowest terms.  A
-    Fraction or an int is taken as it is, the shapes to_json writes are read
-    in integers, and anything else (a bool too) goes through Fraction(x),
-    with its grammar and errors, except that a float or a CertifiedReal
-    raises TypeError and an exponent above sys.get_int_max_str_digits()
-    raises ValueError."""
+    Fraction or an int is taken as it is, a str is read by read_ratio, and
+    anything else (a bool too) goes through Fraction(x), except that a float
+    or a CertifiedReal raises TypeError."""
     if type(x) is Fraction:     # already in lowest terms
         return x.numerator, x.denominator
     if type(x) is int:
         return x, 1
-    m = _PLAIN.fullmatch(x) if type(x) is str else None
-    if m is None:
-        if isinstance(x, (float, CertifiedReal)):
-            raise TypeError(f"{type(x).__name__} coefficients are rejected; "
-                            "pass int, Fraction or a decimal or p/q str")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        e = _EXPONENT.search(x) if limit and isinstance(x, str) else None
-        if e is not None and abs(int(e[1])) > limit:
-            raise ValueError(f"exponent magnitude exceeds the integer digit limit {limit}")
-        f = Fraction(x)
-        return f.numerator, f.denominator
-    sign, whole, frac, den = m.groups()
-    if den is not None:
-        n, d = int(whole), int(den)
-        if d == 0:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
-    elif frac is not None:
-        d = 10 ** len(frac)
-        n = int(whole) * d + int(frac)
-    else:
-        n = int(whole)
-        return (-n if sign else n), 1
-    g = math.gcd(n, d)
-    return (-n if sign else n) // g, d // g
+    if isinstance(x, str):
+        return read_ratio(x)
+    if isinstance(x, (float, CertifiedReal)):
+        raise TypeError(f"{type(x).__name__} coefficients are rejected; "
+                        "pass int, Fraction or a decimal or p/q str")
+    f = Fraction(x)
+    return f.numerator, f.denominator
 
 
 def _exact_text(x: Fraction) -> str:

@@ -281,6 +281,18 @@ class TestCertifiedReal:
         lo, hi = x.enclosure(80)
         assert lo == Fraction("1.413") and hi == Fraction("1.415")
 
+    @pytest.mark.parametrize("text", ["1_000", "\u0663.5", "+.5", "5.", "-0.0", " 2.5 "])
+    def test_decimal_literal_value_comes_from_the_reader(self, text):
+        literal = Decimal(text)
+        ulp = Fraction(10) ** literal.as_tuple().exponent
+        x = CertifiedReal.from_decimal_literal(text)
+        assert x.enclosure(80) == (Fraction(literal) - ulp, Fraction(literal) + ulp)
+        # Decimal reads this exponent at once, but Fraction(literal) forms 10**10**7
+        start = time.process_time()
+        with pytest.raises(ValueError, match="digit limit"):
+            CertifiedReal.from_decimal_literal(text.strip() + "e10000000")
+        assert time.process_time() - start < 0.25
+
     def test_compare_and_min(self):
         a = CertifiedReal.from_quad(SQRT2)
         b = CertifiedReal.from_rational(Fraction(3, 2))

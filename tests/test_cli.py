@@ -407,3 +407,44 @@ class TestInProcessCalls:
         assert after == before
         assert after["result"]["directions"] == ["dir:[1, rat:1/2, rat:1/7]"]
         assert after["config"]["digits"] == 80 and after["result"]["preset"] == "thm1"
+
+
+# every site that reads a number from the command line, with {x} for the
+# number and the exit code it gives when x = 1e4300 is read
+_NUMBER_SITES = {
+    "bare entry": (("norms", "fib:3", "--direction", "dir:[1, {x}]"), 0),
+    "rat:": (("norms", "fib:3", "--direction", "dir:[1, rat:{x}]"), 0),
+    "dec:": (("norms", "fib:3", "--direction", "dir:[1, dec:{x}]"), 0),
+    # 1e4300 is read, then overflows float arithmetic
+    "--sigma": (("lattice", "--direction", "dir:[1, quad:sqrt2]", "--radius", "3",
+                 "--sigma", "{x}"), 2),
+    "delta:": (("ratio", "fib:5", "--direction", "dir:[1, quad:(1+sqrt5)/2]",
+                "--preset", "delta:{x}"), 2),
+    # 1e4300 is read, then falls outside (0, 1]
+    "--t-grid": (("diffusion", "uniform:0:1", "--t-grid", "0.1,{x}"), 2),
+    # a uniform law 1e4300 wide is nearly flat: the fit is indeterminate
+    "uniform:": (("diffusion", "uniform:0:{x}"), 4),
+    "atoms:": (("diffusion", "atoms:[(0,1/2),({x},1/2)]"), 0),
+}
+
+
+class TestNumberText:
+    @pytest.mark.parametrize("site", list(_NUMBER_SITES))
+    def test_every_number_site_bounds_the_exponent(self, capsys, site):
+        argv, code_at_limit = _NUMBER_SITES[site]
+        # Fraction forms 10**|exponent|: seconds or a stall at this text
+        start = time.process_time()
+        code, out, err = run(capsys, *(a.format(x="1e10000000") for a in argv))
+        assert time.process_time() - start < 0.25
+        assert code == 2 and out == "" and "digit limit" in err
+        code, _, err = run(capsys, *(a.format(x="1e4300") for a in argv))
+        assert code == code_at_limit and "exponent magnitude" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("lattice", "--direction", "dir:[1,quad:sqrt2]", "--radius", "3", "--sigma", "1e309"),
+        ("ratio", "fib:5", "--direction", "dir:[1,quad:(1+sqrt5)/2]", "--preset", "delta:1e400"),
+        ("lattice", "--direction", "dir:[1,quad:sqrt2]", "--radius", "3", "--sigma", "1e-400"),
+    ])
+    def test_overflow_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")

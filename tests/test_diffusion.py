@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +31,12 @@ PERIODIC = RVSpec.from_atoms([(Fraction(1, 2), 1)])   # t = 1: mu_hat(n) = (-1)^
 
 
 @st.composite
-def _laws(draw) -> RVSpec:
+def _laws(draw, starts=st.fractions(-1, 1, max_denominator=12),
+          widths=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)])) -> RVSpec:
     """A mixture of up to three uniform parts at least 1/4 wide and atoms at
     small-denominator positions, which put periodic orbits in reach."""
-    parts = draw(st.lists(st.tuples(
-        st.integers(1, 4), st.booleans(), st.fractions(-1, 1, max_denominator=12),
-        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)])), min_size=1, max_size=3))
+    parts = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans(), starts, widths),
+                          min_size=1, max_size=3))
     total = sum(w for w, _, _, _ in parts)
     uniforms = tuple((Fraction(w, total), x, x + width)
                      for w, is_atom, x, width in parts if not is_atom)
@@ -290,6 +292,29 @@ class TestRVSpec:
             parse_rv(bad)
 
 
+def _cell_loop_masses(Y: RVSpec, t, M: int) -> np.ndarray:
+    """Oracle: cell masses of tY from measure_from_rv's former loop, which
+    visits every unwrapped cell a uniform part covers, whole turns included."""
+    t = Fraction(t)
+    mass: dict[int, Fraction] = defaultdict(Fraction)
+    for w, lo, hi in Y.uniforms:
+        a, b = t * lo * M + Fraction(1, 2), t * hi * M + Fraction(1, 2)
+        dens = w / (b - a)
+        for c in range(math.floor(a), math.ceil(b)):
+            mass[c % M] += dens * (min(b, c + 1) - max(a, c))
+    for p, m in Y.atoms:
+        x = t * p
+        x -= math.floor(x)
+        j = math.floor(x * M)
+        frac = x * M - j
+        mass[j % M] += m * (1 - frac)
+        if frac:
+            mass[(j + 1) % M] += m * frac
+    weights = np.zeros(M)
+    weights[list(mass)] = [float(v) for v in mass.values()]
+    return weights
+
+
 class TestDiscretization:
     def test_point_mass_at_zero(self):
         mu = measure_from_rv(RVSpec.from_atoms([(0, 1)]), Fraction(1, 2), 128)
@@ -337,6 +362,26 @@ class TestDiscretization:
         Y = parse_rv(spec)
         assert np.array_equal(measure_from_rv(Y, t, M).weights,
                               _turn_unit_masses(Y, t, M))
+
+    # uniform parts up to six turns wide, starting anywhere in [-3, 3]
+    @given(Y=_laws(st.fractions(-3, 3, max_denominator=12),
+                   st.fractions(Fraction(1, 4), 6, max_denominator=12)),
+           t=st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(3, 7),
+                              Fraction(1, 3)]),
+           M=st.sampled_from([64, 100, 257, 1000]))
+    @settings(max_examples=80, deadline=None)
+    def test_whole_turns_give_the_cell_loop_masses(self, Y, t, M):
+        assert np.array_equal(measure_from_rv(Y, t, M).weights, _cell_loop_masses(Y, t, M))
+
+    def test_wide_uniform_law_costs_one_pass_over_the_grid(self):
+        # the loop over unwrapped cells visits 4 * 10**7 of them at this width
+        start = time.process_time()
+        flat = measure_from_rv(RVSpec.uniform(0, 100000), Fraction(1, 10), 4096).weights
+        Y = RVSpec.uniform(Fraction(-1, 3), 100000)
+        wide = measure_from_rv(Y, Fraction(1, 10), 4096).weights
+        assert time.process_time() - start < 0.5
+        assert np.array_equal(flat, np.full(4096, 1 / 4096))
+        assert np.array_equal(wide, _turn_unit_masses(Y, Fraction(1, 10), 4096))
 
     def test_under_resolved(self):
         with pytest.raises(UnderResolved):

@@ -45,8 +45,8 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
     assert _private_imports(probe) == ["probe.py:1 imports _sd", "probe.py:2 imports _x"]
 
 
-# cli.main maps DirpError, ValueError and ZeroDivisionError to exit codes;
-# TypeError reports library misuse
+# cli.main maps DirpError, ValueError and ArithmeticError (ZeroDivisionError
+# and OverflowError among them) to exit codes; TypeError reports library misuse
 ALLOWED_BUILTINS = {"ValueError", "ZeroDivisionError", "TypeError"}
 
 

@@ -1,16 +1,20 @@
-"""The README's library tour, polynomial-file example and random-variable
-examples run as written."""
+"""The README's library tour, polynomial-file example, number examples and
+random-variable examples run as written."""
 
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from dirp.certified import CertifiedReal
 from dirp.cli import main
 from dirp.constants import e_cr, log2_cr, pi_cr
 from dirp.diffusion import parse_rv
 from dirp.directions import liouville_constant, parse_entry
+from dirp.errors import ParseError
+from dirp.precision import read_ratio
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,3 +80,21 @@ def test_readme_direction_grammar_tokens_parse_to_their_values():
             assert x.enclosure(60) == value, token
         else:
             assert x.exact == value, token
+
+
+def test_readme_number_examples_are_read_and_rejected_as_stated():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Numbers: every rational"):].split("\n\n", 1)[0]
+    read_part, _, rejected_part = paragraph.partition("Rejected")
+    read = re.findall(r"`([^`]+)`", read_part.rpartition("Read:")[2])
+    rejected = re.findall(r"`([^`]+)`", rejected_part)
+    assert read == ["0.5", "-1.25E-3", "1/3", "2/4", "1_000", "1e4300"]
+    assert rejected == ["1e4301", "1e-3000000", "1/0", "1.2.3", "0x10"]
+    for number in read:
+        f = Fraction(number)
+        assert read_ratio(number) == (f.numerator, f.denominator), number
+    for number in rejected:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            read_ratio(number)
+    with pytest.raises(ParseError):
+        parse_entry("dec:1/3")

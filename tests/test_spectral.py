@@ -21,6 +21,7 @@ from dirp.diophantine import delta_from_sigma
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_waves, liouville_family
+from dirp.precision import read_ratio
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
 from dirp.spectral import (TrigPoly, _coerce_ratio, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
@@ -950,9 +951,9 @@ def _fraction_ratio(text):
     return f.numerator, f.denominator
 
 
-def _ratio_or_error(text):
+def _ratio_or_error(reader, text):
     try:
-        return _coerce_ratio(text)
+        return reader(text)
     except Exception as exc:
         return type(exc)
 
@@ -1010,10 +1011,11 @@ coefficient_texts = (
 class TestJsonIngestion:
     """from_json reads coefficient text in integers, in one pass with the masses."""
 
+    @pytest.mark.parametrize("reader", [_coerce_ratio, read_ratio], ids=lambda f: f.__name__)
     @given(text=coefficient_texts)
     @settings(max_examples=400, deadline=None)
-    def test_coefficient_parser_is_fractions_grammar(self, text):
-        assert _ratio_or_error(text) == _fraction_ratio(text)
+    def test_coefficient_parser_is_fractions_grammar(self, reader, text):
+        assert _ratio_or_error(reader, text) == _fraction_ratio(text)
 
     @pytest.mark.parametrize("text", ["1e10000000", "1e007007007", "1e-3000000", "-2.5E+4301"])
     def test_exponent_beyond_the_digit_limit_is_rejected_at_once(self, text):
