@@ -27,9 +27,9 @@ from .precision import (
     iroot,
     mul_interval,
     nth_root_interval,
-    read_ratio,
     round_out,
     sum_interval,
+    to_fraction,
 )
 from .quadratic import QuadExact
 
@@ -82,7 +82,7 @@ class CertifiedReal:
         one unit in the last place on each side and never shrinks.  Text
         that is not a finite decimal raises an ArithmeticError or ValueError.
         The value is read by read_ratio; Decimal gives only the last place."""
-        value = Fraction(*read_ratio(text))
+        value = to_fraction(text)
         if "/" in text:
             raise ValueError("a decimal literal has no '/'")
         ulp = Fraction(10) ** Decimal(text).as_tuple().exponent

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .diffusion import DEFAULT_SEED, parse_rv, scaling_fit
@@ -27,7 +26,7 @@ from .directions import parse_direction
 from .errors import (DepthNotCertified, DirpError, ParseError,
                      PrecisionCapExceeded, PrecisionExhausted)
 from .extremizers import parse_family_token
-from .precision import DEFAULT_CONTEXT, PrecisionContext, read_ratio
+from .precision import DEFAULT_CONTEXT, PrecisionContext
 from .report import build_report, report_to_bytes
 from .spectral import (TrigPoly, directional_norm, grad_norm, l2_norm,
                        multi_directional_functional, poincare_ratio)
@@ -165,7 +164,7 @@ def _cmd_ratio(args, settings, ctx) -> int:
         value = multi_directional_functional(f, dirs, d - ell, ell)
         exps = (d - ell, ell)
     elif preset.startswith("delta:"):
-        eg, ed = delta_from_sigma(Fraction(*read_ratio(preset[6:])))
+        eg, ed = delta_from_sigma(preset[6:])
         value = poincare_ratio(f, dirs[0], eg, ed)
         exps = (eg, ed)
     else:
@@ -192,8 +191,7 @@ def _cmd_lattice(args, settings, ctx) -> int:
         raise ParseError("lattice needs --direction or --system")
     else:
         a = parse_direction(args.direction)
-        res = lattice_min(a, settings["radius"],
-                          Fraction(*read_ratio(args.sigma)), args.norm, ctx)
+        res = lattice_min(a, settings["radius"], args.sigma, args.norm, ctx)
     _emit(res.to_json(digits), settings)
     return EXIT_OK
 
@@ -218,9 +216,8 @@ def _cmd_cf(args, settings, ctx) -> int:
 def _cmd_diffusion(args, settings, ctx) -> int:
     Y = parse_rv(args.rv)
     p = math.inf if args.p == "inf" else int(args.p)
-    t_grid = [Fraction(*read_ratio(t)) for t in args.t_grid.split(",")]
     M = settings["grid"]
-    est = scaling_fit(Y, p, t_grid, M, seed=settings["seed"])
+    est = scaling_fit(Y, p, args.t_grid.split(","), M, seed=settings["seed"])
     rows = ["p,t,h,method,M,seed"]
     label = "inf" if p == math.inf else str(p)
     for t, h, method in zip(est.t_grid, est.h_values, est.methods):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .directions import split_top_level
 from .errors import GridMismatch, ParseError, UnderResolved, ZeroDrift
-from .precision import read_ratio
+from .precision import short_str, to_fraction
 
 _DIRECT_CONV_MAX = 4096   # direct sums, running Cesaro loops up to here; FFT, powering above
 _MASS_TOL = 1e-12
@@ -50,7 +50,7 @@ class RVSpec:
         total = sum((w for w, _, _ in self.uniforms), Fraction(0))
         total += sum((m for _, m in self.atoms), Fraction(0))
         if total != 1:
-            raise ValueError(f"total mass must be 1, got {total}")
+            raise ValueError(f"total mass must be 1, got {short_str(total)}")
         for w, lo, hi in self.uniforms:
             if w <= 0 or lo >= hi:
                 raise ValueError("uniform parts need weight > 0 and lo < hi")
@@ -60,18 +60,20 @@ class RVSpec:
 
     @classmethod
     def uniform(cls, lo, hi) -> "RVSpec":
-        return cls(uniforms=((Fraction(1), Fraction(lo), Fraction(hi)),))
+        """Uniform on [lo, hi]; every number here and in from_atoms and
+        mixture is an int, a Fraction or text read by read_ratio."""
+        return cls(uniforms=((Fraction(1), to_fraction(lo), to_fraction(hi)),))
 
     @classmethod
     def from_atoms(cls, pairs) -> "RVSpec":
-        return cls(atoms=tuple((Fraction(p), Fraction(m)) for p, m in pairs))
+        return cls(atoms=tuple((to_fraction(p), to_fraction(m)) for p, m in pairs))
 
     @classmethod
     def mixture(cls, parts) -> "RVSpec":
         """parts: (weight, RVSpec) pairs; weights sum to 1."""
         uniforms, atoms = [], []
         for w, spec in parts:
-            w = Fraction(w)
+            w = to_fraction(w)
             for wu, lo, hi in spec.uniforms:
                 uniforms.append((w * wu, lo, hi))
             for p, m in spec.atoms:
@@ -108,15 +110,12 @@ def parse_rv(text: str) -> RVSpec:
     tag = tag.strip().lower()
     if tag == "uniform":
         lo, _, hi = body.partition(":")
-        return RVSpec.uniform(Fraction(*read_ratio(lo)), Fraction(*read_ratio(hi)))
+        return RVSpec.uniform(lo, hi)
     if tag == "atoms":
-        return RVSpec.from_atoms((Fraction(*read_ratio(p)), Fraction(*read_ratio(m)))
-                                 for p, m in _parse_pairs(body))
+        return RVSpec.from_atoms(_parse_pairs(body))
     if tag == "mix":
-        parts = []
-        for w, sub in _parse_pairs(body):
-            parts.append((Fraction(*read_ratio(w)), parse_rv(sub.strip().replace(";", ":"))))
-        return RVSpec.mixture(parts)
+        return RVSpec.mixture([(w, parse_rv(sub.strip().replace(";", ":")))
+                               for w, sub in _parse_pairs(body)])
     raise ParseError(f"unknown RV spec {text!r}")
 
 
@@ -198,14 +197,14 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
     """
     if M < 64:
         raise UnderResolved(f"M={M} < 64")
-    t = Fraction(t)
+    t = to_fraction(t)
     if not 0 < t <= 1:
-        raise ValueError(f"t must be in (0, 1], got {t}")
+        raise ValueError(f"t must be in (0, 1], got {short_str(t)}")
     for w, lo, hi in Y.uniforms:
         if t * (hi - lo) < Fraction(4, M):
             raise UnderResolved(
-                f"uniform part ({lo},{hi}) scaled by t={t} spans fewer than "
-                f"4 of {M} cells; increase M")
+                f"uniform part ({short_str(lo)},{short_str(hi)}) scaled by "
+                f"t={short_str(t)} spans fewer than 4 of {M} cells; increase M")
     mass: dict[int, Fraction] = defaultdict(Fraction)   # touched cells only
     for w, lo, hi in Y.uniforms:
         # in cell units, with cells centered on the grid points j/M (as in
@@ -526,7 +525,7 @@ def scaling_fit(Y: RVSpec, p, t_grid: Sequence, M: int,
     work starts.  A fit needs two or more t values: a one-point grid
     raises ValueError unless h vanishes there.
     """
-    ts = [Fraction(t) for t in t_grid]
+    ts = [to_fraction(t) for t in t_grid]
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly decreasing")
     factors = _contraction_factors(Y, ts, p, M, seed)
@@ -564,7 +563,7 @@ def density_floor_check(Y: RVSpec, t, C, M: int) -> tuple[int, float]:
     absolutely-continuous component; purely singular Y may honestly
     report 0.
     """
-    t, C = Fraction(t), Fraction(C)
+    t, C = to_fraction(t), to_fraction(C)
     if C <= 0:
         raise ValueError("C must be > 0")
     drift = Y.mean
@@ -589,7 +588,7 @@ def taylor_limit_check(harmonics: Sequence[tuple[int, float]],
         raise UnderResolved(f"M={M} < 64")
     if any(n == 0 for n, _ in harmonics) or not harmonics:
         raise ValueError("harmonics must be nonempty with n != 0 (mean zero)")
-    ts = [Fraction(t) for t in t_grid]
+    ts = [to_fraction(t) for t in t_grid]
     if any(b >= a for a, b in zip(ts, ts[1:])) or len(ts) < 2:
         raise ValueError("t_grid must be strictly decreasing, length >= 2")
     x = np.arange(M) / M

@@ -30,7 +30,7 @@ from .errors import (
     PrecisionExhausted,
     RationalRatio,
 )
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, short_str, to_fraction
 from .quadratic import QuadExact
 from .spectral import freq_norm_cr
 
@@ -511,7 +511,7 @@ def lattice_min(a: Direction, R: int, sigma, norm: str = "euclidean",
     excluded by its column's window; for d = 1 that is k_1 = 1..R.
     """
     _check_search(R, norm)
-    sigma = Fraction(sigma)
+    sigma = to_fraction(sigma)
     blocks, enumerated, _ = _column_windows(a, R, sigma, norm)
     K, shell = _prune(blocks)
     _, argmin, minimum = _running_min(K[_shell_order(K, shell)],
@@ -537,7 +537,7 @@ def lattice_min_profile(a: Direction, R: int, sigma, norm: str = "euclidean",
     or above the final one, so the pool holds about the candidates rather
     than every window."""
     _check_search(R, norm)
-    sigma = Fraction(sigma)
+    sigma = to_fraction(sigma)
     blocks, _, bound = _column_windows(a, R, sigma, norm)
     pool = []
     for K, shell, lo, hi in blocks:
@@ -687,9 +687,9 @@ def delta_from_sigma(sigma) -> tuple[Fraction, Fraction]:
     """Map a polynomial lower-bound exponent sigma (so |<k,alpha>| is
     assumed >= c|k|^-sigma) to the exponent pair (1-delta, delta) with
     delta = 1/(sigma+1)."""
-    sigma = Fraction(sigma)
+    sigma = to_fraction(sigma)
     if sigma <= 0:
-        raise NonpositiveSigma(f"sigma must be > 0, got {sigma}")
+        raise NonpositiveSigma(f"sigma must be > 0, got {short_str(sigma)}")
     delta = 1 / (sigma + 1)
     return (1 - delta, delta)
 

@@ -22,7 +22,7 @@ from typing import Sequence
 from . import constants
 from .certified import CertifiedReal
 from .errors import DimensionMismatch, ParseError
-from .precision import read_ratio
+from .precision import to_fraction
 from .quadratic import QuadExact
 
 _QUAD_RE = re.compile(
@@ -66,8 +66,8 @@ def parse_quad(body: str) -> QuadExact:
     m = _QUAD_RE.match(body.strip())
     if not m:
         raise ParseError(f"cannot parse quadratic spec {body!r}")
-    a = Fraction(*read_ratio(m.group("a"))) if m.group("a") else Fraction(0)
-    b = Fraction(*read_ratio(m.group("b"))) if m.group("b") else Fraction(1)
+    a = to_fraction(m.group("a")) if m.group("a") else Fraction(0)
+    b = to_fraction(m.group("b")) if m.group("b") else Fraction(1)
     if m.group("sign") == "-":
         b = -b
     d = int(m.group("d"))
@@ -82,7 +82,7 @@ def parse_entry(token: str) -> CertifiedReal:
     token = token.strip()
     if ":" not in token:
         try:
-            return CertifiedReal.from_rational(Fraction(*read_ratio(token)))
+            return CertifiedReal.from_rational(to_fraction(token))
         except ValueError as exc:
             raise ParseError(f"bare entry {token!r} is not rational ({exc}); "
                              "use dec:/quad:/const:") from exc
@@ -90,7 +90,7 @@ def parse_entry(token: str) -> CertifiedReal:
     tag = tag.strip().lower()
     try:
         if tag == "rat":
-            return CertifiedReal.from_rational(Fraction(*read_ratio(body)))
+            return CertifiedReal.from_rational(to_fraction(body))
         if tag == "quad":
             return CertifiedReal.from_quad(parse_quad(body))
         if tag == "dec":

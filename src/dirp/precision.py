@@ -3,7 +3,8 @@
 All rigorous enclosures in the toolkit are pairs of Fractions (lo, hi)
 with the true value guaranteed inside.  Endpoints are rounded outward to
 a decimal grid after each operation so denominators stay bounded.
-read_ratio is the one reader of rational text.
+read_ratio is the one reader of rational text, and to_fraction reads
+with it any str argument that a library function takes as a number.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext, ROUND_HALF_EVEN, ROUND_CEILING
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_EVEN, Decimal,
+                     localcontext)
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -121,6 +123,23 @@ def fraction_to_decimal_str(x: Fraction, sig: int, rounding=ROUND_HALF_EVEN) -> 
     return str(d)
 
 
+def short_str(x: Fraction) -> str:
+    """str(x) when its numerator and denominator have at most 20 digits,
+    else about 20 significant digits of x as a Decimal string, from its
+    leading 100 bits: a message that quotes a number never meets the integer digit
+    limit, and costs about the same at any size."""
+    n, d = x.numerator, x.denominator
+    if abs(n) < 10 ** 20 and d < 10 ** 20:
+        return str(x)
+    e = abs(n).bit_length() - d.bit_length() - 100
+    q = (n >> e) // d if e >= 0 else (n << -e) // d     # x = q * 2**e to 2**-98
+    with localcontext() as dctx:
+        dctx.prec, dctx.Emax, dctx.Emin = 30, MAX_EMAX, MIN_EMIN
+        v = Decimal(q) * Decimal(2) ** e
+        dctx.prec = 20
+        return str(+v)
+
+
 def fraction_to_decimal_str_up(x: Fraction, sig: int) -> str:
     """Decimal string rounded away from zero (for radii: never understate)."""
     if x < 0:
@@ -161,3 +180,11 @@ def read_ratio(text: str) -> tuple[int, int]:
         return (-n if sign else n), 1
     g = math.gcd(n, d)
     return (-n if sign else n) // g, d // g
+
+
+def to_fraction(x) -> Fraction:
+    """x as a Fraction: a str is read by read_ratio, with its exponent
+    bound, and anything else goes through Fraction(x)."""
+    if isinstance(x, str):
+        return Fraction(*read_ratio(x))
+    return Fraction(x)

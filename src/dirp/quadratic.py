@@ -25,7 +25,10 @@ class QuadExact:
     def __init__(self, a, b=0, d=0):
         if isinstance(a, float) or isinstance(b, float) or isinstance(d, float):
             raise TypeError("floats are rejected: pass int, Fraction or str")
-        a, b = Fraction(a), Fraction(b)
+        if type(a) is not Fraction:     # a Fraction is immutable: keep it
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         d = int(d)
         if b == 0:
             d = 0

@@ -186,8 +186,10 @@ class _Integers:
                 return lo + (m >> 32)
 
 
-# every coefficient _random_poly can draw: num / 2**e, at [e][num + 8]
-_COEFFS = [[Fraction(num, 2 ** e) for num in range(-8, 9)] for e in range(4)]
+# every coefficient _random_poly can draw: num / 2**e in lowest terms, as the
+# (numerator, denominator) int pair at [e][num + 8]; a sum of two pairs is a
+# TrigPoly row
+_COEFFS = [[Fraction(num, 2 ** e).as_integer_ratio() for num in range(-8, 9)] for e in range(4)]
 
 
 def _random_poly(draw: _Integers) -> TrigPoly:
@@ -216,9 +218,9 @@ def _random_poly(draw: _Integers) -> TrigPoly:
             i, (d257, d17, d4) = draw.pos, draw.lemire
         if num_re == 0 and num_im == 0:
             continue
-        terms[k] = (coeffs[num_re + 8], coeffs[num_im + 8])
+        terms[k] = coeffs[num_re + 8] + coeffs[num_im + 8]
     draw.pos = i
-    return TrigPoly(2, terms)
+    return TrigPoly._from_rows(2, terms)
 
 
 def criteria_5_6(seed: int = DEFAULT_SEED,
@@ -243,17 +245,19 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
     chain_fail = 0
     for _ in range(samples):
         p = _random_poly(draw)
-        s0, sg, sd = (x.exact for x in parseval_sums(p, PHI))
-        s0, sg = s0.as_fraction(), sg.as_fraction()
+        # s0 = S0 / L^2 and sg = SG / L^2 (parseval_sums), so the chain's
+        # 8 sg / s0^2 and R_f^2 = 4 sg / s0 are integer ratios
+        (S0, SG), scale = p.mass_totals, p.masses[0]
+        sd = parseval_sums(p, PHI)[2].exact
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
         _, tail = half_mass_cutoff(p)
         if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
             half_fail += 1
         # chain: 8 ratio^2 = 8 sg sd / s0^2 >= minsq with minsq at shells <= R_f^2
-        thr = math.ceil(4 * sg / s0)
+        thr = -(-4 * SG // S0)
         i = bisect.bisect_right(shells, thr)
         minsq = rec[i - 1] if i else None
-        if minsq is None or (sd * (8 * sg / (s0 * s0)) - minsq).sign() < 0:
+        if minsq is None or (sd * Fraction(8 * SG * scale, S0 * S0) - minsq).sign() < 0:
             chain_fail += 1
     c5 = {
         "criterion": 5,

@@ -85,7 +85,10 @@ class TrigPoly:
     IntegerMasses: A_k = (L re_k)^2 + (L im_k)^2 over the lcm L of the
     coefficient denominators; `mass_totals` holds the integers sum A_k and
     sum A_k |k|^2, and `moments` the d x d integer matrix M = sum A_k k k',
-    whose trace is the second total.
+    whose trace is the second total.  The constructor checks and coerces
+    every term; the private _from_rows takes rows already in that integer
+    form and checks nothing.  Its one caller is report._random_poly, whose
+    coefficients come from its own table.
 
     The zero frequency is always rejected: every polynomial is mean zero.
     """
@@ -112,14 +115,29 @@ class TrigPoly:
                                         f"k={list(kt)}") from None
             if row[0] or row[2]:
                 rows[kt] = row
+        self._set_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows: dict[FreqVector, tuple[int, int, int, int]]
+                   ) -> "TrigPoly":
+        """The polynomial whose _rows are `rows`, taken as they are: each k a
+        nonzero int tuple of length dim, each row four ints in lowest terms
+        with positive denominators and a nonzero part.  Nothing is checked."""
+        self = cls.__new__(cls)
+        self.dim = dim
+        self._set_rows(rows)
+        return self
+
+    def _set_rows(self, rows: dict[FreqVector, tuple[int, int, int, int]]) -> None:
+        """Store the rows and compute masses, moments and mass_totals."""
         self._rows, self._terms = rows, None
         L = math.lcm(*(row[1] for row in rows.values()), *(row[3] for row in rows.values()))
         As = [(rn * (L // rd)) ** 2 + (jn * (L // jd)) ** 2 for rn, rd, jn, jd in rows.values()]
         self.masses: IntegerMasses = (L * L, tuple(zip(rows, As)))
-        cols = list(zip(*rows)) or [()] * dim     # cols[i][t] = k_i of term t
+        cols = list(zip(*rows)) or [()] * self.dim     # cols[i][t] = k_i of term t
         weighted = [list(map(mul, As, c)) for c in cols]
         self.moments = tuple(tuple(sum(map(mul, w, c)) for c in cols) for w in weighted)
-        self.mass_totals = (sum(As), sum(self.moments[i][i] for i in range(dim)))
+        self.mass_totals = (sum(As), sum(self.moments[i][i] for i in range(self.dim)))
 
     @property
     def terms(self) -> Mapping[FreqVector, tuple[Fraction, Fraction]]:

@@ -440,6 +440,14 @@ class TestNumberText:
         code, _, err = run(capsys, *(a.format(x="1e4300") for a in argv))
         assert code == code_at_limit and "exponent magnitude" not in err
 
+    def test_out_of_range_t_is_quoted_in_bounded_form(self, capsys):
+        # str(t) of 1e4300 as a Fraction meets the integer digit limit
+        code, out, err = run(capsys, "diffusion", "uniform:0:1", "--t-grid", "1e4300,0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: t must be in (0, 1], got 1.0000000000000000000E+4300\n"
+        code, out, err = run(capsys, "diffusion", "uniform:0:1", "--t-grid", "3/2,0.5")
+        assert (code, out, err) == (2, "", "error: t must be in (0, 1], got 3/2\n")
+
     @pytest.mark.parametrize("argv", [
         ("lattice", "--direction", "dir:[1,quad:sqrt2]", "--radius", "3", "--sigma", "1e309"),
         ("ratio", "fib:5", "--direction", "dir:[1,quad:(1+sqrt5)/2]", "--preset", "delta:1e400"),

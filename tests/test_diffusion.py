@@ -283,6 +283,29 @@ class TestRVSpec:
         with pytest.raises(ValueError):
             RVSpec.from_atoms([(0, Fraction(1, 2))])
 
+    def test_str_numbers_are_read_by_read_ratio(self):
+        assert RVSpec.uniform("0", "1/2") == RVSpec.uniform(0, Fraction(1, 2))
+        assert RVSpec.from_atoms([("0.25", "1")]) == RVSpec.from_atoms([(Fraction(1, 4), 1)])
+        half = RVSpec.uniform(0, 1)
+        assert (RVSpec.mixture([("0.5", half), ("1/2", half)])
+                == RVSpec.mixture([(Fraction(1, 2), half)] * 2))
+
+    @pytest.mark.parametrize("build", [
+        lambda x: RVSpec.uniform("0", x),
+        lambda x: RVSpec.from_atoms([(x, 1)]),
+        lambda x: RVSpec.mixture([(x, RVSpec.uniform(0, 1))]),
+    ], ids=["uniform", "from_atoms", "mixture"])
+    def test_str_exponent_is_bounded(self, build):
+        # Fraction("1e2000000") forms 10**2000000 first
+        start = time.process_time()
+        with pytest.raises(ValueError, match="digit limit"):
+            build("1e2000000")
+        assert time.process_time() - start < 0.25
+
+    def test_total_mass_message_is_bounded(self):
+        with pytest.raises(ValueError, match=r"got 1\.0000000000000000000E\+4300$"):
+            RVSpec.from_atoms([(0, Fraction(10 ** 4300))])
+
     @pytest.mark.parametrize("bad", ["uniform:1:0", "atoms:[(0.5)]",
                                      "junk:1", "atoms:(0.5,1)",
                                      "atoms:[(0,1/2),,(1/3,1/2)]", "atoms:[(1,2,3)]",
@@ -390,10 +413,20 @@ class TestDiscretization:
             measure_from_rv(DRIFT, Fraction(1, 10), 32)
 
     def test_t_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got 3/2$"):
             measure_from_rv(DRIFT, Fraction(3, 2), 128)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got 0$"):
             measure_from_rv(DRIFT, 0, 128)
+        with pytest.raises(ValueError, match=r"got 1\.0000000000000000000E\+4300$"):
+            measure_from_rv(DRIFT, "1e4300", 128)
+
+    def test_under_resolved_message_is_bounded(self):
+        tiny = Fraction(1, 10 ** 4300)
+        with pytest.raises(UnderResolved, match=r"^uniform part \(0,1/2\) scaled by t=1/1000 "):
+            measure_from_rv(DRIFT, Fraction(1, 1000), 128)
+        tiny_text = r"1\.0000000000000000000E-4300"
+        with pytest.raises(UnderResolved, match=rf"\(0,{tiny_text}\) scaled by t={tiny_text} "):
+            measure_from_rv(RVSpec.uniform(0, tiny), tiny, 128)
 
 
 class TestConvolution:

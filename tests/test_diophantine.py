@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -929,6 +930,24 @@ class TestExponentTables:
     def test_nonpositive_sigma(self):
         with pytest.raises(NonpositiveSigma):
             delta_from_sigma(0)
+        with pytest.raises(NonpositiveSigma, match=r"got -1\.0000000000000000000E\+4300$"):
+            delta_from_sigma("-1e4300")
+
+    @pytest.mark.parametrize("search", [lattice_min, lattice_min_profile, delta_from_sigma],
+                             ids=lambda f: f.__name__)
+    def test_str_sigma_exponent_is_bounded(self, search):
+        args = () if search is delta_from_sigma else (make_direction([1, SQRT2]), 3)
+        start = time.process_time()
+        with pytest.raises(ValueError, match="digit limit"):
+            search(*args, "1e2000000")
+        assert time.process_time() - start < 0.25
+
+    def test_str_sigma_is_read_as_a_ratio(self):
+        a = make_direction([1, SQRT2])
+        assert lattice_min(a, 20, "1/2").to_json(30) == lattice_min(a, 20, Fraction(1, 2)).to_json(30)
+        by_text, by_ratio = (lattice_min_profile(a, 20, s) for s in ("0.5", Fraction(1, 2)))
+        assert ([(shell, k, v.to_json(30)) for shell, k, v in by_text]
+                == [(shell, k, v.to_json(30)) for shell, k, v in by_ratio])
 
     def test_markov_constants(self):
         assert markov_bounds(1).exact == QuadExact(0, 1, 5)

@@ -9,13 +9,15 @@ estimate of the root; its oracle starts at a power of two above the root.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.precision import iroot, mul_interval, nth_root_interval, round_out, sum_interval
+from dirp.precision import (iroot, mul_interval, nth_root_interval, round_out, short_str,
+                            sum_interval)
 
 
 def round_out_oracle(lo, hi, digits):
@@ -177,3 +179,24 @@ def test_rounding_is_outward_on_the_grid():
     assert mul_interval((third, third), (F(1), F(1)), 3) == (F(333, 1000), F(334, 1000))
     assert sum_interval([(third, third)] * 3, 4) == (F(1), F(1))
     assert sum_interval([], 7) == (F(0), F(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 60, 10 ** 60).filter(bool), st.integers(1, 10 ** 60),
+       st.integers(-5000, 5000))
+def test_short_str_is_str_or_twenty_digits_of_the_value(n, d, e):
+    x = Fraction(n, d) * Fraction(10) ** e
+    text = short_str(x)
+    if abs(x.numerator) < 10 ** 20 and x.denominator < 10 ** 20:
+        assert text == str(x)
+    else:
+        assert len(text.replace("-", "").split("E")[0]) <= 21   # 20 digits and a point
+        assert abs(Fraction(text) - x) <= abs(x) / 10 ** 18
+
+
+def test_short_str_of_a_million_digit_value_is_quick():
+    big = 10 ** 1_000_001
+    start = time.process_time()
+    assert short_str(Fraction(-big, 3)) == "-3.3333333333333333333E+1000000"
+    assert short_str(Fraction(3, big)) == "3.0000000000000000000E-1000001"
+    assert time.process_time() - start < 0.5

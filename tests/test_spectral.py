@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirp import report
 from dirp.certified import CertifiedReal
 from dirp.constants import e_cr
 from dirp.diophantine import delta_from_sigma
@@ -934,6 +935,42 @@ class TestSinglePassMasses:
                      Fraction(0)) / s0
         assert tail.exact.as_fraction() == oracle
         assert (radius.exact * radius.exact).as_fraction() == 4 * sg / s0
+
+
+def _integer_rows(dim):
+    """{k: (rn, rd, jn, jd)} as TrigPoly stores it: k a nonzero int tuple of
+    length dim, each part in lowest terms, and no row zero."""
+    keys = st.tuples(*[st.integers(-30, 30)] * dim).filter(any)
+    part = st.builds(lambda n, d: Fraction(n, d).as_integer_ratio(),
+                     st.integers(-10 ** 6, 10 ** 6), st.integers(1, 96))
+    row = st.tuples(part, part).map(lambda parts: parts[0] + parts[1]).filter(
+        lambda r: r[0] or r[2])
+    return st.dictionaries(keys, row, max_size=14)
+
+
+class TestFromRows:
+    """TrigPoly._from_rows, which checks nothing, builds what the checking
+    constructor builds from the same terms."""
+
+    @staticmethod
+    def _same(p, q):
+        assert list(p._rows.items()) == list(q._rows.items())
+        _same_poly(p, q)
+
+    @given(dim_rows=st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _integer_rows(d))))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_public_constructor(self, dim_rows):
+        dim, rows = dim_rows
+        p = TrigPoly._from_rows(dim, dict(rows))
+        assert p._rows == rows
+        self._same(p, TrigPoly(dim, p.terms))
+
+    @pytest.mark.parametrize("seed", [1234, 0, 7])
+    def test_random_poly_equals_public_constructor(self, seed):
+        draw = report._Integers(seed)
+        for _ in range(1000):
+            p = report._random_poly(draw)
+            self._same(p, TrigPoly(2, p.terms))
 
 
 def _fraction_ratio(text):
