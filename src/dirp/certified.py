@@ -256,7 +256,7 @@ class CertifiedReal:
         an integer power of an exact value, and for p/q of an exact rational
         x >= 0 with a rational h-th root, h = q/2 for even q else q: with
         r = x^(p/h) the value is r, or sqrt(r) in Q(sqrt(num*den)) for even q."""
-        exponent = Fraction(exponent)
+        exponent = to_fraction(exponent)
         if exponent < 0:
             raise ValueError("pow_frac needs exponent >= 0")
         if exponent == 0:

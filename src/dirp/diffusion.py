@@ -61,7 +61,7 @@ class RVSpec:
     @classmethod
     def uniform(cls, lo, hi) -> "RVSpec":
         """Uniform on [lo, hi]; every number here and in from_atoms and
-        mixture is an int, a Fraction or text read by read_ratio."""
+        mixture is read by precision.to_fraction."""
         return cls(uniforms=((Fraction(1), to_fraction(lo), to_fraction(hi)),))
 
     @classmethod
@@ -201,7 +201,7 @@ def measure_from_rv(Y: RVSpec, t, M: int) -> GridMeasure:
     if not 0 < t <= 1:
         raise ValueError(f"t must be in (0, 1], got {short_str(t)}")
     for w, lo, hi in Y.uniforms:
-        if t * (hi - lo) < Fraction(4, M):
+        if t * (hi - lo) * M < 4:
             raise UnderResolved(
                 f"uniform part ({short_str(lo)},{short_str(hi)}) scaled by "
                 f"t={short_str(t)} spans fewer than 4 of {M} cells; increase M")

@@ -3,13 +3,14 @@
 All rigorous enclosures in the toolkit are pairs of Fractions (lo, hi)
 with the true value guaranteed inside.  Endpoints are rounded outward to
 a decimal grid after each operation so denominators stay bounded.
-read_ratio is the one reader of rational text, and to_fraction reads
-with it any str argument that a library function takes as a number.
+read_number is the one policy for a value that a library function takes
+as a number, and read_ratio the one reader of rational text.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -182,9 +183,24 @@ def read_ratio(text: str) -> tuple[int, int]:
     return (-n if sign else n) // g, d // g
 
 
+def read_number(x) -> tuple[int, int]:
+    """x as (numerator, denominator), Python ints in lowest terms: an int, a
+    Fraction or another numbers.Rational exactly, a str or a Decimal (by its
+    exact text) by read_ratio, with its exponent bound; a float or anything
+    else raises TypeError."""
+    if type(x) is Fraction or type(x) is int:     # already in lowest terms
+        return x.numerator, x.denominator
+    if isinstance(x, (str, Decimal)):
+        return read_ratio(str(x))
+    if isinstance(x, numbers.Rational):     # a NumPy integer too, in Python ints
+        f = Fraction(int(x.numerator), int(x.denominator))
+        return f.numerator, f.denominator
+    raise TypeError(f"cannot read {type(x).__name__} as a number (floats are rejected: "
+                    "pass an int, a Fraction, a Decimal or a decimal or p/q str)")
+
+
 def to_fraction(x) -> Fraction:
-    """x as a Fraction: a str is read by read_ratio, with its exponent
-    bound, and anything else goes through Fraction(x)."""
-    if isinstance(x, str):
-        return Fraction(*read_ratio(x))
-    return Fraction(x)
+    """x as a Fraction, by read_number's policy."""
+    if type(x) is int:
+        return Fraction(x)
+    return x if type(x) is Fraction else Fraction(*read_number(x))

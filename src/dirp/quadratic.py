@@ -1,12 +1,12 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-A QuadExact holds a + b*sqrt(d) with Fraction a, b and a non-square
-integer d >= 0 (d = 0 exactly when b = 0; a perfect-square radicand
-collapses to a rational).  d is kept as written: square factors are
-not factored out, because the field test needs none.  Two values are
-comparable iff one is rational or d1*d2 is a perfect square, and then
-the larger radicand is rebased onto the smaller.  Signs and equalities
-are decided exactly; this is what lets inner products
+A QuadExact holds a + b*sqrt(d) with Fraction a, b (read by to_fraction,
+which refuses floats) and a non-square integer d >= 0 (d = 0 exactly when
+b = 0; a perfect-square radicand collapses to a rational).  d is kept as
+written: square factors are not factored out, because the field test
+needs none.  Two values are comparable iff one is rational or d1*d2 is a
+perfect square, and then the larger radicand is rebased onto the smaller.
+Signs and equalities are decided exactly; this is what lets inner products
 <k, alpha> be certified as exactly zero or nonzero for rational and
 quadratic-irrational direction entries.
 """
@@ -16,19 +16,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .precision import iroot
+from .precision import iroot, to_fraction
 
 
 class QuadExact:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=0):
-        if isinstance(a, float) or isinstance(b, float) or isinstance(d, float):
-            raise TypeError("floats are rejected: pass int, Fraction or str")
         if type(a) is not Fraction:     # a Fraction is immutable: keep it
-            a = Fraction(a)
+            a = to_fraction(a)
         if type(b) is not Fraction:
-            b = Fraction(b)
+            b = to_fraction(b)
+        if isinstance(d, float):
+            raise TypeError("floats are rejected: the radicand d is an int")
         d = int(d)
         if b == 0:
             d = 0

@@ -251,11 +251,11 @@ def criteria_5_6(seed: int = DEFAULT_SEED,
         sd = parseval_sums(p, PHI)[2].exact
         # half-mass: tail fraction at radius 2*sqrt(sg/s0) is <= 1/2
         _, tail = half_mass_cutoff(p)
-        if tail.exact is None or tail.exact.as_fraction() > Fraction(1, 2):
+        if tail.exact.as_fraction() > Fraction(1, 2):
             half_fail += 1
-        # chain: 8 ratio^2 = 8 sg sd / s0^2 >= minsq with minsq at shells <= R_f^2
-        thr = -(-4 * SG // S0)
-        i = bisect.bisect_right(shells, thr)
+        # chain: 8 ratio^2 = 8 sg sd / s0^2 >= minsq with minsq over the shells
+        # |k|^2 <= R_f^2, the closed ball: |k|^2 is an integer, so <= floor(R_f^2)
+        i = bisect.bisect_right(shells, 4 * SG // S0)
         minsq = rec[i - 1] if i else None
         if minsq is None or (sd * Fraction(8 * SG * scale, S0 * S0) - minsq).sign() < 0:
             chain_fail += 1

@@ -15,12 +15,13 @@ from fractions import Fraction
 from operator import index, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .certified import GUARD, CertifiedReal
 from .constants import pi_cr
 from .directions import Direction
 from .errors import DimensionMismatch, ParseError, ZeroFunction
-from .precision import fraction_to_decimal_str, read_ratio, round_out
+from .precision import fraction_to_decimal_str, read_number, round_out, to_fraction
 from .quadratic import QuadExact, common_field
 
 FreqVector = tuple[int, ...]
@@ -36,33 +37,16 @@ def freq_norm_sq(k: Sequence[int]) -> int:
 def freq_norm_cr(k: Sequence[int], sigma=1, norm: str = "euclidean") -> CertifiedReal:
     """|k|^sigma in the euclidean or max norm (a negative sigma raises 1/|k|
     to -sigma); the default, euclidean |k|, is the exact value sqrt(k.k)."""
+    sigma = to_fraction(sigma)
     if norm == "euclidean":
-        base, expo = freq_norm_sq(k), Fraction(sigma, 2)
+        base, expo = freq_norm_sq(k), sigma / 2
     elif norm == "max":
-        base, expo = max(abs(c) for c in map(index, k)), Fraction(sigma)
+        base, expo = max(abs(c) for c in map(index, k)), sigma
     else:
         raise ValueError("norm must be euclidean or max")
     if expo < 0:
         base, expo = Fraction(1, base), -expo
     return CertifiedReal.from_rational(base).pow_frac(expo)
-
-
-def _coerce_ratio(x) -> tuple[int, int]:
-    """A coefficient part as (numerator, denominator) in lowest terms.  A
-    Fraction or an int is taken as it is, a str is read by read_ratio, and
-    anything else (a bool too) goes through Fraction(x), except that a float
-    or a CertifiedReal raises TypeError."""
-    if type(x) is Fraction:     # already in lowest terms
-        return x.numerator, x.denominator
-    if type(x) is int:
-        return x, 1
-    if isinstance(x, str):
-        return read_ratio(x)
-    if isinstance(x, (float, CertifiedReal)):
-        raise TypeError(f"{type(x).__name__} coefficients are rejected; "
-                        "pass int, Fraction or a decimal or p/q str")
-    f = Fraction(x)
-    return f.numerator, f.denominator
 
 
 def _exact_text(x: Fraction) -> str:
@@ -77,7 +61,7 @@ def _exact_text(x: Fraction) -> str:
 class TrigPoly:
     """Finite map from integer frequency vectors to exact Gaussian-rational
     coefficients (re, im).  A term is a (re, im) pair or a bare real part,
-    each part an int, a Fraction or a decimal or p/q str; zero terms are
+    each part a number that precision.read_number reads; zero terms are
     not stored.  Every polynomial, built here or by from_json, keeps its
     parts as integer numerators and denominators in lowest terms; the
     read-only `terms` maps k to (re, im) Fractions and is built when it is
@@ -109,7 +93,7 @@ class TrigPoly:
             else:
                 re, im = value, 0
             try:
-                row = _coerce_ratio(re) + _coerce_ratio(im)
+                row = read_number(re) + read_number(im)
             except ZeroDivisionError:
                 raise ZeroDivisionError("zero denominator in the coefficient at "
                                         f"k={list(kt)}") from None
@@ -194,14 +178,25 @@ def _form(M, u, v) -> int:
     return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, M))
 
 
+# common_field of a direction's used entries, per direction and per tuple of
+# used flags.  Keyed by the entry objects, not their values: equal entries
+# written with different radicands enclose differently.
+_FIELDS: WeakKeyDictionary = WeakKeyDictionary()
+_ZERO = QuadExact(0)
+
+
 def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     if f.dim != a.dim:
         raise DimensionMismatch(f"poly dim {f.dim} vs direction dim {a.dim}")
     (scale, terms), M = f.masses, f.moments
     # an entry that no frequency uses (M_ii = 0) counts as an exact 0: it
     # neither keeps the sum from being exact nor is asked for an enclosure
-    entries = [e if M[i][i] else CertifiedReal.from_rational(0) for i, e in enumerate(a.entries)]
-    field = common_field([e.exact for e in entries])
+    used = tuple(M[i][i] != 0 for i in range(f.dim))
+    fields = _FIELDS.setdefault(a, {})
+    if used not in fields:
+        fields[used] = common_field([e.exact if u else _ZERO
+                                     for e, u in zip(a.entries, used)])
+    field = fields[used]
     if field is not None:
         # alpha Q = x + y sqrt D, so sum A_k <k,alpha>^2 Q^2 = x'Mx + D y'My + 2 x'My sqrt D
         D, Q, x, y = field
@@ -212,6 +207,7 @@ def _sd(f: TrigPoly, a: Direction) -> CertifiedReal:
     # as integers, each <k,alpha> bounded by the signs of k_i and squared as
     # ip * ip would be, one rounding.  The guard is what a tree of per-term sum
     # and product nodes would ask the entries for, so their caches match it.
+    entries = [e if u else CertifiedReal.from_rational(0) for e, u in zip(a.entries, used)]
     guard = 5 * GUARD + len(str(len(terms))) + len(str(len(entries)))
 
     def op(ivs, digits):
@@ -298,7 +294,7 @@ def poincare_ratio(f: TrigPoly, a: Direction, exp_grad, exp_dir) -> CertifiedRea
     |k|^eg |<k,alpha>|^ed over the support, with equality for one frequency,
     so the best constant is inf_{k != 0} |k|^eg |<k,alpha>|^ed; its minimum
     over the ball |k| <= R (diophantine.lattice_min) is an upper bound."""
-    exp_grad, exp_dir = Fraction(exp_grad), Fraction(exp_dir)
+    exp_grad, exp_dir = to_fraction(exp_grad), to_fraction(exp_dir)
     if exp_grad < 0 or exp_dir < 0 or exp_grad + exp_dir == 0:
         raise ValueError("exponents must be >= 0 and not both 0")
     _require_nonzero(f)
@@ -319,8 +315,8 @@ def multi_directional_functional(f: TrigPoly, dirs: Sequence[Direction],
     for a in dirs:
         if a.dim != d:
             raise DimensionMismatch("direction dimension mismatch")
-    exp_grad = Fraction(exp_grad) if exp_grad is not None else Fraction(d - 1)
-    exp_sum = Fraction(exp_sum) if exp_sum is not None else Fraction(ell)
+    exp_grad = to_fraction(d - 1 if exp_grad is None else exp_grad)
+    exp_sum = to_fraction(ell if exp_sum is None else exp_sum)
     _require_nonzero(f)
     s0, sg, _ = parseval_sums(f)
     dir_sum = CertifiedReal.sum(parseval_sums(f, a)[2].sqrt() for a in dirs)

@@ -1,5 +1,6 @@
 """Module boundaries in src/dirp: no module imports another's private names,
-and every error a module raises is one that cli.main maps to an exit code."""
+every error a module raises is one that cli.main maps to an exit code, and
+only dirp.precision decides how a number argument becomes a Fraction."""
 
 import ast
 import importlib
@@ -43,6 +44,55 @@ def test_checker_sees_relative_and_absolute_imports(tmp_path):
                      "from . import __version__\n"
                      "from math import _private\n")
     assert _private_imports(probe) == ["probe.py:1 imports _sd", "probe.py:2 imports _x"]
+
+
+def _raw_fraction_calls(path: Path) -> list[str]:
+    """`Fraction(...)` calls in a public function or method of path that pass
+    one of its own parameters as an argument.  A number argument is read by
+    precision.read_number or to_fraction, which refuse floats and bound text;
+    Fraction(x) would take a float and read text without the bound."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for name, fn in scopes:
+        if fn.name.startswith("_") and not fn.name.endswith("__"):
+            continue
+        args = fn.args
+        params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg] if a is not None}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("Fraction",
+                                                                       "fractions.Fraction"):
+                found += [f"{path.name}:{node.lineno} {name} passes {arg.id} to Fraction"
+                          for arg in node.args if isinstance(arg, ast.Name) and arg.id in params]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "precision.py"],
+                         ids=lambda p: p.name)
+def test_only_precision_reads_a_number_argument(path):
+    assert _raw_fraction_calls(path) == []
+
+
+def test_fraction_checker_flags_a_parameter_passed_to_fraction(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def scale(x, y=1):\n"
+                     "    return Fraction(x) * Fraction(2, 3)\n"
+                     "def _private(x):\n"
+                     "    return Fraction(x)\n"
+                     "class Box:\n"
+                     "    def __init__(self, w):\n"
+                     "        self.w = fractions.Fraction(1, w)\n"
+                     "    def read(self, w):\n"
+                     "        return to_fraction(w) + Fraction(len(w))\n"
+                     "def outer(a):\n"
+                     "    def inner(b):\n"
+                     "        return Fraction(b)\n"
+                     "    return inner(a)\n")
+    assert _raw_fraction_calls(probe) == ["probe.py:2 scale passes x to Fraction",
+                                          "probe.py:7 Box.__init__ passes w to Fraction"]
 
 
 # cli.main maps DirpError, ValueError and ArithmeticError (ZeroDivisionError

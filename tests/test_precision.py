@@ -6,18 +6,29 @@ on the grid, and sum_interval rounds the exact sum once.  The oracles below
 round the exact Fraction result instead: every endpoint must be the same
 rational, so every printed digit stays put.  iroot starts Newton at a float
 estimate of the root; its oracle starts at a power of two above the root.
+The last tests hold every library entry point that takes a number to
+read_number's policy.
 """
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirp.precision import (iroot, mul_interval, nth_root_interval, round_out, short_str,
-                            sum_interval)
+from dirp.certified import CertifiedReal
+from dirp.diffusion import (RVSpec, density_floor_check, measure_from_rv, scaling_fit,
+                            taylor_limit_check)
+from dirp.diophantine import delta_from_sigma, lattice_min, lattice_min_profile
+from dirp.directions import make_direction
+from dirp.precision import (iroot, mul_interval, nth_root_interval, read_number, round_out,
+                            short_str, sum_interval)
+from dirp.quadratic import QuadExact
+from dirp.spectral import (TrigPoly, freq_norm_cr, multi_directional_functional,
+                           poincare_ratio)
 
 
 def round_out_oracle(lo, hi, digits):
@@ -200,3 +211,59 @@ def test_short_str_of_a_million_digit_value_is_quick():
     assert short_str(Fraction(-big, 3)) == "-3.3333333333333333333E+1000000"
     assert short_str(Fraction(3, big)) == "3.0000000000000000000E-1000001"
     assert time.process_time() - start < 0.5
+
+
+# -- the number policy -------------------------------------------------------
+#
+# Every library argument that is a number is read by read_number: text is
+# bounded by read_ratio's exponent check, a float is refused, and "1/2" is the
+# same number as Fraction(1, 2).  Each entry point maps x to a value that
+# compares by ==.
+
+A2 = make_direction([1, "quad:sqrt2"])
+POLY = TrigPoly(2, {(1, 0): 1, (0, 1): (1, 2), (1, 1): "3/4"})
+U01 = RVSpec.uniform(0, 1)
+
+ENTRY_POINTS = {
+    "QuadExact-a": lambda x: QuadExact(x),
+    "QuadExact-b": lambda x: QuadExact(0, x, 2),
+    "from_rational": lambda x: CertifiedReal.from_rational(x).exact,
+    "pow_frac": lambda x: CertifiedReal.from_rational(4).pow_frac(x).exact,
+    "freq_norm_cr-euclidean": lambda x: freq_norm_cr((3, 4), x).enclosure(40),
+    "freq_norm_cr-max": lambda x: freq_norm_cr((3, 4), x, "max").enclosure(40),
+    "poincare_ratio": lambda x: poincare_ratio(POLY, A2, x, 1).enclosure(40),
+    "multi_directional_functional":
+        lambda x: multi_directional_functional(POLY, [A2], x).enclosure(40),
+    "RVSpec.uniform": lambda x: RVSpec.uniform(0, x),
+    "RVSpec.from_atoms": lambda x: RVSpec.from_atoms([(x, 1)]),
+    "RVSpec.mixture": lambda x: RVSpec.mixture([(x, U01), (x, RVSpec.uniform(0, 2))]),
+    "lattice_min": lambda x: lattice_min(A2, 10, x).to_json(40),
+    "lattice_min_profile":
+        lambda x: [(ns, k, v.enclosure(40)) for ns, k, v in lattice_min_profile(A2, 10, x)],
+    "delta_from_sigma": lambda x: delta_from_sigma(x),
+    "measure_from_rv-t": lambda x: measure_from_rv(U01, x, 64).weights.tolist(),
+    "density_floor_check-t": lambda x: density_floor_check(U01, x, 1, 128),
+    "density_floor_check-C": lambda x: density_floor_check(U01, Fraction(1, 20), x, 128),
+    "scaling_fit-t_grid": lambda x: scaling_fit(U01, 2, [x, "1/4"], 128).to_json(),
+    "taylor_limit_check-t_grid": lambda x: taylor_limit_check([(1, 1.0)], [x, "1/4"], 256),
+    "TrigPoly-coefficient": lambda x: dict(TrigPoly(1, {(1,): (1, x)}).terms),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_every_number_entry_point_reads_by_one_policy(call):
+    start = time.process_time()
+    with pytest.raises(ValueError, match="digit limit"):
+        call("1e10000000")
+    assert time.process_time() - start < 0.25
+    with pytest.raises(TypeError, match="rejected"):
+        call(0.5)
+    assert call("1/2") == call(Fraction(1, 2))
+
+
+def test_a_decimal_is_bounded_like_its_text():
+    # Fraction(Decimal("1e10000000")) forms 10**10000000: seconds
+    start = time.process_time()
+    with pytest.raises(ValueError, match="digit limit"):
+        read_number(Decimal("1e10000000"))
+    assert time.process_time() - start < 0.25

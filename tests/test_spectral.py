@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from dirp.diophantine import delta_from_sigma
 from dirp.directions import inner_product, make_direction, parse_direction
 from dirp.errors import DimensionMismatch, ParseError, ZeroFunction
 from dirp.extremizers import fibonacci_waves, liouville_family
-from dirp.precision import read_ratio
+from dirp.precision import read_number, read_ratio
 from dirp.quadratic import GOLDEN_RATIO, SQRT2, QuadExact, common_field
-from dirp.spectral import (TrigPoly, _coerce_ratio, directional_norm,
+from dirp.spectral import (TrigPoly, directional_norm,
                            freq_norm_cr, freq_norm_sq, grad_norm, half_mass_cutoff, l2_norm,
                            multi_directional_functional, multiplier_norm,
                            parseval_sums, poincare_ratio)
@@ -1048,7 +1049,7 @@ coefficient_texts = (
 class TestJsonIngestion:
     """from_json reads coefficient text in integers, in one pass with the masses."""
 
-    @pytest.mark.parametrize("reader", [_coerce_ratio, read_ratio], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("reader", [read_number, read_ratio], ids=lambda f: f.__name__)
     @given(text=coefficient_texts)
     @settings(max_examples=400, deadline=None)
     def test_coefficient_parser_is_fractions_grammar(self, reader, text):
@@ -1059,29 +1060,37 @@ class TestJsonIngestion:
         # Fraction(text) forms 10**|exponent|: seconds at these texts
         start = time.process_time()
         with pytest.raises(ValueError, match="digit limit"):
-            _coerce_ratio(text)
+            read_number(text)
         with pytest.raises(ParseError, match="digit limit"):
             TrigPoly.from_json({"dim": 2, "terms": [{"k": [1, 0], "re": "1", "im": text}]})
         assert time.process_time() - start < 0.25
 
     def test_exponent_at_the_digit_limit_is_read(self):
         limit = sys.get_int_max_str_digits()
-        assert _coerce_ratio(f"1e{limit}") == (10 ** limit, 1)
-        assert _coerce_ratio(f" -3E-{limit}") == (-3, 10 ** limit)
-        assert _coerce_ratio("8.470329472543003390683225006796419620513916015625E-22") == (1, 2 ** 70)
+        assert read_number(f"1e{limit}") == (10 ** limit, 1)
+        assert read_number(f" -3E-{limit}") == (-3, 10 ** limit)
+        assert read_number("8.470329472543003390683225006796419620513916015625E-22") == (1, 2 ** 70)
 
     def test_no_digit_limit_sets_no_exponent_bound(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            assert _coerce_ratio(f"1e-{limit + 1}") == (1, 10 ** (limit + 1))
+            assert read_number(f"1e-{limit + 1}") == (1, 10 ** (limit + 1))
         finally:
             sys.set_int_max_str_digits(limit)
 
-    @pytest.mark.parametrize("value", [0, 7, -12, True, Fraction(-3, 6), 10 ** 40])
+    @pytest.mark.parametrize("value", [0, 7, -12, True, Fraction(-3, 6), 10 ** 40,
+                                       Decimal("-0.125"), Decimal("4E+2"),
+                                       np.int64(5_000_000_000)])
     def test_non_text_coefficients_are_read_as_given(self, value):
         f = Fraction(value)
-        assert _coerce_ratio(value) == (f.numerator, f.denominator)
+        assert read_number(value) == (f.numerator, f.denominator)
+        assert all(type(part) is int for part in read_number(value))
+
+    def test_numpy_integer_parts_do_not_overflow_the_masses(self):
+        # (5 * 10**9)**2 exceeds the int64 range
+        p = TrigPoly(1, {(1,): (np.int64(5_000_000_000), np.int32(-3))})
+        assert p.masses == TrigPoly(1, {(1,): (5_000_000_000, -3)}).masses
 
     @given(terms=st.dictionaries(frequencies, st.tuples(st.integers(-10 ** 30, 10 ** 30),
                                                          st.integers(-9, 9)), max_size=8))
@@ -1093,10 +1102,11 @@ class TestJsonIngestion:
         assert all(type(x) is int for row in p._rows.values() for x in row)
         _same_poly(p, q)
 
-    @pytest.mark.parametrize("value", [0.5, 1.0, float("nan"), e_cr(), None, [1]])
+    @pytest.mark.parametrize("value", [0.5, 1.0, float("nan"), np.float64(0.5), e_cr(), None,
+                                       [1], 1j])
     def test_rejected_coefficients_keep_their_errors(self, value):
         with pytest.raises(TypeError):
-            _coerce_ratio(value)
+            read_number(value)
 
     @given(terms=st.dictionaries(
         frequencies,
