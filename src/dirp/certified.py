@@ -184,14 +184,7 @@ class CertifiedReal:
 
     @staticmethod
     def _wrap(x) -> "CertifiedReal":
-        if isinstance(x, CertifiedReal):
-            return x
-        if isinstance(x, QuadExact):
-            return CertifiedReal(exact=x)
-        if isinstance(x, (int, Fraction)):
-            return CertifiedReal.from_rational(x)
-        raise TypeError(f"cannot interpret {type(x).__name__} as CertifiedReal "
-                        "(floats are rejected: pass int, Fraction, QuadExact or CertifiedReal)")
+        return x if isinstance(x, CertifiedReal) else CertifiedReal(exact=QuadExact.of(x))
 
     def __add__(self, other):
         return CertifiedReal.node((self, other), GUARD, sum_interval, QuadExact.__add__)
@@ -294,7 +287,7 @@ class CertifiedReal:
     def compare(self, other, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Optional[int]:
         """Sign of self - other, or None when not resolvable (a genuine tie
         or precision exhaustion on inexact operands)."""
-        return (self - self._wrap(other)).sign_soft(ctx)
+        return (self - other).sign_soft(ctx)
 
     # -- conversions ------------------------------------------------------
 

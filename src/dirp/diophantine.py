@@ -74,7 +74,7 @@ class CFExpansion:
         return m, 1 + tail.index(m)
 
 
-def _cf_exact(x: int | Fraction | QuadExact, depth: int) -> CFExpansion:
+def _cf_exact(x: QuadExact, depth: int) -> CFExpansion:
     """Rational or quadratic x, in integers only.
 
     x = (A + B sqrt d)/n with integers A, B and n > 0 is written as
@@ -89,7 +89,7 @@ def _cf_exact(x: int | Fraction | QuadExact, depth: int) -> CFExpansion:
     complete quotient does, which gives the preperiod and the period.
     Stops there or at depth, whichever comes first.
     """
-    u, v, d = (x.a, x.b, x.d) if isinstance(x, QuadExact) else (Fraction(x), Fraction(0), 0)
+    u, v, d = x.a, x.b, x.d
     n = math.lcm(u.denominator, v.denominator)  # A = u n, B = v n
     P, Q, D = int(u * n) * n, n * n, int(v * n) ** 2 * d * n * n
     if v < 0:
@@ -156,10 +156,10 @@ def _cf_interval(x: CertifiedReal, depth: int, ctx: PrecisionContext) -> CFExpan
 def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpansion:
     """Continued fraction of x to the requested depth.
 
-    Exact inputs (int, Fraction, rational or quadratic QuadExact) run the
-    integer (P, Q) recurrence of _cf_exact and give exactly `depth`
+    An exact CertifiedReal, or an operand that QuadExact.of reads, runs the
+    integer (P, Q) recurrence of _cf_exact and gives exactly `depth`
     quotients, fewer only when a rational terminates, with period
-    detection for quadratics.  Anything else runs the interval
+    detection for quadratics.  An inexact CertifiedReal runs the interval
     algorithm: a quotient is emitted only while the floor is constant
     across the whole enclosure, doubling the digits up to ctx.max_digits
     (only a non-refinable value stops sooner); falling short is reported
@@ -167,13 +167,11 @@ def cf_expand(x, depth: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CFExpan
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, CertifiedReal) and x.exact is not None:
-        x = x.exact
-    if isinstance(x, (int, Fraction, QuadExact)):
-        return _cf_exact(x, depth)
     if isinstance(x, CertifiedReal):
-        return _cf_interval(x, depth, ctx)
-    raise TypeError(f"cannot expand {type(x).__name__}")
+        if x.exact is None:
+            return _cf_interval(x, depth, ctx)
+        x = x.exact
+    return _cf_exact(QuadExact.of(x), depth)
 
 
 def convergent_frequencies(a: Direction, depth: int,

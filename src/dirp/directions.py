@@ -150,24 +150,22 @@ class Direction:
 
 
 def make_direction(values: Sequence) -> Direction:
-    """Programmatic constructor: ints, Fractions, QuadExact, CertifiedReal
-    or grammar tokens."""
+    """Programmatic constructor: grammar tokens, CertifiedReal values, or
+    operands that QuadExact.of reads; any other value is a ParseError."""
     entries, specs = [], []
     for v in values:
-        if isinstance(v, CertifiedReal):
-            entries.append(v)
-            specs.append("<certified>")
-        elif isinstance(v, QuadExact):
-            entries.append(CertifiedReal.from_quad(v))
-            specs.append(repr(v))
-        elif isinstance(v, (int, Fraction)):
-            entries.append(CertifiedReal.from_rational(v))
-            specs.append(str(v))
-        elif isinstance(v, str):
-            entries.append(parse_entry(v))
-            specs.append(v.strip())
+        if isinstance(v, str):
+            entry, spec = parse_entry(v), v.strip()
+        elif isinstance(v, CertifiedReal):
+            entry, spec = v, "<certified>"
         else:
-            raise ParseError(f"cannot build direction entry from {v!r}")
+            try:
+                q = QuadExact.of(v)
+            except TypeError as exc:
+                raise ParseError(f"cannot build direction entry from {v!r}: {exc}") from None
+            entry, spec = CertifiedReal.from_quad(q), str(q.a) if q.is_rational else repr(q)
+        entries.append(entry)
+        specs.append(spec)
     if not entries:
         raise ParseError("empty direction")
     return Direction(tuple(entries), tuple(specs))

@@ -126,9 +126,9 @@ def fraction_to_decimal_str(x: Fraction, sig: int, rounding=ROUND_HALF_EVEN) -> 
 
 def short_str(x: Fraction) -> str:
     """str(x) when its numerator and denominator have at most 20 digits,
-    else about 20 significant digits of x as a Decimal string, from its
-    leading 100 bits: a message that quotes a number never meets the integer digit
-    limit, and costs about the same at any size."""
+    else 20 significant digits of x in E notation (1.0…0E-6, not 0.0000010…0),
+    from its leading 100 bits: a message that quotes a number never meets the
+    integer digit limit, and costs about the same at any size."""
     n, d = x.numerator, x.denominator
     if abs(n) < 10 ** 20 and d < 10 ** 20:
         return str(x)
@@ -138,7 +138,7 @@ def short_str(x: Fraction) -> str:
         dctx.prec, dctx.Emax, dctx.Emin = 30, MAX_EMAX, MIN_EMIN
         v = Decimal(q) * Decimal(2) ** e
         dctx.prec = 20
-        return str(+v)
+        return f"{+v:E}"
 
 
 def fraction_to_decimal_str_up(x: Fraction, sig: int) -> str:

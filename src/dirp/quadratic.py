@@ -8,12 +8,15 @@ needs none.  Two values are comparable iff one is rational or d1*d2 is a
 perfect square, and then the larger radicand is rebased onto the smaller.
 Signs and equalities are decided exactly; this is what lets inner products
 <k, alpha> be certified as exactly zero or nonzero for rational and
-quadratic-irrational direction entries.
+quadratic-irrational direction entries.  QuadExact.of is the one reader of
+an operand, here and in CertifiedReal, make_direction and cf_expand.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from decimal import Decimal
 from fractions import Fraction
 
 from .precision import iroot, to_fraction
@@ -27,8 +30,8 @@ class QuadExact:
             a = to_fraction(a)
         if type(b) is not Fraction:
             b = to_fraction(b)
-        if isinstance(d, float):
-            raise TypeError("floats are rejected: the radicand d is an int")
+        if type(d) is not int and not isinstance(d, numbers.Integral):  # or a NumPy int
+            raise TypeError(f"the radicand is an int, not {type(d).__name__} (floats are rejected)")
         d = int(d)
         if b == 0:
             d = 0
@@ -53,21 +56,27 @@ class QuadExact:
             raise ValueError("not a rational value")
         return self.a
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExact):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExact(other)
-        return None
+    @staticmethod
+    def of(x) -> "QuadExact":
+        """x as an exact operand: a QuadExact as it is, an int, a Fraction, a
+        Decimal or another numbers.Rational (a NumPy integer too) by
+        read_number; text, a float or anything else raises TypeError."""
+        if isinstance(x, QuadExact):
+            return x
+        if type(x) is int or type(x) is Fraction or isinstance(x, (numbers.Rational, Decimal)):
+            return QuadExact(x)
+        raise TypeError(f"cannot read {type(x).__name__} as an operand (floats are rejected, text"
+                        " is not read: pass int, Fraction, QuadExact or CertifiedReal, or Decimal)")
 
     def _pair(self, other):
         """(d, a1, b1, a2, b2) with self = a1 + b1 sqrt(d) and other =
-        a2 + b2 sqrt(d), or None when other is not a rational or a value of
-        the same field.  Q(sqrt d1) = Q(sqrt d2) iff d1*d2 is a square r^2;
+        a2 + b2 sqrt(d), or None when QuadExact.of refuses other or it lies
+        in another field.  Q(sqrt d1) = Q(sqrt d2) iff d1*d2 is a square r^2;
         the larger radicand is then rebased onto the smaller one through
         sqrt(d_big) = (r / d_small) sqrt(d_small)."""
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = QuadExact.of(other)
+        except TypeError:
             return None
         d1, d2 = self.d, other.d
         b1, b2 = self.b, other.b
@@ -125,7 +134,8 @@ class QuadExact:
         return QuadExact((a1 * a2 - b1 * b2 * d) / norm, (b1 * a2 - a1 * b2) / norm, d)
 
     def __rtruediv__(self, other):
-        return QuadExact(other) / self
+        p = self._pair(other)   # (d, a1, b1, a2, b2) with other = a2 + b2 sqrt(d)
+        return NotImplemented if p is None else QuadExact(p[3], p[4], p[0]) / self
 
     # -- exact decisions -------------------------------------------------
 
@@ -141,10 +151,9 @@ class QuadExact:
         return sb if b * b * d > a * a else -sb
 
     def __eq__(self, other):
+        # another field gives NotImplemented both ways, so Python answers False
         p = self._pair(other)
-        if p is None:
-            return NotImplemented if self._coerce(other) is None else False
-        return p[1:3] == p[3:]  # sqrt(d) is irrational: equal values, equal parts
+        return NotImplemented if p is None else p[1:3] == p[3:]  # equal values, equal parts
 
     def __hash__(self):
         # a rational value equals its Fraction, so it must hash like one;

@@ -1,6 +1,7 @@
 """Module boundaries in src/dirp: no module imports another's private names,
-every error a module raises is one that cli.main maps to an exit code, and
-only dirp.precision decides how a number argument becomes a Fraction."""
+every error a module raises is one that cli.main maps to an exit code, only
+dirp.precision decides how a number argument becomes a Fraction, and only it
+and dirp.quadratic test a value against a number type."""
 
 import ast
 import importlib
@@ -93,6 +94,52 @@ def test_fraction_checker_flags_a_parameter_passed_to_fraction(tmp_path):
                      "    return inner(a)\n")
     assert _raw_fraction_calls(probe) == ["probe.py:2 scale passes x to Fraction",
                                           "probe.py:7 Box.__init__ passes w to Fraction"]
+
+
+NUMBER_CLASSES = {"int", "float", "Fraction", "Decimal", "Number", "Complex", "Real",
+                  "Rational", "Integral"}
+
+
+def _number_isinstance_calls(path: Path) -> list[str]:
+    """`isinstance` calls in path whose class, alone or in a tuple, is int,
+    float, Fraction, Decimal or a numbers class, by bare or dotted name.
+    QuadExact.of reads an operand and precision.read_number an argument;
+    a module that tests number types itself makes a second policy."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                and len(node.args) == 2):
+            continue
+        classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        found += [f"{path.name}:{node.lineno} isinstance against {ast.unparse(c)}"
+                  for c in classes if ast.unparse(c).split(".")[-1] in NUMBER_CLASSES]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in ("precision.py", "quadratic.py")],
+                         ids=lambda p: p.name)
+def test_only_precision_and_quadratic_test_number_types(path):
+    assert _number_isinstance_calls(path) == []
+
+
+def test_number_type_checker_flags_each_number_class(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("isinstance(x, int)\n"
+                     "isinstance(x, (str, fractions.Fraction))\n"
+                     "isinstance(x, numbers.Rational)\n"
+                     "if isinstance(x, CertifiedReal) or isinstance(x, (list, tuple)):\n"
+                     "    pass\n"
+                     "isinstance(x, (Decimal, float))\n"
+                     "isinstance(x, Integral)\n"
+                     "isinstance(x, bool)\n")
+    assert _number_isinstance_calls(probe) == [
+        "probe.py:1 isinstance against int",
+        "probe.py:2 isinstance against fractions.Fraction",
+        "probe.py:3 isinstance against numbers.Rational",
+        "probe.py:6 isinstance against Decimal",
+        "probe.py:6 isinstance against float",
+        "probe.py:7 isinstance against Integral"]
 
 
 # cli.main maps DirpError, ValueError and ArithmeticError (ZeroDivisionError

@@ -7,7 +7,7 @@ round the exact Fraction result instead: every endpoint must be the same
 rational, so every printed digit stays put.  iroot starts Newton at a float
 estimate of the root; its oracle starts at a power of two above the root.
 The last tests hold every library entry point that takes a number to
-read_number's policy.
+read_number's policy, and every arithmetic operand to QuadExact.of's.
 """
 
 import math
@@ -15,6 +15,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +23,12 @@ from hypothesis import strategies as st
 from dirp.certified import CertifiedReal
 from dirp.diffusion import (RVSpec, density_floor_check, measure_from_rv, scaling_fit,
                             taylor_limit_check)
-from dirp.diophantine import delta_from_sigma, lattice_min, lattice_min_profile
+from dirp.diophantine import cf_expand, delta_from_sigma, lattice_min, lattice_min_profile
 from dirp.directions import make_direction
+from dirp.errors import ParseError
 from dirp.precision import (iroot, mul_interval, nth_root_interval, read_number, round_out,
                             short_str, sum_interval)
-from dirp.quadratic import QuadExact
+from dirp.quadratic import SQRT2, QuadExact
 from dirp.spectral import (TrigPoly, freq_norm_cr, multi_directional_functional,
                            poincare_ratio)
 
@@ -259,6 +261,92 @@ def test_every_number_entry_point_reads_by_one_policy(call):
     with pytest.raises(TypeError, match="rejected"):
         call(0.5)
     assert call("1/2") == call(Fraction(1, 2))
+
+
+# -- the operand policy ------------------------------------------------------
+#
+# QuadExact.of reads every operand of arithmetic: a QuadExact, an int, a
+# Fraction, a NumPy integer and a Decimal are exact values, so equal ones give
+# equal results at every site, and a float, text or None raises TypeError at
+# every site alike.  Text is read where it enters (a constructor or the
+# direction grammar), never as an operand.
+
+R2 = CertifiedReal.from_quad(SQRT2)
+
+OPERAND_SITES = {
+    "QuadExact+": lambda x: SQRT2 + x,
+    "+QuadExact": lambda x: x + SQRT2,
+    "QuadExact-": lambda x: SQRT2 - x,
+    "-QuadExact": lambda x: x - SQRT2,
+    "QuadExact*": lambda x: SQRT2 * x,
+    "*QuadExact": lambda x: x * SQRT2,
+    "QuadExact/": lambda x: SQRT2 / x,
+    "/QuadExact": lambda x: x / SQRT2,
+    "CertifiedReal+": lambda x: (R2 + x).exact,
+    "+CertifiedReal": lambda x: (x + R2).exact,
+    "CertifiedReal-": lambda x: (R2 - x).exact,
+    "-CertifiedReal": lambda x: (x - R2).exact,
+    "CertifiedReal*": lambda x: (R2 * x).exact,
+    "*CertifiedReal": lambda x: (x * R2).exact,
+    "CertifiedReal/": lambda x: (R2 / x).exact,
+    "/CertifiedReal": lambda x: (x / R2).exact,
+    "compare": lambda x: R2.compare(x),
+    "cf_expand": lambda x: cf_expand(x, 6).quotients,
+}
+# (operand, the same number as an int or a Fraction)
+SAME_OPERANDS = [(np.int64(3), 3), (np.int8(-2), -2), (Fraction(6, 2), 3), (Decimal("3.00"), 3),
+                 (Decimal("-2.5"), Fraction(-5, 2)), (Decimal("1E+2"), 100)]
+REFUSED_OPERANDS = [0.5, np.float64(3.0), "3", "1/2", None]
+
+
+@pytest.mark.parametrize("call", OPERAND_SITES.values(), ids=OPERAND_SITES)
+@pytest.mark.parametrize("x, same", SAME_OPERANDS, ids=repr)
+def test_equal_operands_give_equal_results(call, x, same):
+    assert call(x) == call(same)
+    assert type(call(x)) is type(call(same))
+
+
+@pytest.mark.parametrize("call", OPERAND_SITES.values(), ids=OPERAND_SITES)
+@pytest.mark.parametrize("x", REFUSED_OPERANDS, ids=repr)
+def test_every_operand_site_refuses_alike(call, x):
+    with pytest.raises(TypeError):
+        call(x)
+
+
+@pytest.mark.parametrize("x, same", SAME_OPERANDS, ids=repr)
+def test_an_equal_operand_compares_and_hashes_equal(x, same):
+    q = QuadExact(same)
+    assert q == x and x == q and not q != x
+    assert hash(q) == hash(x)
+
+
+@pytest.mark.parametrize("x", REFUSED_OPERANDS, ids=repr)
+def test_a_refused_operand_is_never_equal(x):
+    # == never raises: a refused value is unequal, as Fraction(3) == "3" is
+    q = QuadExact(3)
+    assert not q == x and not x == q and q != x
+
+
+@pytest.mark.parametrize("x, same", SAME_OPERANDS, ids=repr)
+def test_make_direction_reads_an_operand_by_the_same_policy(x, same):
+    a, b = make_direction([SQRT2, x]), make_direction([SQRT2, same])
+    assert a.key() == b.key()
+    assert [e.exact for e in a.entries] == [e.exact for e in b.entries]
+
+
+def test_make_direction_reads_text_as_a_grammar_token_and_refuses_the_rest():
+    # a str entry is where text enters, so it is read, not refused
+    assert make_direction(["1/2"]).entries[0].exact == Fraction(1, 2)
+    for x in (0.5, np.float64(3.0), None):
+        with pytest.raises(ParseError, match="cannot build direction entry"):
+            make_direction([1, x])
+
+
+@pytest.mark.parametrize("d", [Fraction(5, 2), Fraction(2), "2", Decimal(2), 2.0, None])
+def test_the_radicand_is_an_integer_index(d):
+    with pytest.raises(TypeError, match="radicand"):
+        QuadExact(0, 1, d)
+    assert QuadExact(0, 1, np.int64(2)) == SQRT2
 
 
 def test_a_decimal_is_bounded_like_its_text():
